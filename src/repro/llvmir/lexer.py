@@ -2,16 +2,21 @@
 
 LLVM assembly is whitespace-insensitive apart from comments; the lexer
 therefore produces a flat token stream and the parser never needs to see
-line boundaries.
+line boundaries.  One compiled regex scans the whole source, as in
+:mod:`repro.qasm.lexer`; only newlines (and newlines inside quoted text)
+touch the line count.
 """
 
 from __future__ import annotations
 
+import re
+import string
+from functools import partial
 from typing import List, NamedTuple
 
 
 class Token(NamedTuple):
-    kind: str  # LOCAL GLOBAL METADATA ATTRGROUP WORD INT FLOAT STRING CSTRING PUNCT EOF
+    kind: str  # LOCAL GLOBAL METADATA ATTRGROUP WORD INT FLOAT STRING CSTRING MDSTRING PUNCT EOF
     text: str
     line: int
     column: int
@@ -27,172 +32,106 @@ class LexError(ValueError):
         self.column = column
 
 
-_PUNCT_CHARS = "=,(){}[]<>*:"
+_IDENT = r"[-A-Za-z0-9_.$]+"
+# A double-quoted string with LLVM's ``\\`` and ``\XX`` escapes, in Friedl's
+# unrolled form so that a long or unterminated string scans in linear time.
+_QUOTED_BODY = r'"[^"\\]*(?:\\(?:\\|[0-9A-Fa-f]{2})[^"\\]*)*'
+_QUOTED = _QUOTED_BODY + '"'
 
-_WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_.$")
-_WORD_CHARS = _WORD_START | set("0123456789-")
-_IDENT_CHARS = _WORD_START | set("0123456789-")
+# Each alternative is one token kind, named after it; the lower-case groups
+# are trivia and errors.  Sigil groups start one past the sigil, which is the
+# column sigil tokens report.  Blanks after a token are part of its match.
+_TOKEN_RE = re.compile(
+    rf"""
+  (?:
+    (?P<nl>\n)
+  | (?P<skip>[ \t\r]+|;[^\n]*)
+  | %(?P<LOCAL>{_IDENT}|{_QUOTED})
+  | @(?P<GLOBAL>{_IDENT}|{_QUOTED})
+  | (?P<PUNCT>[=,(){{}}\[\]<>*:]|!\{{)
+  | (?P<CSTRING>c{_QUOTED})
+  | (?P<WORD>[A-Za-z_.$][-A-Za-z0-9_.$]*)
+  | (?P<FLOAT>-?(?:0[xX][0-9A-Fa-f]+|[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+)))
+  | (?P<barehex>-?0[xX])
+  | (?P<INT>-?[0-9]+)
+  | (?P<STRING>{_QUOTED})
+  | (?P<MDSTRING>!{_QUOTED})
+  | !(?P<METADATA>{_IDENT})
+  | \#(?P<ATTRGROUP>{_IDENT}|{_QUOTED})
+  | (?P<error>.)
+  )[ \t\r]*
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_QUOTED_PREFIX_RE = re.compile(_QUOTED_BODY)
+_ESCAPE_RE = re.compile(r"\\(\\|[0-9A-Fa-f]{2})")
+_ESCAPES = {"\\": "\\"}
+_ESCAPES.update(
+    (a + b, chr(int(a + b, 16))) for a in string.hexdigits for b in string.hexdigits
+)
+_NOT_TOKENS = frozenset(("nl", "skip", "barehex", "error"))
+_SIGILS = {"%": "LOCAL", "@": "GLOBAL", "!": "METADATA", "#": "ATTRGROUP"}
+
+# ``Token(...)`` runs a Python-level ``__new__``; building the tuple
+# directly makes the whole lexer about a third faster.
+_new_token = partial(tuple.__new__, Token)
+
+
+def _unescape(body: str) -> str:
+    if "\\" not in body:
+        return body
+    parts = _ESCAPE_RE.split(body)  # text, escape, text, escape, ..., text
+    parts[1::2] = map(_ESCAPES.__getitem__, parts[1::2])
+    return "".join(parts)
+
+
+def _error(source: str, pos: int, group: str) -> LexError:
+    """Diagnose the text at ``pos`` that no token pattern accepted."""
+    ch = source[pos]
+    message = f"unexpected character {ch!r}"
+    if group == "barehex":
+        message = "expected hex digits after '0x'"
+    elif ch in _SIGILS:
+        pos += 1
+        if source[pos : pos + 1] != '"':
+            message = f"empty identifier after sigil for {_SIGILS[ch]}"
+    if source[pos : pos + 1] == '"':
+        pos = _QUOTED_PREFIX_RE.match(source, pos).end()
+        message = "unterminated string" if pos == len(source) else "bad escape in string"
+    line = source.count("\n", 0, pos) + 1
+    return LexError(message, line, pos - source.rfind("\n", 0, pos))
 
 
 class Lexer:
     def __init__(self, source: str):
         self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.line, self.column)
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.source[idx] if idx < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return text
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == ";":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                break
-
-    def _lex_quoted(self) -> str:
-        """Read a double-quoted string with LLVM's ``\\XX`` hex escapes."""
-        assert self._peek() == '"'
-        self._advance()
-        out: List[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise self._error("unterminated string")
-            if ch == '"':
-                self._advance()
-                return "".join(out)
-            if ch == "\\":
-                self._advance()
-                nxt = self._peek()
-                if nxt == "\\":
-                    self._advance()
-                    out.append("\\")
-                else:
-                    hexpair = self._advance(2)
-                    if len(hexpair) != 2:
-                        raise self._error("bad escape in string")
-                    out.append(chr(int(hexpair, 16)))
-            else:
-                out.append(self._advance())
-
-    def _lex_sigil_ident(self, kind: str) -> Token:
-        """Lex %name / @name / !name after the sigil has been consumed."""
-        line, column = self.line, self.column
-        if self._peek() == '"':
-            text = self._lex_quoted()
-            return Token(kind, text, line, column)
-        chars: List[str] = []
-        while self._peek() and self._peek() in _IDENT_CHARS:
-            chars.append(self._advance())
-        if not chars:
-            raise self._error(f"empty identifier after sigil for {kind}")
-        return Token(kind, "".join(chars), line, column)
-
-    def _lex_number(self) -> Token:
-        line, column = self.line, self.column
-        chars: List[str] = []
-        if self._peek() == "-":
-            chars.append(self._advance())
-        if self._peek() == "0" and self._peek(1) in "xX":
-            chars.append(self._advance())
-            chars.append(self._advance())
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                chars.append(self._advance())
-            return Token("FLOAT", "".join(chars), line, column)
-        is_float = False
-        while self._peek().isdigit():
-            chars.append(self._advance())
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            chars.append(self._advance())
-            while self._peek().isdigit():
-                chars.append(self._advance())
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            chars.append(self._advance())
-            if self._peek() in "+-":
-                chars.append(self._advance())
-            while self._peek().isdigit():
-                chars.append(self._advance())
-        text = "".join(chars)
-        if text in ("-",):
-            raise self._error("stray '-'")
-        return Token("FLOAT" if is_float else "INT", text, line, column)
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        line, column = self.line, self.column
-        if self.pos >= len(self.source):
-            return Token("EOF", "", line, column)
-        ch = self._peek()
-
-        if ch == "%":
-            self._advance()
-            return self._lex_sigil_ident("LOCAL")
-        if ch == "@":
-            self._advance()
-            return self._lex_sigil_ident("GLOBAL")
-        if ch == "!":
-            self._advance()
-            if self._peek() == '"':
-                text = self._lex_quoted()
-                return Token("MDSTRING", text, line, column)
-            if self._peek() == "{":
-                return Token("PUNCT", "!{", line, column) if self._advance() else None  # type: ignore[return-value]
-            return self._lex_sigil_ident("METADATA")
-        if ch == "#":
-            self._advance()
-            tok = self._lex_sigil_ident("ATTRGROUP")
-            return tok
-        if ch == '"':
-            text = self._lex_quoted()
-            return Token("STRING", text, line, column)
-        if ch == "c" and self._peek(1) == '"':
-            self._advance()
-            text = self._lex_quoted()
-            return Token("CSTRING", text, line, column)
-        if ch.isdigit() or (ch == "-" and self._peek(1).isdigit()):
-            return self._lex_number()
-        if ch in _PUNCT_CHARS:
-            # '...' for varargs is handled via WORD of '.' chars below; other
-            # multi-char punctuation does not occur in the subset.
-            self._advance()
-            return Token("PUNCT", ch, line, column)
-        if ch in _WORD_START:
-            chars = []
-            while self._peek() and self._peek() in _WORD_CHARS:
-                chars.append(self._advance())
-            return Token("WORD", "".join(chars), line, column)
-        raise self._error(f"unexpected character {ch!r}")
 
     def tokenize(self) -> List[Token]:
+        source = self.source
         tokens: List[Token] = []
-        while True:
-            tok = self.next_token()
-            tokens.append(tok)
-            if tok.kind == "EOF":
-                return tokens
+        append = tokens.append
+        line = 1
+        line_start = 0  # offset of the current line's first character
+        for match in _TOKEN_RE.finditer(source):
+            kind = match.lastgroup
+            if kind in _NOT_TOKENS:
+                if kind == "nl":
+                    line += 1
+                    line_start = match.start() + 1
+                elif kind != "skip":
+                    raise _error(source, match.start(), kind)
+                continue
+            text = match[kind]
+            column = match.start(kind) - line_start + 1
+            if text[-1] != '"':
+                append(_new_token((kind, text, line, column)))
+                continue
+            # Quoted text: drop any c/! prefix and the quotes, decode the
+            # escapes, and count the newlines the string spans.
+            body = _unescape(text[text.index('"') + 1 : -1])
+            append(_new_token((kind, body, line, column)))
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = source.rfind("\n", 0, match.end()) + 1
+        append(_new_token(("EOF", "", line, len(source) - line_start + 1)))
+        return tokens

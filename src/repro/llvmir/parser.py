@@ -124,9 +124,13 @@ class Parser:
         self._pending_fn_groups: List[Tuple[Function, int]] = []
 
     # -- token helpers ---------------------------------------------------------
-    def _peek(self, offset: int = 0) -> Token:
-        idx = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+    def _peek(self) -> Token:
+        # The EOF sentinel is never consumed, so the cursor stays in range.
+        return self.tokens[self.index]
+
+    def _peek_next(self) -> Token:
+        """The token after the current one; EOF once the stream ends."""
+        return self.tokens[min(self.index + 1, len(self.tokens) - 1)]
 
     def _next(self) -> Token:
         tok = self.tokens[self.index]
@@ -135,20 +139,20 @@ class Parser:
         return tok
 
     def _accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        tok = self._peek()
+        tok = self.tokens[self.index]
         if tok.kind == kind and (text is None or tok.text == text):
             return self._next()
         return None
 
     def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self._peek()
+        tok = self.tokens[self.index]
         if tok.kind != kind or (text is not None and tok.text != text):
             want = f"{kind} {text!r}" if text else kind
             raise ParseError(f"expected {want}", tok)
         return self._next()
 
     def _accept_word(self, *words: str) -> Optional[str]:
-        tok = self._peek()
+        tok = self.tokens[self.index]
         if tok.kind == "WORD" and tok.text in words:
             self._next()
             return tok.text
@@ -562,7 +566,7 @@ class Parser:
             if tok.kind == "PUNCT" and tok.text == "}":
                 break
             # Label line: WORD/INT followed by ':'
-            if tok.kind in ("WORD", "INT") and self._peek(1).kind == "PUNCT" and self._peek(1).text == ":":
+            if tok.kind in ("WORD", "INT") and self._peek_next()[:2] == ("PUNCT", ":"):
                 self._next()
                 self._next()
                 current = get_block(tok.text)
@@ -788,7 +792,7 @@ class Parser:
         return_type = self.parse_type()
         # A full function type may appear for vararg callees: `call void (...)`
         callee_param_types: Optional[List[IRType]] = None
-        if self._peek().kind == "PUNCT" and self._peek().text == "(" and self._peek(1).kind != "PUNCT":
+        if self._peek().kind == "PUNCT" and self._peek().text == "(" and self._peek_next().kind != "PUNCT":
             # lookahead: '(' immediately followed by a type word = function type
             save = self.index
             try:

@@ -103,6 +103,27 @@ HOSTILE_SOURCES = {
         "}\n"
     ),
     "missing_function_body_brace": "define void @main() #0 {",
+    "bad_string_escape": (
+        "define void @main() #0 {\n"
+        "entry:\n"
+        "  ret void\n"
+        "}\n"
+        'attributes #0 = { "a\\zz" }\n'
+    ),
+    "non_ascii_digit": (
+        "define i32 @main() #0 {\n"
+        "entry:\n"
+        "  ret i32 ²\n"
+        "}\n"
+        'attributes #0 = { "entry_point" }\n'
+    ),
+    "bare_hex_prefix": (
+        "define double @main() #0 {\n"
+        "entry:\n"
+        "  ret double 0x\n"
+        "}\n"
+        'attributes #0 = { "entry_point" }\n'
+    ),
     "store_to_non_pointer": (
         "define void @main() #0 {\n"
         "entry:\n"
