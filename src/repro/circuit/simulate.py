@@ -20,6 +20,7 @@ from repro.circuit.operations import (
     Operation,
     Reset,
 )
+from repro.sim.sampling import render_counts
 from repro.sim.statevector import StatevectorSimulator
 from repro.sim.stabilizer import StabilizerSimulator
 
@@ -91,17 +92,8 @@ def run_circuit(
                 measured[circuit.clbit_index(op.clbit)] = circuit.qubit_index(op.qubit)
             else:
                 _apply(op, circuit, sim, {})
-        samples = sim.sample(shots)
-        for bitstring, count in samples.items():
-            # map sampled qubit values onto classical bits
-            qvalues = {
-                q: int(bitstring[circuit.num_qubits - 1 - q]) for q in range(circuit.num_qubits)
-            }
-            out = "".join(
-                str(qvalues.get(measured.get(c, -1), 0)) for c in reversed(range(n_clbits))
-            )
-            histogram[out] = histogram.get(out, 0) + count
-        return histogram
+        basis, counts = sim.sample_basis(shots)
+        return render_counts(basis, counts, list(measured.values()), list(measured), n_clbits)
 
     for _ in range(shots):
         shot_seed = int(rng.integers(2**63))

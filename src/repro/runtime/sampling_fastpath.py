@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.runtime.results import ResultStore
 from repro.runtime.values import IntPtr
+from repro.sim.sampling import render_counts, render_outcomes
 from repro.sim.statevector import StatevectorSimulator
 
 #: Distributions with more nonzero outcomes than this are not cached --
@@ -136,27 +137,8 @@ def sample_counts_from(
     if not slots:
         return {"": shots}
 
-    raw = backend.inner.sample(shots, qubits=slots)
-    return _remap_counts(raw, slots, addresses)
-
-
-def _remap_counts(
-    raw: Dict[str, int], slots: Sequence[int], addresses: Sequence[int]
-) -> Dict[str, int]:
-    # sample() renders bits as reversed(slots): bit 0 of the string is the
-    # *last* slot in `slots`.
-    max_address = max(addresses)
-    counts: Dict[str, int] = {}
-    for bits, count in raw.items():
-        by_address = {}
-        for position, address in enumerate(addresses):
-            by_address[address] = bits[len(slots) - 1 - position]
-        rendered = "".join(
-            by_address.get(address, "0")
-            for address in range(max_address, -1, -1)
-        )
-        counts[rendered] = counts.get(rendered, 0) + count
-    return counts
+    basis, counts = backend.inner.sample_basis(shots)
+    return render_counts(basis, counts, slots, addresses, max(addresses) + 1)
 
 
 # -- cached sampling distributions ---------------------------------------------
@@ -207,8 +189,9 @@ class SampledDistribution:
     @classmethod
     def from_entries(cls, entries: object) -> "SampledDistribution":
         """Decode and validate a wire-format entry list.  Raises
-        ``ValueError`` on anything suspect -- shape, types, negative or
-        non-finite probabilities, or a total that is not ~1.0."""
+        ``ValueError`` on anything suspect -- shape, types, bitstrings of
+        differing or zero width, negative or non-finite probabilities, or
+        a total that is not ~1.0."""
         if not isinstance(entries, list):
             raise ValueError("distribution entries must be a list")
         pairs: List[Tuple[str, float]] = []
@@ -217,8 +200,10 @@ class SampledDistribution:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ValueError("distribution entry must be a [bits, prob] pair")
             bits, prob = item
-            if not isinstance(bits, str) or bits.strip("01"):
+            if not isinstance(bits, str) or not bits or bits.strip("01"):
                 raise ValueError(f"distribution bitstring {bits!r} is not binary")
+            if pairs and len(bits) != len(pairs[0][0]):
+                raise ValueError(f"distribution bitstrings {pairs[0][0]!r}, {bits!r} differ in width")
             if isinstance(prob, bool) or not isinstance(prob, (int, float)):
                 raise ValueError("distribution probability must be a number")
             prob = float(prob)
@@ -237,12 +222,13 @@ def distribution_from(
 ) -> Optional[SampledDistribution]:
     """Extract the cacheable terminal distribution of one evolution.
 
-    Replicates exactly what :meth:`StatevectorSimulator.sample` feeds
-    ``Generator.choice`` -- including its conditional renormalisation --
-    then renders each nonzero basis outcome through the same
-    slot->address remap as :func:`sample_counts_from`.  Returns ``None``
-    when the support exceeds :data:`MAX_CACHED_OUTCOMES` (not worth
-    persisting) or the bookkeeping is inconsistent.
+    Reads exactly the probabilities the cold path's
+    :meth:`~StatevectorSimulator.sample_basis` feeds ``Generator.choice``
+    and renders each nonzero basis outcome with the same
+    :func:`~repro.sim.sampling.render_outcomes` routing as
+    :func:`sample_counts_from`.  Returns ``None`` when the support exceeds
+    :data:`MAX_CACHED_OUTCOMES` (not worth persisting) or the bookkeeping
+    is inconsistent.
     """
     slots = backend.measured_slots
     addresses = results.write_order
@@ -251,23 +237,9 @@ def distribution_from(
     if not slots:
         return SampledDistribution(entries=())
 
-    probs = backend.inner.probabilities()
-    total = float(probs.sum())
-    if not math.isclose(total, 1.0, abs_tol=1e-9):
-        probs = probs / total
+    probs = backend.inner.sampling_probabilities()
     nonzero = np.flatnonzero(probs)
     if len(nonzero) > MAX_CACHED_OUTCOMES:
         return None
-    max_address = max(addresses)
-    entries: List[Tuple[str, float]] = []
-    for basis in nonzero:
-        basis = int(basis)
-        by_address = {}
-        for position, address in enumerate(addresses):
-            by_address[address] = str((basis >> slots[position]) & 1)
-        rendered = "".join(
-            by_address.get(address, "0")
-            for address in range(max_address, -1, -1)
-        )
-        entries.append((rendered, float(probs[basis])))
-    return SampledDistribution(entries=tuple(entries))
+    rendered = render_outcomes(nonzero, slots, addresses, max(addresses) + 1)
+    return SampledDistribution(entries=tuple(zip(rendered, probs[nonzero].tolist())))

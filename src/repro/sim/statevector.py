@@ -17,11 +17,12 @@ Design notes (following the HPC guide's advice):
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.sim.gates import gate_matrix
+from repro.sim.sampling import render_counts
 
 _ATOL = 1e-12
 
@@ -257,23 +258,30 @@ class StatevectorSimulator:
         if outcome == 1:
             self.apply_gate("x", [qubit])
 
+    def sampling_probabilities(self) -> np.ndarray:
+        """The probabilities :meth:`sample_basis` draws from, renormalised."""
+        probs = self.probabilities()
+        total = float(probs.sum())
+        if not math.isclose(total, 1.0, abs_tol=1e-9):
+            probs = probs / total
+        return probs
+
+    def sample_basis(self, shots: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Draw ``shots`` terminal outcomes without collapsing; returns the
+        distinct basis indices drawn (ascending) and their counts."""
+        probs = self.sampling_probabilities()
+        outcomes = self._rng.choice(len(probs), size=shots, p=probs)
+        return np.unique(outcomes, return_counts=True)
+
     def sample(self, shots: int, qubits: Optional[Sequence[int]] = None) -> Dict[str, int]:
         """Sample terminal measurement outcomes without collapsing.
 
         Returns a ``bitstring -> count`` histogram; bit order in the string
         is qubit ``n-1 .. 0`` (most significant first), matching Qiskit.
         """
-        probs = self.probabilities()
-        total = probs.sum()
-        if not math.isclose(total, 1.0, abs_tol=1e-9):
-            probs = probs / total
-        outcomes = self._rng.choice(len(probs), size=shots, p=probs)
+        basis, counts = self.sample_basis(shots)
         qubits = list(qubits) if qubits is not None else list(range(self._num_qubits))
-        histogram: Dict[str, int] = {}
-        for basis in outcomes:
-            bits = "".join(str((int(basis) >> q) & 1) for q in reversed(qubits))
-            histogram[bits] = histogram.get(bits, 0) + 1
-        return histogram
+        return render_counts(basis, counts, qubits, range(len(qubits)), len(qubits))
 
 
 class BatchedStatevectorSimulator:

@@ -111,6 +111,25 @@ class TestCorrectness:
         result = QirRuntime(seed=13).run_shots(sm.ir(), shots=10, sampling="require")
         assert result.counts == {"1000": 10}
 
+    @pytest.mark.parametrize(
+        "addresses, expected",
+        [((0, -1), {"1": 10}), ((0, -3), {"1": 10}), ((-1, 0), {"0": 10}), ((-2, -2), {"": 10})],
+    )
+    def test_negative_result_address_is_not_rendered(self, addresses, expected):
+        # Like the per-shot path, the fast path drops result addresses
+        # below zero instead of failing on them.
+        sm = SimpleModule("t", 2, 2)
+        sm.qis.x(0)
+        sm.qis.mz(0, 0)
+        sm.qis.mz(1, 1)
+        text = sm.ir()
+        for written, address in zip(("null", "inttoptr (i64 1 to ptr)"), addresses):
+            text = text.replace(f"writeonly {written})", f"writeonly inttoptr (i64 {address} to ptr))")
+        fast = QirRuntime(seed=16).run_shots(text, shots=10, sampling="require")
+        slow = QirRuntime(seed=16).run_shots(text, shots=10, sampling="never")
+        assert fast.used_fast_path
+        assert fast.counts == slow.counts == expected
+
     def test_no_measurements(self):
         sm = SimpleModule("t", 1, 0)
         sm.qis.h(0)

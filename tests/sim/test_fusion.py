@@ -227,6 +227,9 @@ def test_distribution_entry_validation_fails_closed():
         [["00", 0.5], ["11", -0.5]],    # non-positive probability
         [["00", float("nan")]],         # non-finite probability
         [["00", 0.9], ["11", 0.4]],     # does not sum to ~1
+        [["0", 0.5], ["111", 0.25], ["", 0.25]],  # ragged widths
+        [["0", 0.5], ["111", 0.5]],     # ragged widths, all nonempty
+        [["", 1.0]],                    # zero-width bitstring
     ]:
         with pytest.raises(ValueError):
             SampledDistribution.from_entries(bad)
@@ -249,6 +252,11 @@ def test_corrupt_distribution_block_fails_closed():
     corrupted["distribution"] = {"entries": [["00", 0.2], ["11", 0.2]]}
     with pytest.raises(PlanDecodeError, match="corrupt distribution"):
         ExecutionPlan.from_bytes(json.dumps(corrupted).encode("utf-8"))
+
+    ragged = dict(payload)
+    ragged["distribution"] = {"entries": [["0", 0.5], ["111", 0.25], ["", 0.25]]}
+    with pytest.raises(PlanDecodeError, match="corrupt distribution"):
+        ExecutionPlan.from_bytes(json.dumps(ragged).encode("utf-8"))
 
     not_an_object = dict(payload)
     not_an_object["distribution"] = [1, 2, 3]

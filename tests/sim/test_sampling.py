@@ -27,6 +27,11 @@ class TestSampleCounts:
         counts = sample_counts([1, 0, 0, 0, 0, 0, 0, 0], 10, num_bits=3, seed=3)
         assert counts == {"000": 10}
 
+    def test_more_outcomes_than_bits_rejected(self):
+        # Four outcomes need two bits; one bit would mix key widths.
+        with pytest.raises(ValueError, match="do not fit"):
+            sample_counts([0.25] * 4, shots=10, num_bits=1, seed=4)
+
 
 class TestProbabilities:
     def test_counts_to_probabilities(self):
