@@ -10,11 +10,10 @@ Shape claims:
   timing) stays within a small constant factor, cheap enough to switch on
   for any diagnostic run.
 
-Timing discipline (ISSUE 3): every number is the median of k >= 5 timed
-repetitions after warmup (``measure_median``), and the snapshot records
-min/median/max per side -- single-sample timings produced negative
-``overhead_fraction`` values in early ``BENCH_obs.json`` files.  The
-overhead ratio is computed median-over-median.
+Timing discipline: every number is the median of k >= 5 timed
+repetitions after warmup (``measure_median``) -- single-sample timings
+produced negative overhead fractions in early snapshots.  The overhead
+ratio is computed median-over-median.
 """
 
 import numpy as np
@@ -26,7 +25,7 @@ from repro.runtime.interpreter import Interpreter
 from repro.sim.statevector import StatevectorSimulator
 from repro.workloads.qir_programs import ghz_qir
 
-from conftest import measure_median, record_bench, report
+from conftest import measure_median, report
 
 SHOTS = 50
 REPEATS = 9  # median-of-9 per side (>= the k=5 floor)
@@ -78,19 +77,6 @@ def test_noop_observer_overhead():
             ("overhead", f"{overhead * 100:+.2f}%"),
         ],
     )
-    record_bench(
-        "obs", "noop.bare_seconds", bare.median, unit="seconds",
-        direction="lower", stats=bare, shots=SHOTS,
-    )
-    record_bench(
-        "obs", "noop.run_shots_seconds", noop.median, unit="seconds",
-        direction="lower", stats=noop, shots=SHOTS,
-    )
-    record_bench(
-        "obs", "noop.overhead_fraction", overhead, unit="fraction",
-        direction="lower", shots=SHOTS,
-        budget_fraction=NOOP_BUDGET - 1.0, repeats=REPEATS,
-    )
     assert noop.median <= bare.median * NOOP_BUDGET, (
         f"no-op observer overhead {overhead * 100:.2f}% exceeds "
         f"{(NOOP_BUDGET - 1) * 100:.0f}% budget"
@@ -113,15 +99,6 @@ def test_enabled_observer_overhead_bounded():
             ("enabled observer", f"{enabled.median * 1e3:.2f} ms"),
             ("overhead", f"{overhead * 100:+.2f}%"),
         ],
-    )
-    record_bench(
-        "obs", "enabled.run_shots_seconds", enabled.median, unit="seconds",
-        direction="lower", stats=enabled, shots=SHOTS,
-    )
-    record_bench(
-        "obs", "enabled.overhead_fraction", overhead, unit="fraction",
-        direction="lower", shots=SHOTS,
-        budget_fraction=ENABLED_BUDGET - 1.0, repeats=REPEATS,
     )
     assert enabled.median <= noop.median * ENABLED_BUDGET
 

@@ -16,7 +16,7 @@ from repro.llvmir import parse_assembly
 from repro.resilience import FaultPlan, FaultRule, RetryPolicy
 from repro.runtime import QirRuntime
 
-from conftest import record_bench, report
+from conftest import report
 
 try:
     from repro.workloads.qir_programs import ghz_qir
@@ -79,18 +79,6 @@ def test_injection_wrapper_clean_path_overhead(benchmark):
             ("overhead", f"{overhead * 100:.2f}%"),
         ],
     )
-    record_bench(
-        "resilience", "clean_seconds", t_clean, unit="seconds",
-        direction="lower", shots=SHOTS,
-    )
-    record_bench(
-        "resilience", "wrapped_seconds", t_wrapped, unit="seconds",
-        direction="lower", shots=SHOTS,
-    )
-    record_bench(
-        "resilience", "clean_path_overhead_fraction", overhead, unit="fraction",
-        direction="lower", shots=SHOTS, budget_fraction=0.05,
-    )
     assert overhead < 0.05, f"injection wrapper costs {overhead * 100:.1f}% on the clean path"
 
 
@@ -116,12 +104,4 @@ def test_retry_cost_scales_with_poisoned_shots(benchmark):
     report(
         "RESILIENCE retry cost vs poisoned shots (2 transient failures each)",
         [("2 poisoned (s)", f"{few:.4f}"), ("20 poisoned (s)", f"{many:.4f}")],
-    )
-    record_bench(
-        "resilience", "retry.poisoned2_seconds", few, unit="seconds",
-        direction="lower", shots=SHOTS,
-    )
-    record_bench(
-        "resilience", "retry.poisoned20_seconds", many, unit="seconds",
-        direction="lower", shots=SHOTS,
     )

@@ -9,8 +9,8 @@ Shape claims:
 * the rebalancing is free where it matters: histograms stay
   bit-identical to a serial run across both dispatch shapes.
 
-``BENCH_scheduler_queue.json`` carries both arms, so ``qir-bench diff``
-can gate the queue arm direction-lower release over release.
+``qir-bench run`` records the same comparison as
+``runtime.scheduler.queue_imbalance``, which the budgets file gates.
 """
 
 import pytest
@@ -22,7 +22,7 @@ from repro.resilience import FaultPlan, RetryPolicy
 from repro.runtime import QirRuntime, QirSession
 from repro.workloads.qir_programs import reset_chain_qir
 
-from conftest import record_bench, report
+from conftest import report
 
 SHOTS = 96
 JOBS = 4
@@ -72,17 +72,6 @@ def test_queue_dispatch_levels_the_uneven_workload():
         ],
         header=("dispatch", "imbalance"),
     )
-    record_bench(
-        "scheduler_queue", "runtime.scheduler.worker_imbalance",
-        queued.imbalance, unit="ratio", direction="lower",
-        shots=SHOTS, jobs=JOBS, workload="uneven reset-chain",
-        contiguous_imbalance=contiguous.imbalance,
-    )
-    record_bench(
-        "scheduler_queue", "runtime.scheduler.contiguous_imbalance",
-        contiguous.imbalance, unit="ratio", direction="lower",
-        shots=SHOTS, jobs=JOBS, workload="uneven reset-chain",
-    )
     # The shape claim, with a floor for already-balanced timing noise:
     # the queue arm must not be meaningfully worse than the contiguous
     # arm, and on a skewed workload it should be meaningfully better.
@@ -107,8 +96,3 @@ def test_queue_rebalances_under_transient_chunk_loss():
     assert supervised.counts == serial.counts
     assert supervised.supervision is not None
     assert supervised.supervision.redispatches > 0
-    record_bench(
-        "scheduler_queue", "runtime.scheduler.crash_recovery_redispatches",
-        supervised.supervision.redispatches, unit="count",
-        direction="lower", shots=24, jobs=JOBS, chunk_shots=4,
-    )

@@ -1,29 +1,15 @@
-"""Shared fixtures and reporting helpers for the benchmark suite.
+"""Shared reporting helpers for the benchmark suite.
 
 Every benchmark file reproduces one experiment from DESIGN.md's index and
 asserts its *shape* claim (who wins / how it scales), in addition to the
-pytest-benchmark timing rows.
-
-Machine-readable trajectory: benchmarks call :func:`record_bench` with a
-group name and the numbers backing their shape claim; at session end each
-group is written to ``BENCH_<group>.json`` at the repository root as a
-schema-versioned :class:`repro.obs.snapshot.BenchSnapshot` -- the same
-format ``qir-bench run`` emits, so ``qir-bench diff`` can gate any of
-them against a previous run.  Timings should come from
-:func:`repro.obs.snapshot.measure` (median-of-k with warmup, re-exported
-here as :func:`measure_median`): single-sample timings are what produced
-the negative ``overhead_fraction`` values in early ``BENCH_obs.json``
-files.
+pytest-benchmark timing rows.  These files write no JSON: ``qir-bench
+run`` is the one producer of ``BENCH_*.json`` snapshots.  Timings should
+come from :func:`repro.obs.snapshot.measure` (median-of-k with warmup,
+re-exported here as :func:`measure_median`): single-sample timings are
+what produced negative overhead fractions in early snapshots.
 """
 
-import os
-from typing import Dict, Optional
-
-from repro.obs.snapshot import BenchRecord, BenchSnapshot, TimingStats
 from repro.obs.snapshot import measure as measure_median  # noqa: F401 (re-export)
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SNAPSHOTS: Dict[str, BenchSnapshot] = {}
 
 
 def report(title: str, rows, header=None) -> None:
@@ -34,43 +20,3 @@ def report(title: str, rows, header=None) -> None:
         print("  " + " | ".join(str(h) for h in header))
     for row in rows:
         print("  " + " | ".join(str(c) for c in row))
-
-
-def record_bench(
-    group: str,
-    name: str,
-    value: float,
-    unit: str = "",
-    direction: str = "lower",
-    stats: Optional[TimingStats] = None,
-    **metadata,
-) -> None:
-    """Queue one benchmark record for ``BENCH_<group>.json``.
-
-    Pass the :class:`TimingStats` from :func:`measure_median` as ``stats``
-    to persist the min/median/max spread alongside the headline ``value``.
-    """
-    snapshot = _SNAPSHOTS.setdefault(group, BenchSnapshot(group=group))
-    if stats is not None:
-        snapshot.add(
-            BenchRecord(
-                name=name,
-                value=value,
-                unit=unit,
-                direction=direction,
-                min=stats.min,
-                median=stats.median,
-                max=stats.max,
-                k=stats.k,
-                metadata=dict(metadata),
-            )
-        )
-    else:
-        snapshot.record(
-            name, value, unit, direction=direction, metadata=dict(metadata)
-        )
-
-
-def pytest_sessionfinish(session, exitstatus):
-    for group, snapshot in _SNAPSHOTS.items():
-        snapshot.write_json(os.path.join(_REPO_ROOT, f"BENCH_{group}.json"))

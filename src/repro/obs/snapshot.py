@@ -12,12 +12,15 @@ snapshots from a future schema rather than misreading them.  Timing
 collection goes through :func:`measure`, which warms the callable and
 reports the median so single-sample jitter (the source of the negative
 ``overhead_fraction`` values in early ``BENCH_obs.json`` files) cannot
-dominate a record.
+dominate a record; every A/B pair goes through :func:`measure_arms`.
+Loading fails closed: a malformed shape or a non-finite number is a
+``ValueError``, never a bare ``TypeError`` deep inside the differ.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import platform
 import statistics
 import sys
@@ -81,6 +84,84 @@ def measure(
         fn()
         samples.append(clock() - start)
     return TimingStats(tuple(samples))
+
+
+def _rate(shots: int, seconds: float) -> float:
+    return shots / seconds if seconds > 0.0 else 0.0
+
+
+@dataclass(frozen=True)
+class ArmComparison:
+    """Baseline-vs-candidate timings of one A/B pair.
+
+    ``speedup`` is ``baseline.median / candidate.median`` (>1 means the
+    candidate wins); ``None`` when the candidate median is at or below
+    clock resolution, so a ratio is never ``inf``/``nan``.  The per-arm
+    shot rates follow the same convention and read 0.0 there.
+    """
+
+    baseline: TimingStats
+    candidate: TimingStats
+    shots: int = 0
+
+    @property
+    def speedup(self) -> Optional[float]:
+        if self.candidate.median <= 0.0:
+            return None
+        return self.baseline.median / self.candidate.median
+
+    @property
+    def baseline_shots_per_second(self) -> float:
+        return _rate(self.shots, self.baseline.median)
+
+    @property
+    def candidate_shots_per_second(self) -> float:
+        return _rate(self.shots, self.candidate.median)
+
+    def spread(self) -> Dict[str, Dict[str, float]]:
+        """Both arms' min/median/max, for a ratio record's metadata."""
+        return {
+            arm: {"min": stats.min, "median": stats.median, "max": stats.max}
+            for arm, stats in (("baseline", self.baseline), ("candidate", self.candidate))
+        }
+
+
+def measure_arms(
+    baseline: Callable[[], object],
+    candidate: Callable[[], object],
+    repeats: int = 5,
+    warmup: int = 1,
+    shots: int = 0,
+    clock: Callable[[], float] = perf_counter,
+) -> ArmComparison:
+    """Time an A/B pair: the baseline block, then the candidate block.
+
+    Each arm is one :func:`measure` call (``warmup`` untimed calls, then
+    ``repeats`` timed ones), so the baseline finishes all of its runs
+    before the candidate starts.  ``shots`` is the per-call shot count
+    behind the per-arm shot rates.
+    """
+    return ArmComparison(
+        baseline=measure(baseline, repeats=repeats, warmup=warmup, clock=clock),
+        candidate=measure(candidate, repeats=repeats, warmup=warmup, clock=clock),
+        shots=shots,
+    )
+
+
+def _finite(value: object, what: str) -> float:
+    """``value`` as a finite float, else ``ValueError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {number!r}")
+    return number
+
+
+def _mapping(value: object, what: str) -> Dict[str, object]:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
 
 
 def environment_fingerprint() -> Dict[str, object]:
@@ -170,19 +251,27 @@ class BenchRecord:
         return out
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BenchRecord":
+    def from_dict(cls, data: object) -> "BenchRecord":
+        data = _mapping(data, "benchmark record")
         if "name" not in data or "value" not in data:
             raise ValueError(f"benchmark record missing name/value: {data!r}")
+        name = str(data["name"])
+        spread = {
+            key: None if data.get(key) is None
+            else _finite(data[key], f"record {name!r} {key}")
+            for key in ("min", "median", "max")
+        }
+        k = data.get("k", 1)
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise ValueError(f"record {name!r} k must be an integer >= 1, got {k!r}")
         return cls(
-            name=str(data["name"]),
-            value=float(data["value"]),  # type: ignore[arg-type]
+            name=name,
+            value=_finite(data["value"], f"record {name!r} value"),
             unit=str(data.get("unit", "")),
             direction=str(data.get("direction", "lower")),
-            min=data.get("min"),  # type: ignore[arg-type]
-            median=data.get("median"),  # type: ignore[arg-type]
-            max=data.get("max"),  # type: ignore[arg-type]
-            k=int(data.get("k", 1)),  # type: ignore[arg-type]
-            metadata=dict(data.get("metadata", {})),  # type: ignore[arg-type]
+            k=k,
+            metadata=dict(_mapping(data.get("metadata", {}), f"record {name!r} metadata")),
+            **spread,  # type: ignore[arg-type]
         )
 
 
@@ -214,23 +303,29 @@ class BenchSnapshot:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BenchSnapshot":
+    def from_dict(cls, data: object) -> "BenchSnapshot":
+        data = _mapping(data, "snapshot")
         version = data.get("schema_version")
         if version is None:
             raise ValueError(
                 "not a qir-bench snapshot: missing schema_version "
                 "(pre-snapshot BENCH_*.json files cannot be diffed)"
             )
-        if int(version) > SCHEMA_VERSION:  # type: ignore[arg-type]
+        if isinstance(version, bool) or not isinstance(version, int):
+            raise ValueError(f"snapshot schema_version must be an integer, got {version!r}")
+        if version > SCHEMA_VERSION:
             raise ValueError(
                 f"snapshot schema_version {version} is newer than supported "
                 f"({SCHEMA_VERSION}); upgrade the toolchain"
             )
+        records = data.get("records", [])
+        if not isinstance(records, list):
+            raise ValueError(f"snapshot records must be a JSON list, got {records!r}")
         return cls(
             group=str(data.get("group", "")),
-            records=[BenchRecord.from_dict(r) for r in data.get("records", [])],  # type: ignore[union-attr]
-            environment=dict(data.get("environment", {})),  # type: ignore[arg-type]
-            schema_version=int(version),  # type: ignore[arg-type]
+            records=[BenchRecord.from_dict(r) for r in records],
+            environment=dict(_mapping(data.get("environment", {}), "snapshot environment")),
+            schema_version=version,
         )
 
     def write_json(self, destination: Union[str, IO[str]]) -> None:

@@ -72,13 +72,9 @@ from repro.runtime.schedulers import (
 )
 from repro.runtime.execute import (
     ExecutionResult,
-    FastpathComparison,
     QirRuntime,
-    SchedulerComparison,
     ShotsResult,
     execute,
-    measure_fastpath_speedup,
-    measure_scheduler_speedup,
     run_shots,
 )
 from repro.runtime.session import QirSession
@@ -130,13 +126,9 @@ __all__ = [
     "guided_chunks",
     "partition_shots",
     "ExecutionResult",
-    "FastpathComparison",
-    "SchedulerComparison",
     "ShotsResult",
     "QirRuntime",
     "QirSession",
     "execute",
-    "measure_fastpath_speedup",
-    "measure_scheduler_speedup",
     "run_shots",
 ]

@@ -31,7 +31,6 @@ the aggregated successes plus structured per-shot failure records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional, Union
 
@@ -74,16 +73,8 @@ __all__ = [
     "ExecutionResult",
     "ShotsResult",
     "QirRuntime",
-    "FastpathComparison",
-    "SchedulerComparison",
-    "FusionComparison",
-    "DistributionComparison",
     "execute",
     "run_shots",
-    "measure_fastpath_speedup",
-    "measure_scheduler_speedup",
-    "measure_fusion_speedup",
-    "measure_distribution_speedup",
 ]
 
 
@@ -483,372 +474,6 @@ class QirRuntime:
             # without touching the generator.
             distribution = distribution_from(backend, results)
         return sample_counts_from(backend, results, shots), distribution
-
-
-@dataclass(frozen=True)
-class FastpathComparison:
-    """Measured sampled-fastpath vs per-shot cost for one workload.
-
-    ``speedup`` is the win factor of the deferred-measurement fast path
-    over per-shot re-interpretation (>1 means the fast path is faster);
-    ``None`` when the fast-path timing was below clock resolution, so the
-    ratio would be meaningless (the ``shots_per_second`` convention).
-    """
-
-    shots: int
-    repeats: int
-    fastpath_seconds: float
-    per_shot_seconds: float
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if self.fastpath_seconds <= 0.0:
-            return None
-        return self.per_shot_seconds / self.fastpath_seconds
-
-    @property
-    def fastpath_shots_per_second(self) -> float:
-        if self.fastpath_seconds <= 0.0:
-            return 0.0
-        return self.shots / self.fastpath_seconds
-
-    @property
-    def per_shot_shots_per_second(self) -> float:
-        if self.per_shot_seconds <= 0.0:
-            return 0.0
-        return self.shots / self.per_shot_seconds
-
-
-def measure_fastpath_speedup(
-    program: ModuleLike,
-    shots: int = 200,
-    repeats: int = 5,
-    warmup: int = 1,
-    seed: Optional[int] = None,
-    runtime: Optional[QirRuntime] = None,
-    workload: Optional[str] = None,
-) -> FastpathComparison:
-    """Median-of-k fastpath-vs-per-shot timing (ROADMAP "fastpath win tracking").
-
-    Runs the same program through ``sampling="require"`` and
-    ``sampling="never"`` ``repeats`` times each (after ``warmup`` untimed
-    rounds) and reports the median wall times.  The program is compiled
-    once through a :class:`~repro.runtime.session.QirSession`, so
-    repetitions measure pure execution cost -- the parse counters stay
-    flat across the timed rounds.  Raises :class:`FastPathUnsupported`
-    when the program cannot take the fast path at all.  When the runtime
-    carries an enabled observer, the ratio also lands as a
-    ``runtime.fastpath_speedup`` gauge (labeled by ``workload`` when
-    given) so profile output and metrics snapshots see the same number
-    the bench records.
-    """
-    from repro.obs.snapshot import measure
-    from repro.runtime.session import QirSession
-
-    rt = runtime if runtime is not None else QirRuntime(seed=seed)
-    session = QirSession(runtime=rt)
-    plan = session.compile(program)
-    fast = measure(
-        lambda: rt.run_shots(plan, shots=shots, sampling="require"),
-        repeats=repeats,
-        warmup=warmup,
-    )
-    slow = measure(
-        lambda: rt.run_shots(plan, shots=shots, sampling="never"),
-        repeats=repeats,
-        warmup=warmup,
-    )
-    comparison = FastpathComparison(
-        shots=shots,
-        repeats=repeats,
-        fastpath_seconds=fast.median,
-        per_shot_seconds=slow.median,
-    )
-    if rt.observer.enabled and comparison.speedup is not None:
-        labels = {"workload": workload} if workload else {}
-        rt.observer.set_gauge("runtime.fastpath_speedup", comparison.speedup, **labels)
-    return comparison
-
-
-@dataclass(frozen=True)
-class SchedulerComparison:
-    """Measured scheduler-vs-serial cost for one per-shot workload.
-
-    ``speedup`` is the win factor of the scheduler over the serial loop
-    (>1 means the scheduler is faster); ``None`` when the scheduled
-    timing was below clock resolution (the ``shots_per_second``
-    convention).  On single-core machines expect ~1 or below for
-    ``process`` -- the CI perf gate runs on multi-core runners.
-    """
-
-    scheduler: str
-    jobs: int
-    shots: int
-    repeats: int
-    serial_seconds: float
-    scheduled_seconds: float
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if self.scheduled_seconds <= 0.0:
-            return None
-        return self.serial_seconds / self.scheduled_seconds
-
-
-def measure_scheduler_speedup(
-    program: ModuleLike,
-    scheduler: str = "process",
-    jobs: int = 2,
-    shots: int = 128,
-    repeats: int = 3,
-    warmup: int = 1,
-    seed: Optional[int] = None,
-    runtime: Optional[QirRuntime] = None,
-    workload: Optional[str] = None,
-) -> SchedulerComparison:
-    """Median-of-k scheduler-vs-serial timing (ROADMAP "process execution").
-
-    Both arms run ``sampling="never"`` (the schedulers exist for the
-    per-shot loop; the fast path would short-circuit them both) on one
-    shared compiled plan, so the ratio isolates pure execute-phase cost.
-    When the runtime carries an enabled observer the ratio lands as a
-    ``runtime.scheduler.<name>_speedup`` gauge (labeled by ``workload``
-    when given), the same number ``qir-bench`` records.
-    """
-    from repro.obs.snapshot import measure
-    from repro.runtime.session import QirSession
-
-    rt = runtime if runtime is not None else QirRuntime(seed=seed)
-    session = QirSession(runtime=rt)
-    plan = session.compile(program)
-    serial = measure(
-        lambda: rt.run_shots(
-            plan, shots=shots, sampling="never", scheduler="serial", jobs=1
-        ),
-        repeats=repeats,
-        warmup=warmup,
-    )
-    scheduled = measure(
-        lambda: rt.run_shots(
-            plan, shots=shots, sampling="never", scheduler=scheduler, jobs=jobs
-        ),
-        repeats=repeats,
-        warmup=warmup,
-    )
-    comparison = SchedulerComparison(
-        scheduler=scheduler,
-        jobs=jobs,
-        shots=shots,
-        repeats=repeats,
-        serial_seconds=serial.median,
-        scheduled_seconds=scheduled.median,
-    )
-    if rt.observer.enabled and comparison.speedup is not None:
-        labels = {"workload": workload} if workload else {}
-        rt.observer.set_gauge(
-            f"runtime.scheduler.{scheduler}_speedup", comparison.speedup, **labels
-        )
-    return comparison
-
-
-@dataclass(frozen=True)
-class FusionComparison:
-    """Measured fused-vs-unfused per-shot cost for one workload.
-
-    ``speedup`` is the win factor of the fused kernel schedule over
-    per-gate interpretation (>1 means fusion is faster); ``None`` when
-    the fused timing was below clock resolution (the
-    ``shots_per_second`` convention -- never ``inf``/``nan``).
-    """
-
-    shots: int
-    repeats: int
-    fused_seconds: float
-    unfused_seconds: float
-    kernels: int
-    source_gates: int
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if self.fused_seconds <= 0.0:
-            return None
-        return self.unfused_seconds / self.fused_seconds
-
-    @property
-    def fused_shots_per_second(self) -> float:
-        if self.fused_seconds <= 0.0:
-            return 0.0
-        return self.shots / self.fused_seconds
-
-    @property
-    def unfused_shots_per_second(self) -> float:
-        if self.unfused_seconds <= 0.0:
-            return 0.0
-        return self.shots / self.unfused_seconds
-
-
-def measure_fusion_speedup(
-    program: ModuleLike,
-    shots: int = 64,
-    repeats: int = 3,
-    warmup: int = 1,
-    seed: Optional[int] = None,
-    runtime: Optional[QirRuntime] = None,
-    workload: Optional[str] = None,
-) -> FusionComparison:
-    """Median-of-k fused-vs-unfused timing (ROADMAP "faster kernels").
-
-    Both arms run ``sampling="never"`` (fusion lives in the per-shot and
-    batched paths; the sampling fast path would mask it) on one shared
-    compiled plan, toggling only the runtime's ``fusion`` flag.  Raises
-    ``ValueError`` when the plan has no fused schedule -- a benchmark
-    comparing identical code paths would report noise as signal.  With an
-    enabled observer the ratio lands as a ``runtime.fusion.speedup``
-    gauge, the number ``qir-bench`` records.
-    """
-    from repro.obs.snapshot import measure
-
-    rt = runtime if runtime is not None else QirRuntime(seed=seed)
-    plan = (
-        program
-        if isinstance(program, ExecutionPlan)
-        else compile_plan(program, backend=rt.backend_name, verify=False)
-    )
-    if plan.fused is None:
-        raise ValueError(
-            "program is not specializable (dynamic control flow or qubit "
-            "addressing); there is no fused schedule to measure"
-        )
-    saved = rt.fusion
-    try:
-        rt.fusion = True
-        fused = measure(
-            lambda: rt.run_shots(plan, shots=shots, sampling="never"),
-            repeats=repeats,
-            warmup=warmup,
-        )
-        rt.fusion = False
-        unfused = measure(
-            lambda: rt.run_shots(plan, shots=shots, sampling="never"),
-            repeats=repeats,
-            warmup=warmup,
-        )
-    finally:
-        rt.fusion = saved
-    comparison = FusionComparison(
-        shots=shots,
-        repeats=repeats,
-        fused_seconds=fused.median,
-        unfused_seconds=unfused.median,
-        kernels=plan.fused.kernels,
-        source_gates=plan.fused.source_gates,
-    )
-    if rt.observer.enabled and comparison.speedup is not None:
-        labels = {"workload": workload} if workload else {}
-        rt.observer.set_gauge(
-            "runtime.fusion.speedup", comparison.speedup, **labels
-        )
-    return comparison
-
-
-@dataclass(frozen=True)
-class DistributionComparison:
-    """Measured warm (distribution-served) vs cold fast-path cost.
-
-    ``speedup`` is the win factor of serving shots from a plan's
-    memoized distribution over re-running the fast-path evolution (>1
-    means warm serving is faster); ``None`` when the warm timing was
-    below clock resolution -- the same 0.0-not-``inf`` convention the
-    per-shot side of :class:`FastpathComparison` uses, applied to the
-    distribution-served side.
-    """
-
-    shots: int
-    repeats: int
-    warm_seconds: float
-    cold_seconds: float
-
-    @property
-    def speedup(self) -> Optional[float]:
-        if self.warm_seconds <= 0.0:
-            return None
-        return self.cold_seconds / self.warm_seconds
-
-    @property
-    def warm_shots_per_second(self) -> float:
-        if self.warm_seconds <= 0.0:
-            return 0.0
-        return self.shots / self.warm_seconds
-
-    @property
-    def cold_shots_per_second(self) -> float:
-        if self.cold_seconds <= 0.0:
-            return 0.0
-        return self.shots / self.cold_seconds
-
-
-def measure_distribution_speedup(
-    program: ModuleLike,
-    shots: int = 512,
-    repeats: int = 5,
-    warmup: int = 1,
-    seed: Optional[int] = None,
-    runtime: Optional[QirRuntime] = None,
-    workload: Optional[str] = None,
-) -> DistributionComparison:
-    """Median-of-k warm-serve vs cold-fastpath timing.
-
-    The plan is warmed with one ``sampling="require"`` run (memoizing its
-    distribution), then the warm arm serves shots from the cached table
-    while the cold arm re-runs the full evolution with ``dist_cache``
-    off.  Raises ``ValueError`` when the program never becomes warm (its
-    evolution consumes RNG draws, or the support is too large to cache).
-    With an enabled observer the ratio lands as a
-    ``runtime.plan.dist_warm_speedup`` gauge, the number ``qir-bench``
-    records.
-    """
-    from repro.obs.snapshot import measure
-
-    rt = runtime if runtime is not None else QirRuntime(seed=seed)
-    plan = (
-        program
-        if isinstance(program, ExecutionPlan)
-        else compile_plan(program, backend=rt.backend_name, verify=False)
-    )
-    saved = rt.dist_cache
-    try:
-        rt.dist_cache = True
-        rt.run_shots(plan, shots=shots, sampling="require")
-        if plan.distribution is None:
-            raise ValueError(
-                "plan did not memoize a distribution (the evolution draws "
-                "from the RNG, or the outcome support is too large)"
-            )
-        warm = measure(
-            lambda: rt.run_shots(plan, shots=shots, sampling="require"),
-            repeats=repeats,
-            warmup=warmup,
-        )
-        rt.dist_cache = False
-        cold = measure(
-            lambda: rt.run_shots(plan, shots=shots, sampling="require"),
-            repeats=repeats,
-            warmup=warmup,
-        )
-    finally:
-        rt.dist_cache = saved
-    comparison = DistributionComparison(
-        shots=shots,
-        repeats=repeats,
-        warm_seconds=warm.median,
-        cold_seconds=cold.median,
-    )
-    if rt.observer.enabled and comparison.speedup is not None:
-        labels = {"workload": workload} if workload else {}
-        rt.observer.set_gauge(
-            "runtime.plan.dist_warm_speedup", comparison.speedup, **labels
-        )
-    return comparison
 
 
 def execute(

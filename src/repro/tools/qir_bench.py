@@ -2,11 +2,16 @@
 
 Turns the observability layer's instrumentation into enforced
 guarantees: ``run`` executes a declared suite of standard workloads and
-writes a schema-versioned :class:`~repro.obs.snapshot.BenchSnapshot`;
-``diff`` compares two snapshots with configurable relative thresholds
-and fails (exit 4) on regression; ``check`` runs the budgeted pass
-pipelines and -- under ``--strict`` -- fails on any per-pass budget
-bust.
+writes a schema-versioned :class:`~repro.obs.snapshot.BenchSnapshot`
+(it is the only producer of ``BENCH_*.json`` files, and every A/B record
+comes from :func:`~repro.obs.snapshot.measure_arms`); ``diff`` compares
+two snapshots with relative thresholds and fails (exit 4) on
+regression; ``check`` runs the budgeted pass pipelines, judges a
+snapshot against the gates, and -- under ``--strict`` -- fails on any
+per-pass budget bust or failed gate.
+
+The gates and the per-record diff thresholds live in one checked-in
+file, ``bench_budgets.json`` next to this module.
 
 Examples::
 
@@ -14,20 +19,23 @@ Examples::
     qir-bench run -o a.json --repeats 3 --shots 50 --suite parse,runtime
     qir-bench diff a.json b.json --threshold 0.25
     qir-bench diff a.json b.json --json > report.json
-    qir-bench check --strict
-    qir-bench check --strict --budget loop-unroll=1e-9   # seeded bust
+    qir-bench check --strict --snapshot a.json
+    qir-bench check --strict --snapshot a.json --budget loop-unroll=1e-9
 
 Exit codes: 0 = success, 2 = bad input (unreadable/unparseable snapshot,
-bad spec), 4 = regression detected (``diff``) or budget bust under
-``--strict`` (``check``).
+bad spec), 4 = regression detected (``diff``) or budget bust / failed
+gate under ``--strict`` (``check``).
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
+import json
+import math
 import os
 import sys
+from importlib import resources
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -40,15 +48,18 @@ from repro.obs.regress import (
     diff_snapshots,
 )
 from repro.obs.runctx import new_run_id
-from repro.obs.snapshot import BenchRecord, BenchSnapshot, TimingStats, measure
+from repro.obs.snapshot import (
+    ArmComparison,
+    BenchRecord,
+    BenchSnapshot,
+    TimingStats,
+    measure,
+    measure_arms,
+)
 from repro.passes.manager import BudgetBust, budgets_from_specs
 from repro.passes.pipeline import o1_pipeline, unroll_pipeline
-from repro.runtime.execute import (
-    QirRuntime,
-    measure_distribution_speedup,
-    measure_fastpath_speedup,
-    measure_fusion_speedup,
-)
+from repro.runtime.execute import QirRuntime
+from repro.runtime.plan import ExecutionPlan, compile_plan
 from repro.runtime.session import QirSession
 from repro.workloads.qir_programs import (
     counted_loop_qir,
@@ -62,6 +73,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 
 SUITES = ("parse", "passes", "runtime")
+
+#: One timed arm of an A/B pair (see :func:`repro.obs.snapshot.measure_arms`).
+Arm = Callable[[], object]
 
 # The pipelines `check` exercises, each over the workload that stresses it.
 CHECK_PIPELINES: Dict[str, Callable] = {
@@ -151,33 +165,102 @@ def _bench_passes(snapshot: BenchSnapshot, repeats: int) -> None:
             )
 
 
+def _record_ratio(
+    snapshot: BenchSnapshot,
+    name: str,
+    value: Optional[float],
+    arms: ArmComparison,
+    direction: str = "higher",
+    **metadata: object,
+) -> None:
+    """One A/B ratio record, carrying both arms' min/median/max."""
+    if value is not None:
+        snapshot.record(
+            name, value, unit="ratio", direction=direction, k=arms.baseline.k,
+            metadata={**metadata, **arms.spread()},
+        )
+
+
+def fastpath_arms(runtime: QirRuntime, text: str, shots: int) -> Tuple[Arm, Arm]:
+    """Per-shot re-interpretation (baseline) vs the sampling fast path.
+
+    The program is compiled once through a :class:`QirSession`, so the
+    timed repetitions measure pure execution cost and never re-parse.
+    """
+    plan = QirSession(runtime=runtime).compile(text)
+    return (
+        lambda: runtime.run_shots(plan, shots=shots, sampling="never"),
+        lambda: runtime.run_shots(plan, shots=shots, sampling="require"),
+    )
+
+
+def fusion_arms(plan: ExecutionPlan, shots: int) -> Tuple[Arm, Arm]:
+    """Per-gate interpretation (baseline) vs the fused kernel schedule.
+
+    Both arms run ``sampling="never"`` (fusion lives in the per-shot and
+    batched paths; the fast path would mask it).  Raises ``ValueError``
+    when the plan has no fused schedule -- comparing identical code
+    paths would report noise as signal.
+    """
+    if plan.fused is None:
+        raise ValueError(
+            "program is not specializable (dynamic control flow or qubit "
+            "addressing); there is no fused schedule to measure"
+        )
+    unfused = QirRuntime(seed=7, fusion=False)
+    fused = QirRuntime(seed=7, fusion=True)
+    return (
+        lambda: unfused.run_shots(plan, shots=shots, sampling="never"),
+        lambda: fused.run_shots(plan, shots=shots, sampling="never"),
+    )
+
+
+def dist_warm_arms(plan: ExecutionPlan, shots: int) -> Tuple[Arm, Arm]:
+    """Cold fast-path re-evolution (baseline) vs warm distribution serving.
+
+    One ``sampling="require"`` run memoizes the plan's distribution
+    first.  Raises ``ValueError`` when the plan never becomes warm (its
+    evolution draws from the RNG, or the support is too large to cache).
+    """
+    warm = QirRuntime(seed=7)
+    cold = QirRuntime(seed=7, dist_cache=False)
+    warm.run_shots(plan, shots=shots, sampling="require")
+    if plan.distribution is None:
+        raise ValueError(
+            "plan did not memoize a distribution (the evolution draws "
+            "from the RNG, or the outcome support is too large)"
+        )
+    return (
+        lambda: cold.run_shots(plan, shots=shots, sampling="require"),
+        lambda: warm.run_shots(plan, shots=shots, sampling="require"),
+    )
+
+
 def _bench_runtime(snapshot: BenchSnapshot, shots: int, repeats: int) -> None:
     workloads = {"ghz10": ghz_qir(10, addressing="static")}
     for name, text in workloads.items():
-        comparison = measure_fastpath_speedup(
-            text, shots=shots, repeats=repeats, seed=7, workload=name
+        arms = measure_arms(
+            *fastpath_arms(QirRuntime(seed=7), text, shots),
+            repeats=repeats, shots=shots,
         )
         snapshot.record(
             f"runtime.ex5.{name}.per_shot_shots_per_second",
-            comparison.per_shot_shots_per_second,
+            arms.baseline_shots_per_second,
             unit="shots/sec", direction="higher", k=repeats,
             metadata={"shots": shots},
         )
         snapshot.record(
             f"runtime.ex5.{name}.fastpath_shots_per_second",
-            comparison.fastpath_shots_per_second,
+            arms.candidate_shots_per_second,
             unit="shots/sec", direction="higher", k=repeats,
             metadata={"shots": shots},
         )
         # The ROADMAP "sampled-fastpath win tracking" number: how much the
         # deferred-measurement path wins over per-shot re-interpretation.
-        if comparison.speedup is not None:
-            snapshot.record(
-                f"runtime.ex5.{name}.fastpath_speedup",
-                comparison.speedup,
-                unit="ratio", direction="higher", k=repeats,
-                metadata={"shots": shots},
-            )
+        _record_ratio(
+            snapshot, f"runtime.ex5.{name}.fastpath_speedup", arms.speedup,
+            arms, shots=shots,
+        )
 
 
 def _bench_specialization(
@@ -185,53 +268,43 @@ def _bench_specialization(
 ) -> None:
     """Plan-specialization wins (ROADMAP: faster simulator kernels).
 
-    Fusion arm: ``rotation_ladder_qir`` -- deep per-qubit rotation runs
-    that coalesce into one kernel per qubit, timed fused vs per-gate
-    interpretation with the sampling fast path disabled on both sides.
-    Distribution arm: a GHZ plan warmed through the sampling fast path,
-    then warm (memoized-distribution) serving vs cold re-evolution.  The
-    two ratios -- ``runtime.fusion.speedup`` and
-    ``runtime.plan.dist_warm_speedup`` -- are the regression gate's
-    specialization numbers.
+    Fusion pair: ``rotation_ladder_qir`` -- deep per-qubit rotation runs
+    that coalesce into one kernel per qubit, timed per-gate vs fused with
+    the sampling fast path disabled on both sides.  Distribution pair: a
+    GHZ plan warmed through the sampling fast path, then cold
+    re-evolution vs warm (memoized-distribution) serving.  The two
+    ratios -- ``runtime.fusion.speedup`` and
+    ``runtime.plan.dist_warm_speedup`` -- are budget-file gates.
     """
-    ladder = rotation_ladder_qir(2, depth=48)
-    fusion = measure_fusion_speedup(
-        ladder, shots=min(shots, 64), repeats=repeats, seed=7,
-        workload="rotation_ladder",
+    ladder = compile_plan(rotation_ladder_qir(2, depth=48), verify=False)
+    fusion_shots = min(shots, 64)
+    fusion = measure_arms(
+        *fusion_arms(ladder, fusion_shots), repeats=repeats, shots=fusion_shots
     )
+    work = {"shots": fusion_shots, "kernels": ladder.fused.kernels,
+            "source_gates": ladder.fused.source_gates}
     snapshot.record(
         "runtime.fusion.fused_shots_per_second",
-        fusion.fused_shots_per_second,
-        unit="shots/sec", direction="higher", k=repeats,
-        metadata={"shots": fusion.shots, "kernels": fusion.kernels,
-                  "source_gates": fusion.source_gates},
+        fusion.candidate_shots_per_second,
+        unit="shots/sec", direction="higher", k=repeats, metadata=work,
     )
-    if fusion.speedup is not None:
-        snapshot.record(
-            "runtime.fusion.speedup",
-            fusion.speedup,
-            unit="ratio", direction="higher", k=repeats,
-            metadata={"shots": fusion.shots, "kernels": fusion.kernels,
-                      "source_gates": fusion.source_gates},
-        )
+    _record_ratio(snapshot, "runtime.fusion.speedup", fusion.speedup, fusion, **work)
 
-    ghz = ghz_qir(10, addressing="static")
-    dist = measure_distribution_speedup(
-        ghz, shots=max(shots, 512), repeats=repeats, seed=7, workload="ghz10"
+    ghz = compile_plan(ghz_qir(10, addressing="static"), verify=False)
+    dist_shots = max(shots, 512)
+    dist = measure_arms(
+        *dist_warm_arms(ghz, dist_shots), repeats=repeats, shots=dist_shots
     )
     snapshot.record(
         "runtime.plan.dist_warm_shots_per_second",
-        dist.warm_shots_per_second,
+        dist.candidate_shots_per_second,
         unit="shots/sec", direction="higher", k=repeats,
-        metadata={"shots": dist.shots},
+        metadata={"shots": dist_shots},
     )
-    if dist.speedup is not None:
-        snapshot.record(
-            "runtime.plan.dist_warm_speedup",
-            dist.speedup,
-            unit="ratio", direction="higher", k=repeats,
-            metadata={"shots": dist.shots},
-        )
+    _record_ratio(
+        snapshot, "runtime.plan.dist_warm_speedup", dist.speedup, dist,
+        shots=dist_shots,
+    )
 
 
 def _bench_schedulers(snapshot: BenchSnapshot, shots: int, repeats: int) -> None:
@@ -239,26 +312,27 @@ def _bench_schedulers(snapshot: BenchSnapshot, shots: int, repeats: int) -> None
 
     ``reset_chain_qir`` is the non-Clifford mid-circuit-reset workload the
     sampling fast path rejects, so every scheduler really pays per-shot
-    cost -- the regression gate watches that threaded and batched keep
-    beating serial on it.
+    cost.  One serial block is the shared baseline of all three ratios;
+    the budgets file gates batched > serial and process > threaded.
     """
     text = reset_chain_qir(3, rounds=3)
     jobs = max(2, min(4, os.cpu_count() or 2))
 
-    def timed(scheduler: str, jobs: int = 1) -> TimingStats:
+    def arm(scheduler: str, jobs: int = 1) -> Arm:
         runtime = QirRuntime(seed=7)
         plan = QirSession(runtime=runtime).compile(text)
-        return measure(
-            lambda: runtime.run_shots(
-                plan, shots=shots, scheduler=scheduler, jobs=jobs
-            ),
-            repeats=repeats,
+        return lambda: runtime.run_shots(
+            plan, shots=shots, scheduler=scheduler, jobs=jobs
         )
 
-    serial = timed("serial")
-    threaded = timed("threaded", jobs=jobs)
-    batched = timed("batched")
-    process = timed("process", jobs=jobs)
+    threaded = measure_arms(
+        arm("serial"), arm("threaded", jobs=jobs), repeats=repeats, shots=shots
+    )
+    serial = threaded.baseline
+    batched = ArmComparison(serial, measure(arm("batched"), repeats=repeats), shots)
+    process = ArmComparison(
+        serial, measure(arm("process", jobs=jobs), repeats=repeats), shots
+    )
 
     snapshot.add(
         BenchRecord.from_stats(
@@ -269,35 +343,26 @@ def _bench_schedulers(snapshot: BenchSnapshot, shots: int, repeats: int) -> None
     if serial.median > 0:
         snapshot.record(
             "runtime.scheduler.serial_shots_per_second",
-            shots / serial.median,
+            threaded.baseline_shots_per_second,
             unit="shots/sec", direction="higher", k=repeats,
             metadata={"shots": shots},
         )
-    if threaded.median > 0:
-        snapshot.record(
-            "runtime.scheduler.threaded_speedup",
-            serial.median / threaded.median,
-            unit="ratio", direction="higher", k=repeats,
-            metadata={"shots": shots, "jobs": jobs},
-        )
-    if batched.median > 0:
-        snapshot.record(
-            "runtime.scheduler.batched_speedup",
-            serial.median / batched.median,
-            unit="ratio", direction="higher", k=repeats,
-            metadata={"shots": shots},
-        )
-    if process.median > 0:
-        # The GIL-escape number: on multi-core machines this should beat
-        # threaded_speedup for this interpreter-bound workload (the CI
-        # perf gate asserts exactly that); single-core machines see ~1
-        # or below because pool startup has nothing to amortise against.
-        snapshot.record(
-            "runtime.scheduler.process_speedup",
-            serial.median / process.median,
-            unit="ratio", direction="higher", k=repeats,
-            metadata={"shots": shots, "jobs": jobs},
-        )
+    _record_ratio(
+        snapshot, "runtime.scheduler.threaded_speedup", threaded.speedup,
+        threaded, shots=shots, jobs=jobs,
+    )
+    _record_ratio(
+        snapshot, "runtime.scheduler.batched_speedup", batched.speedup,
+        batched, shots=shots,
+    )
+    # The GIL-escape number: on multi-core machines this should beat
+    # threaded_speedup for this interpreter-bound workload; single-core
+    # machines see ~1 or below because pool startup has nothing to
+    # amortise against.
+    _record_ratio(
+        snapshot, "runtime.scheduler.process_speedup", process.speedup,
+        process, shots=shots, jobs=jobs,
+    )
 
 
 def _bench_supervision(snapshot: BenchSnapshot, shots: int, repeats: int) -> None:
@@ -314,45 +379,40 @@ def _bench_supervision(snapshot: BenchSnapshot, shots: int, repeats: int) -> Non
 
     text = reset_chain_qir(3, rounds=3)
     jobs = max(2, min(4, os.cpu_count() or 2))
-    plan_text = ["worker_crash,p=1.0,failures=1"]
 
-    def timed(fault_specs: Optional[List[str]], observer: Observer) -> TimingStats:
+    def arm(fault_specs: Optional[List[str]], observer: Observer) -> Arm:
         runtime = QirRuntime(seed=7, observer=observer)
         plan = QirSession(runtime=runtime).compile(text)
         fault_plan = FaultPlan.parse(fault_specs, seed=0) if fault_specs else None
-        return measure(
-            lambda: runtime.run_shots(
-                plan, shots=shots, scheduler="process", jobs=jobs,
-                fault_plan=fault_plan,
-            ),
-            repeats=repeats,
+        return lambda: runtime.run_shots(
+            plan, shots=shots, scheduler="process", jobs=jobs,
+            fault_plan=fault_plan,
         )
 
-    clean = timed(None, Observer())
     recovery_observer = Observer()
-    recovery = timed(plan_text, recovery_observer)
+    arms = measure_arms(
+        arm(None, Observer()),
+        arm(["worker_crash,p=1.0,failures=1"], recovery_observer),
+        repeats=repeats, shots=shots,
+    )
     supervision = recovery_observer.metrics.values_with_prefix("scheduler.worker.")
     redispatched = int(supervision.get("scheduler.worker.redispatch", 0))
 
     snapshot.add(
         BenchRecord.from_stats(
-            "runtime.scheduler.crash_recovery_seconds", recovery,
+            "runtime.scheduler.crash_recovery_seconds", arms.candidate,
             unit="seconds", direction="lower",
             shots=shots, jobs=jobs, redispatched=redispatched,
         )
     )
-    if clean.median > 0:
-        snapshot.record(
-            "runtime.scheduler.recovery_overhead",
-            recovery.median / clean.median,
-            unit="ratio", direction="lower", k=repeats,
-            metadata={
-                "shots": shots,
-                "jobs": jobs,
-                "redispatched": redispatched,
-                "crashes": int(supervision.get("scheduler.worker.crash", 0)),
-            },
-        )
+    clean = arms.baseline.median
+    _record_ratio(
+        snapshot, "runtime.scheduler.recovery_overhead",
+        arms.candidate.median / clean if clean > 0 else None,
+        arms, direction="lower",
+        shots=shots, jobs=jobs, redispatched=redispatched,
+        crashes=int(supervision.get("scheduler.worker.crash", 0)),
+    )
 
 
 def _bench_plan_cache(snapshot: BenchSnapshot, repeats: int) -> None:
@@ -379,31 +439,28 @@ def _bench_plan_cache(snapshot: BenchSnapshot, repeats: int) -> None:
         compile_once()
 
     try:
-        cold_stats = measure(cold, repeats=repeats)
-        compile_once()  # ensure the warm arm starts populated
-        warm_stats = measure(compile_once, repeats=repeats)
+        # The warm arm's warmup call runs against the directory the last
+        # cold call populated, so every timed warm call is a disk hit.
+        arms = measure_arms(cold, compile_once, repeats=repeats)
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
     snapshot.add(
         BenchRecord.from_stats(
-            "runtime.plan.cold_compile_seconds", cold_stats,
+            "runtime.plan.cold_compile_seconds", arms.baseline,
             unit="seconds", direction="lower",
         )
     )
     snapshot.add(
         BenchRecord.from_stats(
-            "runtime.plan.disk_warm_seconds", warm_stats,
+            "runtime.plan.disk_warm_seconds", arms.candidate,
             unit="seconds", direction="lower",
         )
     )
-    if warm_stats.median > 0:
-        snapshot.record(
-            "runtime.plan.disk_warm_speedup",
-            cold_stats.median / warm_stats.median,
-            unit="ratio", direction="higher", k=repeats,
-            metadata={"pipeline": "unroll"},
-        )
+    _record_ratio(
+        snapshot, "runtime.plan.disk_warm_speedup", arms.speedup, arms,
+        pipeline="unroll",
+    )
 
 
 def _bench_trace_analytics(snapshot: BenchSnapshot, shots: int, repeats: int) -> None:
@@ -546,24 +603,67 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# -- budgets ------------------------------------------------------------------
+
+BUDGETS_FILE = "bench_budgets.json"
+
+
+def load_budgets() -> Dict[str, object]:
+    """The checked-in budgets: snapshot gates and per-record diff thresholds."""
+    text = resources.files("repro.tools").joinpath(BUDGETS_FILE).read_text(
+        encoding="utf-8"
+    )
+    return json.loads(text)
+
+
+def judge_gate(
+    gate: Dict[str, object], records: Dict[str, BenchRecord]
+) -> Tuple[str, str]:
+    """One budgets-file gate against a snapshot: ``(PASS|FAIL|SKIP, detail)``.
+
+    The bound is ``above`` (value must exceed it), the value of the
+    ``above_record`` record, or ``at_most`` raised to ``metadata_scale``
+    times the record's ``at_most_metadata`` entry.  A missing or
+    non-finite record, bound or metadata entry fails; ``min_cpus`` skips
+    the comparison on smaller hosts.
+    """
+    name = str(gate["record"])
+    record = records.get(name)
+    if record is None:
+        return "FAIL", f"missing record {name}"
+    bound = gate.get("above", gate.get("at_most"))
+    if "above_record" in gate:
+        other = records.get(str(gate["above_record"]))
+        if other is None:
+            return "FAIL", f"missing record {gate['above_record']}"
+        bound = other.value
+    if "at_most_metadata" in gate:
+        key = str(gate["at_most_metadata"])
+        extra = record.metadata.get(key)
+        if (isinstance(extra, bool) or not isinstance(extra, (int, float))
+                or not math.isfinite(extra)):
+            return "FAIL", f"{name}: missing or non-finite metadata {key}"
+        bound = max(bound, gate["metadata_scale"] * extra)  # type: ignore[operator]
+    if not (math.isfinite(record.value) and math.isfinite(bound)):  # type: ignore[arg-type]
+        return "FAIL", f"{name}: non-finite value {record.value} or bound {bound}"
+    op = "<=" if "at_most" in gate else ">"
+    detail = f"{name} = {record.value:.3f} (needs {op} {bound:.3f})"
+    if (os.cpu_count() or 1) < int(gate.get("min_cpus", 1)):  # type: ignore[arg-type]
+        return "SKIP", f"{detail}; host has fewer than {gate['min_cpus']} CPUs"
+    holds = record.value <= bound if op == "<=" else record.value > bound  # type: ignore[operator]
+    return ("PASS" if holds else "FAIL"), detail
+
+
 # -- diff ---------------------------------------------------------------------
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     try:
-        overrides = {}
-        for spec in args.record_threshold:
-            name, sep, value = spec.partition("=")
-            if not sep or not name:
-                raise ValueError(
-                    f"invalid --record-threshold {spec!r} (expected NAME=FRACTION)"
-                )
-            overrides[name.strip()] = float(value)
         baseline = BenchSnapshot.load(args.baseline)
         current = BenchSnapshot.load(args.current)
         report = diff_snapshots(
             baseline, current,
             threshold=args.threshold,
-            per_record_thresholds=overrides,
+            per_record_thresholds=load_budgets()["record_thresholds"],  # type: ignore[arg-type]
         )
     except (OSError, ValueError) as error:
         print(f"qir-bench: error: {error}", file=sys.stderr)
@@ -579,7 +679,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
         overrides = budgets_from_specs(args.budget)
-    except ValueError as error:
+        snapshot = BenchSnapshot.load(args.snapshot)
+    except (OSError, ValueError) as error:
         print(f"qir-bench: error: {error}", file=sys.stderr)
         return EXIT_USAGE
     pipelines = args.pipeline or sorted(CHECK_PIPELINES)
@@ -606,13 +707,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
     for pipeline_name, bust in all_busts:
         print(f"qir-bench: check: [{pipeline_name}] {bust.render()}",
               file=sys.stderr)
-    if all_busts:
+    records = snapshot.by_name()
+    failed_gates = 0
+    for gate in load_budgets()["gates"]:  # type: ignore[union-attr]
+        verdict, detail = judge_gate(gate, records)
+        print(f"qir-bench: check: gate {verdict}: {detail}", file=sys.stderr)
+        failed_gates += verdict == "FAIL"
+    if all_busts or failed_gates:
         verdict = "FAIL" if args.strict else "WARN"
         print(f"qir-bench: check: {verdict}: {len(all_busts)} budget bust(s) "
-              f"across {', '.join(pipelines)}", file=sys.stderr)
+              f"across {', '.join(pipelines)}, {failed_gates} failed gate(s) "
+              f"on {args.snapshot}", file=sys.stderr)
         return EXIT_REGRESSION if args.strict else EXIT_OK
     print(f"qir-bench: check: PASS: no budget busts across "
-          f"{', '.join(pipelines)}", file=sys.stderr)
+          f"{', '.join(pipelines)}, every gate holds on {args.snapshot}",
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -643,18 +752,19 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                       help="relative regression threshold "
                            f"(default {DEFAULT_THRESHOLD})")
-    diff.add_argument("--record-threshold", action="append", default=[],
-                      metavar="NAME=FRACTION",
-                      help="per-record threshold override (repeatable)")
     diff.add_argument("--json", action="store_true",
                       help="also write the report as JSON to stdout")
     diff.set_defaults(func=_cmd_diff)
 
     check = sub.add_parser(
-        "check", help="run budgeted pipelines; --strict fails on busts"
+        "check",
+        help="run budgeted pipelines and the budgets-file gates on a "
+             "snapshot; --strict fails on busts",
     )
+    check.add_argument("--snapshot", required=True,
+                       help="snapshot JSON the budgets-file gates judge")
     check.add_argument("--strict", action="store_true",
-                       help="exit 4 when any pass busts its budget")
+                       help="exit 4 when a pass busts its budget or a gate fails")
     check.add_argument("--budget", action="append", default=[],
                        metavar="PASS=SECONDS",
                        help="override a per-pass seconds budget (repeatable)")

@@ -1,4 +1,5 @@
-"""BenchSnapshot: schema versioning, median-of-k measurement, round-trips."""
+"""BenchSnapshot: schema versioning, median-of-k and A/B measurement,
+round-trips, and fail-closed loading."""
 
 import json
 
@@ -6,11 +7,13 @@ import pytest
 
 from repro.obs.snapshot import (
     SCHEMA_VERSION,
+    ArmComparison,
     BenchRecord,
     BenchSnapshot,
     TimingStats,
     environment_fingerprint,
     measure,
+    measure_arms,
 )
 
 
@@ -59,6 +62,54 @@ class TestMeasure:
         assert stats.min <= stats.median <= stats.max
 
 
+class TestMeasureArms:
+    def test_baseline_block_then_candidate_block(self):
+        calls = []
+        ticks = iter(range(100))
+        arms = measure_arms(
+            lambda: calls.append("b"),
+            lambda: calls.append("c"),
+            repeats=3,
+            warmup=1,
+            shots=10,
+            clock=lambda: float(next(ticks)),
+        )
+        assert calls == ["b"] * 4 + ["c"] * 4
+        assert arms.baseline.k == arms.candidate.k == 3
+        assert arms.speedup == 1.0
+        assert arms.baseline_shots_per_second == 10.0
+
+    def test_speedup_and_spread(self):
+        arms = ArmComparison(
+            TimingStats((0.4, 0.2, 0.3)), TimingStats((0.1, 0.05, 0.2)), shots=10
+        )
+        assert arms.speedup == pytest.approx(3.0)
+        assert arms.candidate_shots_per_second == pytest.approx(100.0)
+        assert arms.spread() == {
+            "baseline": {"min": 0.2, "median": 0.3, "max": 0.4},
+            "candidate": {"min": 0.05, "median": 0.1, "max": 0.2},
+        }
+
+
+@pytest.mark.parametrize(
+    "baseline, candidate, speedup, baseline_rate, candidate_rate",
+    [
+        (0.1, 0.0, None, 80.0, 0.0),  # candidate below clock resolution
+        (0.0, 0.1, 0.0, 0.0, 80.0),  # baseline below clock resolution
+    ],
+    ids=["zero_candidate", "zero_baseline"],
+)
+def test_zero_duration_arm_comparison_reports_none_not_inf(
+    baseline, candidate, speedup, baseline_rate, candidate_rate
+):
+    arms = ArmComparison(
+        TimingStats((baseline,)), TimingStats((candidate,)), shots=8
+    )
+    assert arms.speedup == speedup
+    assert arms.baseline_shots_per_second == baseline_rate
+    assert arms.candidate_shots_per_second == candidate_rate
+
+
 class TestBenchRecord:
     def test_from_stats_carries_spread(self):
         record = BenchRecord.from_stats(
@@ -85,6 +136,28 @@ class TestBenchRecord:
     def test_from_dict_requires_name_and_value(self):
         with pytest.raises(ValueError, match="missing name/value"):
             BenchRecord.from_dict({"unit": "seconds"})
+
+    @pytest.mark.parametrize("payload", [
+        1,
+        ["name", "value"],
+        {"name": "x", "value": float("nan")},
+        {"name": "x", "value": float("inf")},
+        {"name": "x", "value": "fast"},
+        {"name": "x", "value": None},
+        {"name": "x", "value": True},
+        {"name": "x", "value": 1.0, "max": float("nan")},
+        {"name": "x", "value": 1.0, "k": 0},
+        {"name": "x", "value": 1.0, "k": "5"},
+        {"name": "x", "value": 1.0, "metadata": [1, 2]},
+        {"name": "x", "value": 1.0, "metadata": [["shots", 1]]},
+    ], ids=[
+        "int", "list", "nan", "inf", "string_value", "null_value",
+        "bool_value", "nan_max", "zero_k", "string_k", "list_metadata",
+        "pairs_metadata",
+    ])
+    def test_from_dict_rejects_malformed_records(self, payload):
+        with pytest.raises(ValueError):
+            BenchRecord.from_dict(payload)
 
 
 class TestBenchSnapshot:
@@ -120,6 +193,36 @@ class TestBenchSnapshot:
             BenchSnapshot.from_dict(
                 {"schema_version": SCHEMA_VERSION + 1, "records": []}
             )
+
+    @pytest.mark.parametrize("payload", [
+        [1],
+        "records",
+        {"schema_version": "1", "records": []},
+        {"schema_version": [1], "records": []},
+        {"schema_version": SCHEMA_VERSION, "records": None},
+        {"schema_version": SCHEMA_VERSION, "records": {"a": 1}},
+        {"schema_version": SCHEMA_VERSION, "records": [1]},
+        {"schema_version": SCHEMA_VERSION, "records": [], "environment": [1]},
+        {"schema_version": SCHEMA_VERSION,
+         "records": [{"name": "a", "value": 1.0, "metadata": [1]}]},
+        {"schema_version": SCHEMA_VERSION,
+         "records": [{"name": "a", "value": float("nan")}]},
+    ], ids=[
+        "list", "string", "string_version", "list_version", "null_records",
+        "dict_records", "int_record", "list_environment", "list_metadata",
+        "nan_value",
+    ])
+    def test_rejects_malformed_payload(self, payload):
+        with pytest.raises(ValueError):
+            BenchSnapshot.from_dict(payload)
+
+    def test_nan_literal_in_json_fails_to_load(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"schema_version": 1, "records": [{"name": "a", "value": NaN}]}'
+        )
+        with pytest.raises(ValueError, match="finite"):
+            BenchSnapshot.load(str(path))
 
     def test_every_record_has_a_unit(self, tmp_path):
         snapshot = BenchSnapshot(group="g")

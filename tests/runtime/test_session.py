@@ -4,7 +4,9 @@ import pytest
 
 from repro.llvmir import parse_assembly
 from repro.obs.observer import Observer
-from repro.runtime import ExecutionPlan, QirRuntime, QirSession, measure_fastpath_speedup
+from repro.obs.snapshot import measure_arms
+from repro.runtime import ExecutionPlan, QirRuntime, QirSession
+from repro.tools.qir_bench import fastpath_arms
 from repro.workloads.qir_programs import bell_qir, counted_loop_qir, ghz_qir
 
 
@@ -151,13 +153,13 @@ class TestCachedExecution:
 
 class TestFastpathMeasurementCaching:
     def test_repetitions_do_not_reparse(self):
-        # measure_fastpath_speedup compiles once through a QirSession, so
-        # its timed repetitions never touch the frontend: the parse
-        # counters match exactly one observed parse of the same text.
+        # qir-bench's ex5 arms compile once through a QirSession, so the
+        # timed repetitions never touch the frontend: the parse counters
+        # match exactly one observed parse of the same text.
         observer = Observer()
         rt = QirRuntime(seed=7, observer=observer)
         text = ghz_qir(3)
-        measure_fastpath_speedup(text, shots=20, repeats=3, runtime=rt)
+        measure_arms(*fastpath_arms(rt, text, shots=20), repeats=3, shots=20)
 
         baseline = Observer()
         parse_assembly(text, observer=baseline)

@@ -12,7 +12,8 @@ Covers the three specialization tiers end to end:
 * the cached sampling distribution: wire round-trip, fail-closed decode
   of wrong versions and corrupt blocks, disk-cache verify deletion, and
   warm-serve bit-identity;
-* the 0.0-not-inf convention on both comparison classes.
+* the qir-bench fusion and warm-distribution arms fail closed on plans
+  they cannot measure.
 """
 
 import json
@@ -26,11 +27,6 @@ from repro.frontend.exporter import export_circuit_text
 from repro.llvmir.parser import parse_assembly
 from repro.obs.observer import Observer
 from repro.runtime import QirRuntime, QirSession
-from repro.runtime.execute import (
-    DistributionComparison,
-    FusionComparison,
-    measure_fusion_speedup,
-)
 from repro.runtime.plan import (
     PLAN_WIRE_VERSION,
     ExecutionPlan,
@@ -41,9 +37,12 @@ from repro.runtime.plancache import PlanCache
 from repro.runtime.sampling_fastpath import SampledDistribution
 from repro.sim import StatevectorSimulator
 from repro.sim.fusion import build_schedule, extract_trace, run_fused
+from repro.tools.qir_bench import dist_warm_arms, fusion_arms
 from repro.workloads.circuits import random_circuit
 from repro.workloads.qir_programs import (
+    counted_loop_qir,
     ghz_qir,
+    qft_qir,
     random_qir,
     reset_chain_qir,
     rotation_ladder_qir,
@@ -145,8 +144,10 @@ def test_rotation_ladder_coalesces_into_few_kernels():
     ghz_qir(4, addressing="static"),
     random_qir(3, 4, seed=5, addressing="static"),
     rotation_ladder_qir(2, depth=8),
+    rotation_ladder_qir(2, depth=48),
     reset_chain_qir(2, rounds=2),
-], ids=["ghz4", "random3x4", "rotation_ladder", "reset_chain"])
+], ids=["ghz4", "random3x4", "rotation_ladder", "rotation_ladder48",
+        "reset_chain"])
 def test_fused_counts_match_unfused_serial_across_schedulers(text):
     shots = 24
     reference = QirRuntime(seed=SEED, fusion=False).run_shots(
@@ -310,42 +311,19 @@ def test_distribution_hit_miss_counters():
     assert observer.metrics.value("cache.distribution.hit", 0) == 1
 
 
-# -- 0.0-not-inf convention ---------------------------------------------------
+# -- the qir-bench specialization arms fail closed ---------------------------
 
-def test_zero_duration_fusion_comparison_reports_none_not_inf():
-    comparison = FusionComparison(
-        shots=8, repeats=1, fused_seconds=0.0, unfused_seconds=0.1,
-        kernels=1, source_gates=4,
-    )
-    assert comparison.speedup is None
-    assert comparison.fused_shots_per_second == 0.0
-    assert comparison.unfused_shots_per_second == 80.0
-    flipped = FusionComparison(
-        shots=8, repeats=1, fused_seconds=0.1, unfused_seconds=0.0,
-        kernels=1, source_gates=4,
-    )
-    assert flipped.unfused_shots_per_second == 0.0
-    assert flipped.speedup == 0.0
-
-
-def test_zero_duration_distribution_comparison_reports_none_not_inf():
-    comparison = DistributionComparison(
-        shots=8, repeats=1, warm_seconds=0.0, cold_seconds=0.1
-    )
-    assert comparison.speedup is None
-    assert comparison.warm_shots_per_second == 0.0
-    assert comparison.cold_shots_per_second == 80.0
-    flipped = DistributionComparison(
-        shots=8, repeats=1, warm_seconds=0.1, cold_seconds=0.0
-    )
-    assert flipped.cold_shots_per_second == 0.0
-    assert flipped.speedup == 0.0
-
-
-def test_measure_fusion_speedup_rejects_unspecializable_programs():
+def test_fusion_arms_reject_unspecializable_programs():
     # Dynamic control flow (a real loop) defeats trace extraction, so
     # there is no fused schedule to compare against.
-    from repro.workloads.qir_programs import counted_loop_qir
-
+    plan = compile_plan(counted_loop_qir(4), verify=False)
     with pytest.raises(ValueError, match="not specializable"):
-        measure_fusion_speedup(counted_loop_qir(4), shots=4, repeats=1)
+        fusion_arms(plan, shots=4)
+
+
+def test_dist_warm_arms_reject_plans_that_never_memoize():
+    # A 13-qubit QFT of |0> is uniform over 2**13 outcomes, past the
+    # cached-support cap, so the plan never becomes warm.
+    plan = compile_plan(qft_qir(13, addressing="static"), verify=False)
+    with pytest.raises(ValueError, match="did not memoize"):
+        dist_warm_arms(plan, shots=4)

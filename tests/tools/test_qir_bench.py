@@ -1,10 +1,12 @@
 """End-to-end tests for the qir-bench CLI (run / diff / check)."""
 
 import json
+import os
 
 import pytest
 
-from repro.obs.snapshot import SCHEMA_VERSION
+from repro.obs.snapshot import SCHEMA_VERSION, BenchSnapshot
+from repro.tools.qir_bench import load_budgets
 from repro.tools.qir_bench import main as bench_main
 from repro.tools.qir_opt import main as opt_main
 from repro.workloads.qir_programs import bell_qir
@@ -20,6 +22,33 @@ def snapshot_file(tmp_path):
     )
     assert code == 0
     return path
+
+
+# Every budgets-file gate holds on these values, on any host.
+PASSING_GATES = {
+    "runtime.scheduler.batched_speedup": 1.5,
+    "runtime.scheduler.process_speedup": 1.6,
+    "runtime.scheduler.threaded_speedup": 1.1,
+    "runtime.scheduler.queue_imbalance": (1.2, {"contiguous_imbalance": 2.5}),
+    "runtime.plan.disk_warm_speedup": 2.0,
+    "runtime.fusion.speedup": 3.0,
+    "runtime.plan.dist_warm_speedup": 9.0,
+}
+
+
+def _write_snapshot(path, values) -> str:
+    """A hand-built snapshot: ``name -> value`` or ``name -> (value, metadata)``."""
+    snapshot = BenchSnapshot(group="qir-bench")
+    for name, value in values.items():
+        value, metadata = value if isinstance(value, tuple) else (value, {})
+        snapshot.record(name, value, "ratio", direction="higher", metadata=metadata)
+    snapshot.write_json(str(path))
+    return str(path)
+
+
+@pytest.fixture
+def passing_snapshot(tmp_path):
+    return _write_snapshot(tmp_path / "passing.json", PASSING_GATES)
 
 
 class TestRun:
@@ -185,19 +214,38 @@ class TestDiff:
         assert payload["exit_code"] == 0
 
     def test_record_threshold_override_rescues_noisy_record(
-        self, snapshot_file, tmp_path, capsys
+        self, tmp_path, capsys
     ):
-        payload = json.loads(open(snapshot_file).read())
-        for record in payload["records"]:
-            if record["name"] == "passes.o1.counted_loop16.seconds":
-                record["value"] *= 2
-        noisy = tmp_path / "noisy.json"
-        noisy.write_text(json.dumps(payload))
-        assert bench_main(["diff", snapshot_file, str(noisy)]) == 4
-        assert bench_main(
-            ["diff", snapshot_file, str(noisy),
-             "--record-threshold", "passes.o1.counted_loop16.seconds=2.0"]
-        ) == 0
+        # worker_imbalance carries a 0.5 threshold in the budgets file, so
+        # a 40% move the wrong way passes; the same move on an unlisted
+        # record fails at the global 0.25.
+        noisy = "runtime.scheduler.worker_imbalance"
+        assert load_budgets()["record_thresholds"][noisy] == 0.5
+        base = {noisy: 1.0, "passes.o1.counted_loop16.seconds": 1.0}
+        baseline = _write_snapshot(tmp_path / "base.json", base)
+        listed = _write_snapshot(tmp_path / "listed.json", {**base, noisy: 0.6})
+        unlisted = _write_snapshot(
+            tmp_path / "unlisted.json",
+            {**base, "passes.o1.counted_loop16.seconds": 0.6},
+        )
+        assert bench_main(["diff", baseline, listed]) == 0
+        assert bench_main(["diff", baseline, unlisted]) == 4
+
+    @pytest.mark.parametrize("payload", [
+        [1],
+        {"schema_version": 1, "records": [1]},
+        {"schema_version": 1, "records": None},
+        {"schema_version": 1,
+         "records": [{"name": "a", "value": 1.0, "metadata": [1]}]},
+        {"schema_version": 1, "records": [{"name": "a", "value": float("nan")}]},
+    ], ids=["list", "int_record", "null_records", "list_metadata", "nan_value"])
+    def test_malformed_snapshot_is_usage_error(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        good = _write_snapshot(tmp_path / "good.json", {"a": 1.0})
+        assert bench_main(["diff", good, str(path)]) == 2
+        assert bench_main(["diff", str(path), good]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_unreadable_snapshot_is_usage_error(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
@@ -212,32 +260,163 @@ class TestDiff:
 
 
 class TestCheck:
-    def test_default_budgets_pass(self, capsys):
-        assert bench_main(["check", "--strict"]) == 0
+    def test_default_budgets_pass(self, passing_snapshot, capsys):
+        assert bench_main(["check", "--strict", "--snapshot", passing_snapshot]) == 0
         assert "PASS" in capsys.readouterr().err
 
-    def test_seeded_bust_fails_strict(self, capsys):
+    def test_seeded_bust_fails_strict(self, passing_snapshot, capsys):
         assert bench_main(
-            ["check", "--strict", "--budget", "loop-unroll=0.0"]
+            ["check", "--strict", "--snapshot", passing_snapshot,
+             "--budget", "loop-unroll=0.0"]
         ) == 4
         err = capsys.readouterr().err
         assert "budget bust" in err
         assert "loop-unroll" in err
         assert "FAIL" in err
 
-    def test_seeded_bust_warns_without_strict(self, capsys):
-        assert bench_main(["check", "--budget", "loop-unroll=0.0"]) == 0
+    def test_seeded_bust_warns_without_strict(self, passing_snapshot, capsys):
+        assert bench_main(
+            ["check", "--snapshot", passing_snapshot, "--budget", "loop-unroll=0.0"]
+        ) == 0
         assert "WARN" in capsys.readouterr().err
 
-    def test_pipeline_selection(self, capsys):
+    def test_pipeline_selection(self, passing_snapshot, capsys):
         # A loop-unroll bust cannot fire in the o1 pipeline (no such pass).
         assert bench_main(
-            ["check", "--strict", "--pipeline", "o1",
-             "--budget", "loop-unroll=0.0"]
+            ["check", "--strict", "--snapshot", passing_snapshot,
+             "--pipeline", "o1", "--budget", "loop-unroll=0.0"]
         ) == 0
 
-    def test_bad_budget_spec_is_usage_error(self, capsys):
-        assert bench_main(["check", "--budget", "nonsense"]) == 2
+    def test_bad_budget_spec_is_usage_error(self, passing_snapshot, capsys):
+        assert bench_main(
+            ["check", "--snapshot", passing_snapshot, "--budget", "nonsense"]
+        ) == 2
+
+    def test_snapshot_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(["check", "--strict"])
+        assert exit_info.value.code == 2
+
+    def test_unloadable_snapshot_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"schema_version": 1, "records": '
+            '[{"name": "runtime.fusion.speedup", "value": NaN}]}'
+        )
+        assert bench_main(["check", "--strict", "--snapshot", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
+def _without(name):
+    return {k: v for k, v in PASSING_GATES.items() if k != name}
+
+
+# One row per gate boundary: (changed records, host CPUs, exit code).  The
+# verdicts match the regression-gate scripts the budgets file replaced.
+GATE_CASES = {
+    "all_pass": ({}, 2, 0),
+    "batched_at_1": ({"runtime.scheduler.batched_speedup": 1.0}, 2, 4),
+    "batched_above_1": ({"runtime.scheduler.batched_speedup": 1.001}, 2, 0),
+    "process_equals_threaded": (
+        {"runtime.scheduler.process_speedup": 1.1}, 2, 4),
+    "process_below_threaded_2cpu": (
+        {"runtime.scheduler.process_speedup": 0.6}, 2, 4),
+    "process_below_threaded_1cpu_skips": (
+        {"runtime.scheduler.process_speedup": 0.6}, 1, 0),
+    "queue_at_floor": (
+        {"runtime.scheduler.queue_imbalance": (1.5, {"contiguous_imbalance": 1.0})},
+        2, 0),
+    "queue_above_floor": (
+        {"runtime.scheduler.queue_imbalance": (1.51, {"contiguous_imbalance": 1.0})},
+        2, 4),
+    "queue_under_scaled_contiguous": (
+        {"runtime.scheduler.queue_imbalance": (2.2, {"contiguous_imbalance": 2.5})},
+        2, 0),
+    "queue_over_scaled_contiguous": (
+        {"runtime.scheduler.queue_imbalance": (2.3, {"contiguous_imbalance": 2.5})},
+        2, 4),
+    "queue_missing_contiguous": (
+        {"runtime.scheduler.queue_imbalance": (1.0, {})}, 2, 4),
+    "queue_nan_contiguous": (
+        {"runtime.scheduler.queue_imbalance": (1.0, {"contiguous_imbalance": float("nan")})},
+        2, 4),
+    "disk_warm_at_1": ({"runtime.plan.disk_warm_speedup": 1.0}, 2, 4),
+    "fusion_at_1": ({"runtime.fusion.speedup": 1.0}, 2, 4),
+    "dist_warm_at_5": ({"runtime.plan.dist_warm_speedup": 5.0}, 2, 4),
+    "dist_warm_above_5": ({"runtime.plan.dist_warm_speedup": 5.01}, 2, 0),
+}
+
+
+class TestBudgetGates:
+    @pytest.mark.parametrize(
+        "changes, cpus, expected", list(GATE_CASES.values()), ids=list(GATE_CASES)
+    )
+    def test_gate_boundaries(
+        self, tmp_path, monkeypatch, capsys, changes, cpus, expected
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        path = _write_snapshot(tmp_path / "s.json", {**PASSING_GATES, **changes})
+        assert bench_main(["check", "--strict", "--snapshot", path]) == expected
+        err = capsys.readouterr().err
+        assert ("gate FAIL" in err) == (expected == 4)
+
+    @pytest.mark.parametrize("missing", sorted(PASSING_GATES))
+    def test_missing_record_fails(self, tmp_path, monkeypatch, capsys, missing):
+        # Missing beats the CPU skip: the old script also failed first.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        path = _write_snapshot(tmp_path / "s.json", _without(missing))
+        assert bench_main(["check", "--strict", "--snapshot", path]) == 4
+        assert f"missing record {missing}" in capsys.readouterr().err
+
+    def test_budgets_file_holds_every_threshold(self):
+        budgets = load_budgets()
+        gates = {g["record"]: g for g in budgets["gates"]}
+        assert gates["runtime.scheduler.batched_speedup"]["above"] == 1.0
+        process = gates["runtime.scheduler.process_speedup"]
+        assert process["above_record"] == "runtime.scheduler.threaded_speedup"
+        assert process["min_cpus"] == 2
+        queue = gates["runtime.scheduler.queue_imbalance"]
+        assert (queue["at_most"], queue["metadata_scale"]) == (1.5, 0.9)
+        assert queue["at_most_metadata"] == "contiguous_imbalance"
+        assert gates["runtime.plan.disk_warm_speedup"]["above"] == 1.0
+        assert gates["runtime.fusion.speedup"]["above"] == 1.0
+        assert gates["runtime.plan.dist_warm_speedup"]["above"] == 5.0
+        assert budgets["record_thresholds"] == {
+            name: 0.5 for name in (
+                "runtime.scheduler.threaded_speedup",
+                "runtime.scheduler.process_speedup",
+                "runtime.scheduler.worker_imbalance",
+                "runtime.scheduler.queue_imbalance",
+                "runtime.fusion.speedup",
+                "runtime.plan.dist_warm_speedup",
+            )
+        }
+
+    def test_real_snapshot_records_every_gated_name(self, snapshot_file):
+        # Every gate names a record the suite really writes, so a rename
+        # cannot leave a gate failing on "missing record" forever.
+        names = {r.name for r in BenchSnapshot.load(snapshot_file).records}
+        for gate in load_budgets()["gates"]:
+            assert gate["record"] in names
+            assert gate.get("above_record", gate["record"]) in names
+
+    def test_ratio_records_carry_both_arms_spread(self, snapshot_file):
+        by_name = BenchSnapshot.load(snapshot_file).by_name()
+        for name in (
+            "runtime.ex5.ghz10.fastpath_speedup",
+            "runtime.fusion.speedup",
+            "runtime.plan.dist_warm_speedup",
+            "runtime.scheduler.threaded_speedup",
+            "runtime.scheduler.batched_speedup",
+            "runtime.scheduler.process_speedup",
+            "runtime.scheduler.recovery_overhead",
+            "runtime.plan.disk_warm_speedup",
+        ):
+            record = by_name[name]
+            assert record.k == 2
+            for arm in ("baseline", "candidate"):
+                spread = record.metadata[arm]
+                assert spread["min"] <= spread["median"] <= spread["max"]
 
 
 class TestQirOptBudgetSurface:
