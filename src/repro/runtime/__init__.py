@@ -58,7 +58,6 @@ from repro.runtime.dispatch import (
     ChunkQueue,
     QueueStats,
     guided_chunks,
-    partition_shots,
 )
 from repro.runtime.schedulers import (
     SCHEDULERS,
@@ -67,7 +66,6 @@ from repro.runtime.schedulers import (
     SerialScheduler,
     ShotOutcome,
     SupervisionRecord,
-    ThreadedScheduler,
     get_scheduler,
 )
 from repro.runtime.execute import (
@@ -114,7 +112,6 @@ __all__ = [
     "plan_key",
     "SCHEDULERS",
     "SerialScheduler",
-    "ThreadedScheduler",
     "BatchedScheduler",
     "ProcessScheduler",
     "ShotOutcome",
@@ -124,7 +121,6 @@ __all__ = [
     "ChunkQueue",
     "QueueStats",
     "guided_chunks",
-    "partition_shots",
     "ExecutionResult",
     "ShotsResult",
     "QirRuntime",

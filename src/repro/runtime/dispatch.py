@@ -1,14 +1,14 @@
-"""Shared work-queue dispatch core for the threaded and process schedulers.
+"""Work-queue dispatch core of the process scheduler.
 
 The one-contiguous-range-per-worker model had a built-in straggler
 problem: a worker that runs slow (noisy neighbour, costly shots, a
 restarted pool) caps the whole run, and `qir-trace workers` showed it as
 an imbalance ratio drifting above 1.  This module replaces that model
 with *self-scheduling*: :func:`guided_chunks` splits the shot range into
-many small chunks (large first, shrinking toward a floor -- classic
-guided scheduling), a :class:`ChunkQueue` hands them out, and idle
-workers keep pulling until the queue drains.  A fast worker simply runs
-more chunks; a slow one runs fewer; nobody waits on a pre-assigned
+many small chunks (large first, shrinking toward single shots --
+classic guided scheduling), a :class:`ChunkQueue` hands them out, and
+idle workers keep pulling until the queue drains.  A fast worker simply
+runs more chunks; a slow one runs fewer; nobody waits on a pre-assigned
 range.
 
 Determinism is untouched by any of this: per-shot seeds are pure
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Deque, List, Optional, Tuple
 
 #: Guided scheduling divides the *remaining* shots by this multiple of
@@ -38,35 +38,10 @@ from typing import Deque, List, Optional, Tuple
 GUIDED_FACTOR = 2
 
 
-def partition_shots(shots: int, workers: int) -> List[Tuple[int, int]]:
-    """Split ``range(shots)`` into at most ``workers`` contiguous chunks.
-
-    The historical one-chunk-per-worker split, kept for callers that
-    want it (and as the explicit "contiguous baseline" arm of the
-    imbalance bench: ``chunk_shots=ceil(shots/jobs)`` reproduces it).
-    Early chunks get the remainder, so sizes differ by at most one and
-    every shot index appears exactly once -- the determinism story does
-    not depend on the split (seeds are pure functions of shot index),
-    only completeness does.
-    """
-    if shots < 1:
-        return []
-    workers = max(1, min(workers, shots))
-    base, extra = divmod(shots, workers)
-    chunks: List[Tuple[int, int]] = []
-    start = 0
-    for index in range(workers):
-        size = base + (1 if index < extra else 0)
-        chunks.append((start, start + size))
-        start += size
-    return chunks
-
-
 def guided_chunks(
     shots: int,
     workers: int,
     chunk_shots: Optional[int] = None,
-    min_chunk_shots: Optional[int] = None,
 ) -> List[Tuple[int, int]]:
     """Split ``range(shots)`` into self-scheduled chunk ranges.
 
@@ -74,10 +49,9 @@ def guided_chunks(
     short final remainder) -- predictable, and the knob that reproduces
     the contiguous baseline (``chunk_shots=ceil(shots/workers)``).
     Otherwise *guided* sizing applies: each chunk takes
-    ``ceil(remaining / (GUIDED_FACTOR * workers))`` shots, clamped below
-    by ``min_chunk_shots`` (default 1), so sizes shrink geometrically
-    toward the floor.  Chunks are contiguous, in shot order, and cover
-    every index exactly once.
+    ``ceil(remaining / (GUIDED_FACTOR * workers))`` shots, so sizes
+    shrink geometrically toward one shot.  Chunks are contiguous, in
+    shot order, and cover every index exactly once.
     """
     if shots < 1:
         return []
@@ -85,9 +59,6 @@ def guided_chunks(
         raise ValueError("workers must be >= 1")
     if chunk_shots is not None and chunk_shots < 1:
         raise ValueError("chunk_shots must be >= 1")
-    if min_chunk_shots is not None and min_chunk_shots < 1:
-        raise ValueError("min_chunk_shots must be >= 1")
-    floor = min_chunk_shots if min_chunk_shots is not None else 1
     ranges: List[Tuple[int, int]] = []
     start = 0
     while start < shots:
@@ -95,7 +66,7 @@ def guided_chunks(
         if chunk_shots is not None:
             size = chunk_shots
         else:
-            size = max(floor, -(-remaining // (GUIDED_FACTOR * workers)))
+            size = -(-remaining // (GUIDED_FACTOR * workers))
         size = min(size, remaining)
         ranges.append((start, start + size))
         start += size
@@ -141,10 +112,9 @@ class QueueStats:
 class ChunkQueue:
     """A thread-safe queue of shot chunks that idle workers pull dry.
 
-    The shared dispatch core of :class:`ThreadedScheduler` (worker
-    threads pop directly) and :class:`ProcessScheduler` (the supervisor
-    drains the queue into pool waves via :meth:`take_all`, and returns
-    lost chunks with :meth:`requeue`).  Completeness invariant: every
+    The dispatch core of :class:`ProcessScheduler`: the supervisor
+    drains the queue into pool waves via :meth:`take_all` and returns
+    lost chunks with :meth:`requeue`.  Completeness invariant: every
     shot of the original range is in exactly one live chunk until that
     chunk's outcomes are merged -- requeueing replaces a lost chunk with
     the *same* range at the next attempt, so nothing is lost or
@@ -162,9 +132,8 @@ class ChunkQueue:
         shots: int,
         workers: int,
         chunk_shots: Optional[int] = None,
-        min_chunk_shots: Optional[int] = None,
     ) -> "ChunkQueue":
-        ranges = guided_chunks(shots, workers, chunk_shots, min_chunk_shots)
+        ranges = guided_chunks(shots, workers, chunk_shots)
         return cls(
             [Chunk(id=i, start=a, stop=b) for i, (a, b) in enumerate(ranges)]
         )

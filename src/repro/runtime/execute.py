@@ -12,10 +12,10 @@ Architecturally this module is now a thin front over the two-phase stack:
   one anywhere it accepts source, skipping the frontend entirely);
 * the **execute phase** (:mod:`repro.runtime.schedulers`) runs the shots
   through a pluggable :class:`ShotScheduler` -- ``serial`` (default),
-  ``threaded`` (``jobs=N`` workers), ``batched`` (one vectorised
-  statevector evolution), or ``process`` (``jobs=N`` worker processes
-  fed serialized plans) -- all of which reproduce identical ``counts``
-  for the same ``seed=`` thanks to spawned per-shot seeding.
+  ``batched`` (one vectorised statevector evolution), or ``process``
+  (``jobs=N`` worker processes fed serialized plans) -- all of which
+  reproduce identical ``counts`` for the same ``seed=`` thanks to
+  spawned per-shot seeding.
 
 For cross-call caching of parsed modules and compiled plans, use
 :class:`repro.runtime.session.QirSession`.
@@ -94,8 +94,9 @@ class QirRuntime:
     >>> counts = rt.run_shots(qir_text, shots=1000).counts
 
     ``scheduler``/``jobs`` pick the default execute-phase strategy for
-    ``run_shots`` (overridable per call): ``serial``, ``threaded``
-    (``jobs`` workers), or ``batched`` (vectorised multi-shot evolution).
+    ``run_shots`` (overridable per call): ``serial``, ``batched``
+    (vectorised multi-shot evolution), or ``process`` (``jobs`` worker
+    processes); see :func:`~repro.runtime.schedulers.get_scheduler`.
     """
 
     def __init__(
@@ -177,7 +178,6 @@ class QirRuntime:
         worker_timeout: Optional[float] = None,
         max_worker_failures: Optional[int] = None,
         chunk_shots: Optional[int] = None,
-        min_chunk_shots: Optional[int] = None,
         run_context: Optional[RunContext] = None,
     ) -> ShotsResult:
         """Run many shots (parsing once) and histogram the result bitstrings.
@@ -192,9 +192,11 @@ class QirRuntime:
         * ``"require"`` -- fast path or raise :class:`FastPathUnsupported`.
 
         ``scheduler`` / ``jobs`` override the runtime's default execute
-        strategy for this call.  The ``batched`` scheduler never takes the
-        sampling fast path (it exists for the programs the fast path
-        rejects), so ``sampling="require"`` with it raises.  The
+        strategy for this call; :func:`get_scheduler` validates them
+        together with the process-only options below.  The ``batched``
+        scheduler never takes the sampling fast path (it exists for the
+        programs the fast path rejects), so ``sampling="require"`` with it
+        raises.  The
         ``process`` scheduler ships the compiled plan to worker processes
         as :meth:`ExecutionPlan.to_bytes` payloads; raw text/``Module``
         programs are compiled (without re-verification) to make one.
@@ -208,16 +210,12 @@ class QirRuntime:
 
         ``worker_timeout`` / ``max_worker_failures`` configure the process
         scheduler's worker supervisor (heartbeat deadline in seconds, and
-        failed rounds before the circuit breaker demotes the run to the
-        threaded scheduler); both are rejected for other schedulers.  The
-        resulting :class:`~repro.runtime.schedulers.SupervisionRecord`
-        rides on ``result.supervision``.
-
-        ``chunk_shots`` / ``min_chunk_shots`` tune the shared work
-        queue's chunk sizing for the threaded and process schedulers
-        (fixed-size chunks, or the floor under guided sizing; see
-        :func:`repro.runtime.dispatch.guided_chunks`); rejected for the
-        serial and batched schedulers.
+        failed rounds before the circuit breaker finishes the run in the
+        serial loop).  The resulting
+        :class:`~repro.runtime.schedulers.SupervisionRecord` rides on
+        ``result.supervision``.  ``chunk_shots`` fixes the size of the
+        process scheduler's work-queue chunks (default: guided sizing; see
+        :func:`repro.runtime.dispatch.guided_chunks`).
 
         ``run_context`` is the run's durable identity (see
         :mod:`repro.obs.runctx`): pass one (``QirSession`` does, with the
@@ -237,7 +235,6 @@ class QirRuntime:
             worker_timeout=worker_timeout,
             max_worker_failures=max_worker_failures,
             chunk_shots=chunk_shots,
-            min_chunk_shots=min_chunk_shots,
         )
         obs = self.observer
         ctx: Optional[RunContext] = None
@@ -322,7 +319,7 @@ class QirRuntime:
                 raise FastPathUnsupported(
                     "the batched scheduler never takes the sampling fast path "
                     "(it exists for the per-shot programs the fast path "
-                    "rejects); use scheduler='serial' or 'threaded'"
+                    "rejects); use scheduler='serial' or 'process'"
                 )
             can_try = False
         else:
@@ -336,7 +333,7 @@ class QirRuntime:
         # One root per run, drawn *before* any fast-path attempt so the
         # stream position -- and therefore every spawned per-shot seed --
         # is identical across sampling modes and schedulers.  Serial,
-        # threaded, and batched execution of the same program with the
+        # batched, and process execution of the same program with the
         # same runtime seed produce identical counts.
         root = np.random.SeedSequence(int(self._rng.integers(2**63)))
 
@@ -399,6 +396,12 @@ class QirRuntime:
         if required_qubits is None and sched.name == "batched":
             required_qubits = _analyze_entry(module, entry)[2]
 
+        schedule = plan.fused if plan is not None and self.fusion else None
+        if schedule is not None and schedule.num_slots > self.max_qubits:
+            # Too wide for the statevector: the interpreter path raises
+            # the coded QubitAllocationError the fused kernels cannot.
+            schedule = None
+
         # Process workers need the program as bytes.  A compiled plan
         # serializes directly; raw programs get a lightweight plan (no
         # re-verify -- the parent already ran its own checks, and workers
@@ -425,9 +428,7 @@ class QirRuntime:
             required_qubits=required_qubits,
             plan_bytes=plan_bytes,
             run_id=run_id,
-            schedule=(
-                plan.fused if plan is not None and self.fusion else None
-            ),
+            schedule=schedule,
         )
         outcomes = sched.run(task)
         effective = getattr(sched, "effective", sched.name)
@@ -504,7 +505,6 @@ def run_shots(
     worker_timeout: Optional[float] = None,
     max_worker_failures: Optional[int] = None,
     chunk_shots: Optional[int] = None,
-    min_chunk_shots: Optional[int] = None,
     run_context: Optional[RunContext] = None,
     **kwargs,
 ) -> ShotsResult:
@@ -523,6 +523,5 @@ def run_shots(
         worker_timeout=worker_timeout,
         max_worker_failures=max_worker_failures,
         chunk_shots=chunk_shots,
-        min_chunk_shots=min_chunk_shots,
         run_context=run_context,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.runtime.errors import QirRuntimeError
+from repro.runtime.errors import QirRuntimeError, QubitAllocationError
 from repro.runtime.values import IntPtr, QubitPtr
 from repro.sim.backend import SimulatorBackend
 
@@ -36,7 +36,7 @@ class QubitManager:
 
     # -- dynamic addressing ------------------------------------------------------
     def allocate(self) -> QubitPtr:
-        slot = self.backend.allocate_qubit()
+        slot = self._new_slot()
         handle = self._next_handle
         self._next_handle += 1
         self._dynamic[handle] = slot
@@ -54,7 +54,7 @@ class QubitManager:
         """Pre-bind static addresses ``0..count-1`` (the attribute route)."""
         for address in range(count):
             if address not in self._static:
-                self._static[address] = self.backend.allocate_qubit()
+                self._static[address] = self._new_slot()
                 self._note_alloc()
 
     def slot_for(self, pointer: object) -> int:
@@ -72,12 +72,21 @@ class QubitManager:
                         f"static qubit address {pointer.address} exceeds the "
                         "reserved range and on-the-fly allocation is disabled"
                     )
-                slot = self.backend.allocate_qubit()
+                slot = self._new_slot()
                 self._static[pointer.address] = slot
                 self.on_the_fly_allocations += 1
                 self._note_alloc()
             return slot
         raise QirRuntimeError(f"{pointer!r} is not a qubit pointer")
+
+    def _new_slot(self) -> int:
+        try:
+            return self.backend.allocate_qubit()
+        except MemoryError as error:
+            # The statevector's max_qubits guard (or a real allocation
+            # failure): a coded runtime error, so resilient runs record a
+            # shot failure instead of crashing.
+            raise QubitAllocationError(str(error)) from error
 
     # -- stats ---------------------------------------------------------------
     def _note_alloc(self) -> None:

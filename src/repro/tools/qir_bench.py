@@ -312,8 +312,8 @@ def _bench_schedulers(snapshot: BenchSnapshot, shots: int, repeats: int) -> None
 
     ``reset_chain_qir`` is the non-Clifford mid-circuit-reset workload the
     sampling fast path rejects, so every scheduler really pays per-shot
-    cost.  One serial block is the shared baseline of all three ratios;
-    the budgets file gates batched > serial and process > threaded.
+    cost.  One serial block is the shared baseline of both ratios; the
+    budgets file gates batched > serial and process > serial.
     """
     text = reset_chain_qir(3, rounds=3)
     jobs = max(2, min(4, os.cpu_count() or 2))
@@ -325,11 +325,10 @@ def _bench_schedulers(snapshot: BenchSnapshot, shots: int, repeats: int) -> None
             plan, shots=shots, scheduler=scheduler, jobs=jobs
         )
 
-    threaded = measure_arms(
-        arm("serial"), arm("threaded", jobs=jobs), repeats=repeats, shots=shots
+    batched = measure_arms(
+        arm("serial"), arm("batched"), repeats=repeats, shots=shots
     )
-    serial = threaded.baseline
-    batched = ArmComparison(serial, measure(arm("batched"), repeats=repeats), shots)
+    serial = batched.baseline
     process = ArmComparison(
         serial, measure(arm("process", jobs=jobs), repeats=repeats), shots
     )
@@ -343,22 +342,18 @@ def _bench_schedulers(snapshot: BenchSnapshot, shots: int, repeats: int) -> None
     if serial.median > 0:
         snapshot.record(
             "runtime.scheduler.serial_shots_per_second",
-            threaded.baseline_shots_per_second,
+            batched.baseline_shots_per_second,
             unit="shots/sec", direction="higher", k=repeats,
             metadata={"shots": shots},
         )
     _record_ratio(
-        snapshot, "runtime.scheduler.threaded_speedup", threaded.speedup,
-        threaded, shots=shots, jobs=jobs,
-    )
-    _record_ratio(
         snapshot, "runtime.scheduler.batched_speedup", batched.speedup,
         batched, shots=shots,
     )
-    # The GIL-escape number: on multi-core machines this should beat
-    # threaded_speedup for this interpreter-bound workload; single-core
-    # machines see ~1 or below because pool startup has nothing to
-    # amortise against.
+    # The GIL-escape number: on multi-core machines worker processes
+    # should beat the serial loop on this interpreter-bound workload;
+    # single-core machines see ~1 or below because pool startup has
+    # nothing to amortise against.
     _record_ratio(
         snapshot, "runtime.scheduler.process_speedup", process.speedup,
         process, shots=shots, jobs=jobs,
@@ -621,22 +616,16 @@ def judge_gate(
 ) -> Tuple[str, str]:
     """One budgets-file gate against a snapshot: ``(PASS|FAIL|SKIP, detail)``.
 
-    The bound is ``above`` (value must exceed it), the value of the
-    ``above_record`` record, or ``at_most`` raised to ``metadata_scale``
-    times the record's ``at_most_metadata`` entry.  A missing or
-    non-finite record, bound or metadata entry fails; ``min_cpus`` skips
-    the comparison on smaller hosts.
+    The bound is ``above`` (value must exceed it), or ``at_most`` raised
+    to ``metadata_scale`` times the record's ``at_most_metadata`` entry.
+    A missing or non-finite record, bound or metadata entry fails;
+    ``min_cpus`` skips the comparison on smaller hosts.
     """
     name = str(gate["record"])
     record = records.get(name)
     if record is None:
         return "FAIL", f"missing record {name}"
     bound = gate.get("above", gate.get("at_most"))
-    if "above_record" in gate:
-        other = records.get(str(gate["above_record"]))
-        if other is None:
-            return "FAIL", f"missing record {gate['above_record']}"
-        bound = other.value
     if "at_most_metadata" in gate:
         key = str(gate["at_most_metadata"])
         extra = record.metadata.get(key)

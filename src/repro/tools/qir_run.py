@@ -25,7 +25,14 @@ from typing import List, Optional
 from repro.obs.cli import add_observability_args, emit_observability, observer_from_args
 from repro.resilience import FallbackChain, FaultPlan, RetryPolicy, ShotFailure
 from repro.resilience.report import render_timing_line
-from repro.runtime import QirRuntime, QirRuntimeError, QirSession, TrapError
+from repro.runtime import (
+    SCHEDULERS,
+    QirRuntime,
+    QirRuntimeError,
+    QirSession,
+    TrapError,
+    get_scheduler,
+)
 from repro.sim import NoiseModel
 
 EXIT_OK = 0
@@ -68,28 +75,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run a qir-opt pipeline before executing "
                              "(same names as qir-opt --pipeline)")
     execution = parser.add_argument_group("execution")
-    execution.add_argument("--scheduler",
-                           choices=["serial", "threaded", "batched", "process"],
-                           default="serial",
-                           help="shot scheduler: serial (default), threaded "
-                                "(--jobs worker threads), batched (vectorised "
-                                "multi-shot statevector evolution), or process "
-                                "(--jobs worker processes fed serialized plans)")
+    execution.add_argument("--scheduler", default="serial",
+                           metavar="{" + ",".join(SCHEDULERS) + "}",
+                           help="shot scheduler: serial (default), batched "
+                                "(vectorised multi-shot statevector "
+                                "evolution), or process (--jobs worker "
+                                "processes fed serialized plans)")
     execution.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="workers for --scheduler threaded/process")
+                           help="worker processes for --scheduler process "
+                                "(default 1: the serial loop)")
     execution.add_argument("--chunk-shots", type=int, default=None,
                            metavar="K",
                            help="fixed shots per work-queue chunk for "
-                                "--scheduler threaded/process (default: "
-                                "guided sizing — large chunks first, "
-                                "shrinking toward a floor; K = "
-                                "ceil(shots/jobs) reproduces the old "
-                                "one-chunk-per-worker contiguous split)")
-    execution.add_argument("--min-chunk-shots", type=int, default=None,
-                           metavar="F",
-                           help="floor for guided chunk sizing (raise it "
-                                "when per-chunk dispatch overhead rivals "
-                                "the cost of F shots)")
+                                "--scheduler process (default: guided "
+                                "sizing — large chunks first, shrinking "
+                                "toward one shot; K = ceil(shots/jobs) "
+                                "reproduces the old one-chunk-per-worker "
+                                "contiguous split)")
     execution.add_argument("--worker-timeout", type=float, default=None,
                            metavar="SECONDS",
                            help="process-scheduler watchdog: a worker that "
@@ -100,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     execution.add_argument("--max-worker-failures", type=int, default=None,
                            metavar="N",
                            help="failed dispatch waves before the process "
-                                "scheduler's circuit breaker demotes the run "
-                                "to the threaded scheduler (default 2)")
+                                "scheduler's circuit breaker finishes the "
+                                "run in the serial loop (default 2)")
     execution.add_argument("--plan-cache", default=None, metavar="DIR",
                            help="persist compiled plans under DIR so later "
                                 "processes warm-start (also honours the "
@@ -154,60 +156,23 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(args: argparse.Namespace, observer) -> int:
-    if args.jobs < 1:
-        print("qir-run: error: --jobs must be >= 1", file=sys.stderr)
+    try:
+        scheduler = get_scheduler(
+            args.scheduler,
+            args.jobs,
+            worker_timeout=args.worker_timeout,
+            max_worker_failures=args.max_worker_failures,
+            chunk_shots=args.chunk_shots,
+        )
+    except ValueError as error:
+        print(f"qir-run: error: {error}", file=sys.stderr)
         return EXIT_PARSE
-    if args.jobs > 1 and args.scheduler == "serial":
+    if scheduler.name == "process" and scheduler.jobs == 1:
         print(
-            "qir-run: error: --jobs > 1 requires --scheduler threaded "
-            "(the serial scheduler runs one shot at a time)",
+            "qir-run: note: --scheduler process with --jobs 1 runs "
+            "serially (one worker is the serial loop)",
             file=sys.stderr,
         )
-        return EXIT_PARSE
-    supervised = (
-        args.worker_timeout is not None or args.max_worker_failures is not None
-    )
-    if supervised and args.scheduler != "process":
-        print(
-            "qir-run: error: --worker-timeout/--max-worker-failures require "
-            "--scheduler process (there are no worker processes to supervise)",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
-    if args.worker_timeout is not None and args.worker_timeout <= 0:
-        print("qir-run: error: --worker-timeout must be > 0", file=sys.stderr)
-        return EXIT_PARSE
-    if args.max_worker_failures is not None and args.max_worker_failures < 1:
-        print("qir-run: error: --max-worker-failures must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
-    chunked = args.chunk_shots is not None or args.min_chunk_shots is not None
-    if chunked and args.scheduler not in ("threaded", "process"):
-        print(
-            "qir-run: error: --chunk-shots/--min-chunk-shots require "
-            "--scheduler threaded or process (only those pull from the "
-            "shared work queue)",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
-    if args.chunk_shots is not None and args.chunk_shots < 1:
-        print("qir-run: error: --chunk-shots must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
-    if args.min_chunk_shots is not None and args.min_chunk_shots < 1:
-        print("qir-run: error: --min-chunk-shots must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
-    if args.jobs == 1 and args.scheduler in ("threaded", "process"):
-        # Symmetric to the rejection above: one worker IS the serial loop,
-        # so normalize instead of paying pool startup for nothing.
-        print(
-            f"qir-run: note: --scheduler {args.scheduler} with --jobs 1 "
-            "runs serially (one worker is the serial loop)",
-            file=sys.stderr,
-        )
-        args.scheduler = "serial"
-        args.worker_timeout = None  # nothing to supervise in the serial loop
-        args.max_worker_failures = None
-        args.chunk_shots = None  # the serial loop has no work queue
-        args.min_chunk_shots = None
 
     try:
         source = _read_input(args.input)
@@ -309,7 +274,6 @@ def _run(args: argparse.Namespace, observer) -> int:
             worker_timeout=args.worker_timeout,
             max_worker_failures=args.max_worker_failures,
             chunk_shots=args.chunk_shots,
-            min_chunk_shots=args.min_chunk_shots,
         )
         if session.ledger is not None and shots_result.run_id:
             # One greppable line (the CI ledger smoke step relies on it).

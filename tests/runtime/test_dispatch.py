@@ -3,13 +3,12 @@
 Three layers of property tests:
 
 * pure queue/sizing properties (fast, many examples): guided chunks
-  cover every shot exactly once, shrink monotonically toward the floor,
+  cover every shot exactly once, shrink monotonically toward one shot,
   and survive arbitrary loss/requeue interleavings without losing or
   duplicating a shot;
-* threaded-vs-serial histograms across seeds, jobs, and chunk sizing
-  (real execution, moderate examples);
-* process-scheduler runs under injected worker crash/hang faults stay
-  bit-identical to serial (expensive: few examples, no deadline).
+* process-vs-serial histograms across seeds, jobs, and chunk sizing,
+  clean and under injected worker crash/hang faults (real worker
+  processes, so few examples and no deadline).
 """
 
 import random
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.resilience import FaultPlan
 from repro.runtime import QirRuntime, get_scheduler, guided_chunks
-from repro.runtime.dispatch import ChunkQueue, partition_shots
+from repro.runtime.dispatch import GUIDED_FACTOR, ChunkQueue
 from repro.workloads.qir_programs import bell_qir, reset_chain_qir
 
 
@@ -37,18 +36,17 @@ class TestGuidedChunks:
     @given(
         shots=st.integers(min_value=1, max_value=5000),
         workers=st.integers(min_value=1, max_value=16),
-        floor=st.integers(min_value=1, max_value=64),
     )
     def test_guided_sizes_shrink_monotonically_to_the_floor(
-        self, shots, workers, floor
+        self, shots, workers
     ):
-        chunks = guided_chunks(shots, workers, min_chunk_shots=floor)
+        chunks = guided_chunks(shots, workers)
         sizes = [stop - start for start, stop in chunks]
-        assert all(size >= 1 for size in sizes)
         # Guided sizing: early chunks large, the tail never grows, and
-        # nothing but the final remainder dips below the floor.
+        # no chunk is empty (the floor is one shot).
+        assert all(size >= 1 for size in sizes)
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-        assert all(size >= floor for size in sizes[:-1])
+        assert sizes[0] == -(-shots // (GUIDED_FACTOR * workers))
 
     @given(
         shots=st.integers(min_value=1, max_value=5000),
@@ -75,7 +73,7 @@ class TestGuidedChunks:
         # worker, so no self-scheduled rebalancing can happen.
         fixed = -(-shots // workers)
         chunks = guided_chunks(shots, workers, chunk_shots=fixed)
-        assert len(chunks) <= len(partition_shots(shots, workers))
+        assert len(chunks) <= min(shots, workers)
         covered = [s for start, stop in chunks for s in range(start, stop)]
         assert covered == list(range(shots))
 
@@ -135,12 +133,12 @@ class TestChunkQueueInvariants:
         assert queue.stats.refills == 1
 
 
-class TestThreadedMatchesSerial:
-    @settings(max_examples=15, deadline=None)
+class TestProcessMatchesSerial:
+    @settings(max_examples=4, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
         shots=st.integers(min_value=2, max_value=40),
-        jobs=st.integers(min_value=2, max_value=4),
+        jobs=st.integers(min_value=2, max_value=3),
         chunk_shots=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
     )
     def test_counts_bit_identical_across_chunkings(
@@ -150,11 +148,12 @@ class TestThreadedMatchesSerial:
         serial = QirRuntime(seed=seed).run_shots(
             text, shots=shots, sampling="never"
         )
-        threaded = QirRuntime(seed=seed).run_shots(
+        process = QirRuntime(seed=seed).run_shots(
             text, shots=shots, sampling="never",
-            scheduler="threaded", jobs=jobs, chunk_shots=chunk_shots,
+            scheduler="process", jobs=jobs, chunk_shots=chunk_shots,
         )
-        assert threaded.counts == serial.counts
+        assert process.scheduler == "process"
+        assert process.counts == serial.counts
 
 
 class TestProcessFaultsMatchSerial:
@@ -190,20 +189,18 @@ class TestProcessFaultsMatchSerial:
 
 class TestSchedulerKnobPlumbing:
     def test_serial_rejects_chunk_knobs(self):
-        with pytest.raises(ValueError, match="threaded or process"):
+        with pytest.raises(ValueError, match="require the process scheduler"):
             get_scheduler("serial", chunk_shots=4)
-        with pytest.raises(ValueError, match="threaded or process"):
-            get_scheduler("batched", jobs=2, min_chunk_shots=2)
+        with pytest.raises(ValueError, match="require the process scheduler"):
+            get_scheduler("batched", chunk_shots=2)
 
     def test_invalid_chunk_sizes_are_rejected(self):
-        with pytest.raises(ValueError):
-            get_scheduler("threaded", jobs=2, chunk_shots=0)
-        with pytest.raises(ValueError):
-            get_scheduler("process", jobs=2, min_chunk_shots=0)
+        with pytest.raises(ValueError, match="chunk_shots must be >= 1"):
+            get_scheduler("process", jobs=2, chunk_shots=0)
+        with pytest.raises(ValueError, match="chunk_shots must be >= 1"):
+            get_scheduler("process", jobs=1, chunk_shots=0)
 
-    def test_chunked_threaded_scheduler_builds(self):
-        scheduler = get_scheduler(
-            "threaded", jobs=3, chunk_shots=5, min_chunk_shots=2
-        )
+    def test_chunked_process_scheduler_builds(self):
+        scheduler = get_scheduler("process", jobs=3, chunk_shots=5)
+        assert scheduler.jobs == 3
         assert scheduler.chunk_shots == 5
-        assert scheduler.min_chunk_shots == 2

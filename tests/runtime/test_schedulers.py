@@ -1,5 +1,8 @@
 """The execute phase: scheduler selection, determinism, and resilience
-semantics under concurrency (serial / threaded / batched)."""
+semantics across placements (serial / batched / process)."""
+
+import json
+import re
 
 import pytest
 
@@ -12,15 +15,18 @@ from repro.resilience import (
 )
 from repro.runtime import (
     BatchedScheduler,
+    ProcessScheduler,
     QirRuntime,
+    QirSession,
+    QubitAllocationError,
     SerialScheduler,
-    ThreadedScheduler,
     get_scheduler,
     run_shots,
 )
 from repro.runtime.errors import BackendFaultError
 from repro.runtime.sampling_fastpath import FastPathUnsupported
 from repro.runtime.schedulers import batch_chunk_size
+from repro.tools.qir_run import main as run_main
 from repro.workloads.qir_programs import bell_qir, ghz_qir, qft_qir, reset_chain_qir
 
 FEEDBACK_PROGRAM = """
@@ -57,7 +63,7 @@ def counts_for(text, scheduler, *, seed=123, shots=200, jobs=1, **kwargs):
 class TestGetScheduler:
     def test_resolves_each_name(self):
         assert isinstance(get_scheduler("serial"), SerialScheduler)
-        assert isinstance(get_scheduler("threaded", 4), ThreadedScheduler)
+        assert isinstance(get_scheduler("process", 4), ProcessScheduler)
         assert isinstance(get_scheduler("batched"), BatchedScheduler)
 
     def test_unknown_name_raises(self):
@@ -65,15 +71,15 @@ class TestGetScheduler:
             get_scheduler("quantum")
 
     def test_jobs_with_serial_raises(self):
-        with pytest.raises(ValueError, match="threaded"):
+        with pytest.raises(ValueError, match="process scheduler"):
             get_scheduler("serial", jobs=4)
 
     def test_nonpositive_jobs_raises(self):
         with pytest.raises(ValueError):
-            get_scheduler("threaded", jobs=0)
+            get_scheduler("process", jobs=0)
 
     def test_runtime_validates_defaults_eagerly(self):
-        with pytest.raises(ValueError, match="threaded"):
+        with pytest.raises(ValueError, match="process scheduler"):
             QirRuntime(scheduler="serial", jobs=4)
 
 
@@ -87,13 +93,13 @@ class TestCrossSchedulerDeterminism:
     )
     def test_counts_are_identical_across_schedulers(self, text):
         serial = counts_for(text, "serial", sampling="never")
-        threaded = counts_for(text, "threaded", jobs=3, sampling="never")
+        process = counts_for(text, "process", jobs=2, sampling="never")
         batched = counts_for(text, "batched")
-        assert serial.counts == threaded.counts == batched.counts
+        assert serial.counts == process.counts == batched.counts
         assert sum(serial.counts.values()) == 200
 
     def test_rejected_fastpath_attempt_does_not_shift_seeds(self):
-        # Under sampling="auto" serial/threaded *attempt* the fast path on
+        # Under sampling="auto" serial/process *attempt* the fast path on
         # this program and get rejected; batched never attempts it.  The
         # attempt must not consume from the runtime's seed stream, or the
         # schedulers would diverge.
@@ -106,19 +112,13 @@ class TestCrossSchedulerDeterminism:
     def test_result_reports_the_scheduler_that_ran(self):
         text = reset_chain_qir(2, rounds=2)
         assert counts_for(text, "serial").scheduler == "serial"
-        assert counts_for(text, "threaded", jobs=2).scheduler == "threaded"
+        assert counts_for(text, "process", jobs=2).scheduler == "process"
         assert counts_for(text, "batched").scheduler == "batched"
-
-    def test_threaded_with_one_job_degrades_to_serial_loop(self):
-        text = bell_qir("static")
-        one = counts_for(text, "threaded", jobs=1, sampling="never")
-        many = counts_for(text, "threaded", jobs=4, sampling="never")
-        assert one.counts == many.counts
 
     def test_module_level_wrapper_accepts_scheduler(self):
         result = run_shots(
             bell_qir("static"), shots=50, seed=5,
-            scheduler="threaded", jobs=2, sampling="never",
+            scheduler="process", jobs=2, sampling="never",
         )
         assert sum(result.counts.values()) == 50
 
@@ -205,79 +205,11 @@ class TestBatchedScheduler:
         assert metrics.value("runtime.scheduler.runs{scheduler=batched}") == 1
 
 
-class TestThreadedResilience:
-    """Satellite: fault injection / retry / fallback under concurrency."""
-
-    def test_poisoned_shots_fail_identically_to_serial(self):
-        plan = FaultPlan.poison([3, 9, 17], site="gate")
-        kwargs = dict(
-            shots=40, fault_plan=plan, retry=RetryPolicy(max_attempts=1),
-        )
-        threaded = QirRuntime(seed=1).run_shots(
-            bell_qir("static"), scheduler="threaded", jobs=4, **kwargs
-        )
-        serial = QirRuntime(seed=1).run_shots(bell_qir("static"), **kwargs)
-
-        assert sorted(f.shot for f in threaded.failed_shots) == [3, 9, 17]
-        assert threaded.per_error_counts == {BackendFaultError.code: 3}
-        assert threaded.successful_shots == 37
-        assert sum(threaded.counts.values()) == 37
-        assert threaded.counts == serial.counts
-        assert not threaded.degraded
-
-    def test_transient_faults_recovered_by_retry(self):
-        plan = FaultPlan.poison([2, 11, 23], site="gate", failures=1)
-        result = QirRuntime(seed=1).run_shots(
-            bell_qir("static"), shots=40,
-            scheduler="threaded", jobs=4,
-            fault_plan=plan, retry=RetryPolicy(max_attempts=3),
-        )
-        assert result.successful_shots == 40
-        assert not result.failed_shots
-        assert result.retried_shots == 3
-
-    def test_fallback_demotes_exactly_once_under_concurrency(self):
-        observer = Observer()
-        plan = FaultPlan(rules=(FaultRule(site="gate", backend="statevector"),))
-        chain = FallbackChain(["statevector", "stabilizer"], demote_after=1)
-        rt = QirRuntime(seed=2, observer=observer)
-        result = rt.run_shots(
-            ghz_qir(3), shots=120,
-            scheduler="threaded", jobs=4,
-            fault_plan=plan, fallback=chain, retry=RetryPolicy(max_attempts=2),
-        )
-        assert result.degraded
-        assert result.successful_shots == 120
-        # Every shot replayed onto the demoted rung; the ladder moved once.
-        assert result.backend_shot_counts == {"stabilizer": 120}
-        assert len(result.fallback_history) == 1
-        assert observer.metrics.value("resilience.demotions") == 1
-
-    def test_no_double_counting_under_concurrency(self):
-        plan = FaultPlan.random(probability=0.2, seed=5, site="gate")
-        result = QirRuntime(seed=7).run_shots(
-            bell_qir("static"), shots=100,
-            scheduler="threaded", jobs=6,
-            fault_plan=plan, retry=RetryPolicy(max_attempts=1),
-        )
-        assert result.successful_shots + len(result.failed_shots) == 100
-        assert sum(result.counts.values()) == result.successful_shots
-        assert sum(result.per_error_counts.values()) == len(result.failed_shots)
-
-    def test_counts_keys_stay_sorted(self):
-        result = QirRuntime(seed=4).run_shots(
-            qft_qir(3), shots=150, scheduler="threaded", jobs=3, sampling="never"
-        )
-        assert list(result.counts) == sorted(result.counts)
-
-
 class TestProcessScheduler:
     """Tentpole: worker processes over serialized plans, bit-identical to
     serial for a fixed seed."""
 
     def test_get_scheduler_resolves_process(self):
-        from repro.runtime import ProcessScheduler
-
         sched = get_scheduler("process", 4)
         assert isinstance(sched, ProcessScheduler)
         assert sched.jobs == 4
@@ -303,18 +235,19 @@ class TestProcessScheduler:
         assert auto.counts == serial.counts
 
     def test_one_job_degrades_to_serial_loop(self):
-        # get_scheduler mirrors the threaded convention (jobs=1 still gets
-        # a 2-worker pool); a directly built 1-worker scheduler skips the
-        # pool entirely and reports the serial loop it actually ran.
-        from repro.runtime import ProcessScheduler
-
+        # jobs=1 is the in-thread loop on every scheduler: no pool starts,
+        # and the result reports the serial loop it actually ran.
         one = counts_for(
             bell_qir("static"), "process", shots=30, jobs=1, sampling="never"
         )
         many = counts_for(
-            bell_qir("static"), "process", shots=30, jobs=4, sampling="never"
+            bell_qir("static"), "process", shots=30, jobs=2, sampling="never"
         )
         assert one.counts == many.counts
+        assert one.scheduler == "serial"
+        assert one.supervision is None
+        assert many.scheduler == "process"
+        assert get_scheduler("process", 1).jobs == 1
         sched = ProcessScheduler(jobs=1)
         assert sched.effective == "process"  # until it runs
 
@@ -381,17 +314,6 @@ class TestProcessScheduler:
 
         assert counts_with("spawn") == counts_with("fork")
 
-    def test_partition_covers_every_shot_exactly_once(self):
-        from repro.runtime import partition_shots
-
-        for shots, workers in [(10, 3), (2, 8), (7, 7), (100, 4), (1, 1)]:
-            chunks = partition_shots(shots, workers)
-            covered = [s for start, stop in chunks for s in range(start, stop)]
-            assert covered == list(range(shots))
-            sizes = [stop - start for start, stop in chunks]
-            assert max(sizes) - min(sizes) <= 1
-        assert partition_shots(0, 4) == []
-
     def test_process_chunk_metrics_and_worker_spans(self):
         from repro.runtime import guided_chunks
 
@@ -453,6 +375,8 @@ class TestProcessResilience:
 
         assert sorted(f.shot for f in process.failed_shots) == [3, 9, 17]
         assert process.per_error_counts == {BackendFaultError.code: 3}
+        assert process.successful_shots == 37
+        assert sum(process.counts.values()) == 37
         assert process.counts == serial.counts
         assert not process.degraded
 
@@ -464,7 +388,28 @@ class TestProcessResilience:
             fault_plan=plan, retry=RetryPolicy(max_attempts=3),
         )
         assert result.successful_shots == 40
+        assert not result.failed_shots
         assert result.retried_shots == 3
+
+    def test_no_double_counting_under_concurrency(self):
+        plan = FaultPlan.random(probability=0.2, seed=5, site="gate")
+        kwargs = dict(
+            shots=100, fault_plan=plan, retry=RetryPolicy(max_attempts=1),
+        )
+        result = QirRuntime(seed=7).run_shots(
+            bell_qir("static"), scheduler="process", jobs=3, **kwargs
+        )
+        serial = QirRuntime(seed=7).run_shots(bell_qir("static"), **kwargs)
+        assert result.successful_shots + len(result.failed_shots) == 100
+        assert sum(result.counts.values()) == result.successful_shots
+        assert sum(result.per_error_counts.values()) == len(result.failed_shots)
+        assert result.counts == serial.counts
+
+    def test_counts_keys_stay_sorted(self):
+        result = QirRuntime(seed=4).run_shots(
+            qft_qir(3), shots=150, scheduler="process", jobs=3, sampling="never"
+        )
+        assert list(result.counts) == sorted(result.counts)
 
     def test_fault_tallies_merge_from_workers(self):
         observer = Observer()
@@ -584,3 +529,124 @@ class TestMergeStability:
         random.Random(99).shuffle(outcomes)
         result = build_shots_result(task, outcomes, "process")
         assert [f.shot for f in result.failed_shots] == [2, 5, 9]
+
+
+# The one option rule, row by row: (scheduler, jobs, worker_timeout,
+# max_worker_failures, chunk_shots) -> an error substring, or the
+# placement that runs and its worker count.  Every row goes through the
+# library (get_scheduler, then run_shots) and through qir-run.
+NOT_POOLED = "require the process scheduler"
+OPTION_RULE = [
+    (("threaded", 1, None, None, None),
+     "unknown scheduler 'threaded'; choose from serial, batched, process"),
+    (("serial", 0, None, None, None), "jobs must be >= 1"),
+    (("process", 0, None, None, None), "jobs must be >= 1"),
+    (("serial", 2, None, None, None), "jobs > 1 requires the process scheduler"),
+    (("batched", 4, None, None, None), "jobs > 1 requires the process scheduler"),
+    (("serial", 1, 1.0, None, None), NOT_POOLED),
+    (("batched", 1, None, 3, None), NOT_POOLED),
+    (("serial", 1, None, None, 4), NOT_POOLED),
+    (("batched", 1, None, None, 2), NOT_POOLED),
+    (("process", 2, 0.0, None, None), "worker_timeout must be > 0"),
+    (("process", 1, -1.0, None, None), "worker_timeout must be > 0"),
+    (("process", 2, None, 0, None), "max_worker_failures must be >= 1"),
+    (("process", 2, None, None, 0), "chunk_shots must be >= 1"),
+    (("serial", 1, None, None, None), ("serial", 1)),
+    (("batched", 1, None, None, None), ("batched", 1)),
+    (("process", 1, None, None, None), ("serial", 1)),
+    (("process", 1, 2.5, 5, 4), ("serial", 1)),
+    (("process", 2, None, None, None), ("process", 2)),
+    (("process", 2, 30.0, 4, 3), ("process", 2)),
+]
+
+
+def _cli_flags(scheduler, jobs, worker_timeout, max_worker_failures, chunk_shots):
+    flags = ["--scheduler", scheduler, "--jobs", str(jobs)]
+    for flag, value in (
+        ("--worker-timeout", worker_timeout),
+        ("--max-worker-failures", max_worker_failures),
+        ("--chunk-shots", chunk_shots),
+    ):
+        if value is not None:
+            flags += [flag, str(value)]
+    return flags
+
+
+@pytest.mark.parametrize(
+    "options, expected", OPTION_RULE,
+    ids=["-".join(str(v) for v in row) for row, _ in OPTION_RULE],
+)
+def test_option_rule_is_shared_by_library_and_cli(
+    options, expected, tmp_path, capsys
+):
+    name, jobs, worker_timeout, max_worker_failures, chunk_shots = options
+    knobs = dict(
+        worker_timeout=worker_timeout,
+        max_worker_failures=max_worker_failures,
+        chunk_shots=chunk_shots,
+    )
+    program = tmp_path / "chain.ll"
+    program.write_text(reset_chain_qir(2, rounds=2))
+    metrics = tmp_path / "m.json"
+    code = run_main([
+        str(program), "--shots", "8", "--seed", "3", "--metrics", str(metrics),
+        *_cli_flags(name, jobs, worker_timeout, max_worker_failures, chunk_shots),
+    ])
+    err = capsys.readouterr().err
+
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            get_scheduler(name, jobs, **knobs)
+        assert code == 2
+        assert err.startswith("qir-run: error: ") and expected in err
+        return
+
+    placement, workers = expected
+    assert get_scheduler(name, jobs, **knobs).jobs == workers
+    result = run_shots(
+        reset_chain_qir(2, rounds=2), shots=8, seed=3,
+        scheduler=name, jobs=jobs, **knobs,
+    )
+    assert result.scheduler == placement
+    assert code == 0
+    written = json.loads(metrics.read_text())
+    assert written["counters"][f"runtime.scheduler.runs{{scheduler={placement}}}"] == 1
+    (info,) = [k for k in written["gauges"] if k.startswith("run.info{")]
+    assert f"jobs={workers}," in info
+    assert ("runs serially" in err) == (name == "process" and workers == 1)
+
+
+@pytest.mark.parametrize("scheduler, jobs", [
+    ("serial", 1), ("batched", 1), ("process", 2),
+])
+@pytest.mark.parametrize("sampling", ["auto", "never"])
+@pytest.mark.parametrize("addressing", ["static", "dynamic"])
+def test_program_wider_than_max_qubits_raises_coded_error(
+    addressing, sampling, scheduler, jobs
+):
+    # 9 qubits on an 8-qubit statevector: the width alone exceeds the
+    # guard, whatever the interpreter reserves for static addresses.
+    text = ghz_qir(9, addressing=addressing)
+    runtime = QirRuntime(max_qubits=8, seed=1)
+    with pytest.raises(QubitAllocationError, match="max_qubits=8"):
+        runtime.run_shots(
+            text, shots=4, sampling=sampling, scheduler=scheduler, jobs=jobs
+        )
+    if sampling == "never":
+        # A resilient run records one structured failure per shot.
+        result = runtime.run_shots(
+            text, shots=4, sampling=sampling, scheduler=scheduler, jobs=jobs,
+            collect_failures=True,
+        )
+        assert result.per_error_counts == {QubitAllocationError.code: 4}
+        assert result.successful_shots == 0
+
+
+def test_fused_plan_wider_than_max_qubits_raises_coded_error():
+    # A compiled plan carries a fused kernel schedule; one too wide for
+    # the statevector must still end in the coded error.
+    runtime = QirRuntime(max_qubits=8, seed=1)
+    plan = QirSession(runtime=runtime).compile(ghz_qir(9))
+    assert plan.fused is not None
+    with pytest.raises(QubitAllocationError, match="max_qubits=8"):
+        runtime.run_shots(plan, shots=4, sampling="never")

@@ -1,5 +1,5 @@
 """Worker supervision: deadlines, crash/hang/IPC chaos, redispatch,
-and the process -> threaded -> serial circuit breaker.
+and the process -> serial circuit breaker.
 
 Every chaos scenario asserts the tentpole invariant: because per-shot
 seeds are pure functions of ``(root, shot, attempt)``, a run that loses
@@ -44,7 +44,7 @@ def run(scheduler, specs=None, *, seed=7, shots=12, jobs=4, **kwargs):
     fault_plan = FaultPlan.parse(specs, seed=0) if specs else None
     return rt.run_shots(
         PROGRAM, shots=shots, scheduler=scheduler,
-        jobs=(jobs if scheduler != "serial" else 1),
+        jobs=(jobs if scheduler == "process" else 1),
         fault_plan=fault_plan, **kwargs,
     )
 
@@ -141,10 +141,10 @@ class TestWorkerCrash:
         sup = result.supervision
         assert sup.state == "demoted"
         assert sup.breaker_tripped
-        assert sup.demoted_to == "threaded"
+        assert sup.demoted_to == "serial"
         assert result.degraded
         assert any(
-            "scheduler:process -> scheduler:threaded" in entry
+            "scheduler:process -> scheduler:serial" in entry
             for entry in result.fallback_history
         )
         assert WorkerCrashError.code in result.fallback_history[-1]
@@ -259,7 +259,7 @@ class TestSupervisionConfiguration:
         assert scheduler.worker_timeout == 2.5
         assert scheduler.max_worker_failures == 5
 
-    @pytest.mark.parametrize("name", ["serial", "threaded", "batched"])
+    @pytest.mark.parametrize("name", ["serial", "batched"])
     def test_supervision_options_rejected_off_process(self, name):
         with pytest.raises(ValueError, match="process scheduler"):
             get_scheduler(name, jobs=1, worker_timeout=1.0)
@@ -268,9 +268,9 @@ class TestSupervisionConfiguration:
 
     def test_invalid_supervision_values_rejected(self):
         with pytest.raises(ValueError, match="worker_timeout"):
-            ProcessScheduler(jobs=2, worker_timeout=0.0)
+            get_scheduler("process", jobs=2, worker_timeout=0.0)
         with pytest.raises(ValueError, match="max_worker_failures"):
-            ProcessScheduler(jobs=2, max_worker_failures=0)
+            get_scheduler("process", jobs=2, max_worker_failures=0)
 
     def test_run_shots_accepts_supervision_kwargs(self):
         rt = QirRuntime(seed=7)
@@ -290,7 +290,7 @@ class TestSupervisionConfiguration:
         assert result.supervision is None
 
     def test_in_process_schedulers_have_no_supervision(self):
-        result = run("threaded", jobs=2, sampling="never")
+        result = run("batched")
         assert result.supervision is None
 
 
@@ -300,7 +300,7 @@ class TestSupervisionRecord:
         assert record.state == "healthy"
         record.crashes = 1
         assert record.state == "degraded"
-        record.demoted_to = "threaded"
+        record.demoted_to = "serial"
         assert record.state == "demoted"
 
     def test_summary_shape(self):

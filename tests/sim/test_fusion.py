@@ -8,7 +8,7 @@ Covers the three specialization tiers end to end:
   matches per-gate evolution (up to global phase), and routed plans keep
   bit-identical histograms;
 * schedulers: fused counts equal the unfused serial reference across
-  serial / threaded / batched / process for a fixed seed;
+  serial / batched / process for a fixed seed;
 * the cached sampling distribution: wire round-trip, fail-closed decode
   of wrong versions and corrupt blocks, disk-cache verify deletion, and
   warm-serve bit-identity;
@@ -154,7 +154,7 @@ def test_fused_counts_match_unfused_serial_across_schedulers(text):
         text, shots=shots, sampling="never"
     )
     for scheduler, jobs in [
-        ("serial", 1), ("threaded", 2), ("batched", 1), ("process", 2),
+        ("serial", 1), ("batched", 1), ("process", 2),
     ]:
         result = QirRuntime(seed=SEED, fusion=True).run_shots(
             text, shots=shots, sampling="never",

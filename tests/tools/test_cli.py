@@ -171,13 +171,6 @@ class TestQirRunResilience:
 
 
 class TestQirRunSchedulers:
-    def test_threaded_scheduler_histogram(self, bell_file, capsys):
-        assert run_main([bell_file, "--shots", "100", "--seed", "2",
-                         "--scheduler", "threaded", "--jobs", "3"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        counts = {k: int(v) for k, v in (line.split("\t") for line in lines)}
-        assert sum(counts.values()) == 100
-
     def test_schedulers_agree_on_counts(self, tmp_path, capsys):
         # reset_chain is fastpath-ineligible, so every scheduler really
         # runs per-shot (or batched) execution and counts must agree.
@@ -185,7 +178,7 @@ class TestQirRunSchedulers:
         path.write_text(reset_chain_qir(2, rounds=2))
         outputs = []
         for flags in (["--scheduler", "serial"],
-                      ["--scheduler", "threaded", "--jobs", "2"],
+                      ["--scheduler", "process", "--jobs", "2"],
                       ["--scheduler", "batched"]):
             assert run_main([str(path), "--shots", "80", "--seed", "5",
                              *flags]) == 0
@@ -194,11 +187,11 @@ class TestQirRunSchedulers:
 
     def test_jobs_with_serial_is_usage_error(self, bell_file, capsys):
         assert run_main([bell_file, "--shots", "10", "--jobs", "4"]) == 2
-        assert "--scheduler threaded" in capsys.readouterr().err
+        assert "requires the process scheduler" in capsys.readouterr().err
 
     def test_nonpositive_jobs_is_usage_error(self, bell_file, capsys):
         assert run_main([bell_file, "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
     def test_profile_shows_cache_and_scheduler_sections(self, bell_file, capsys):
         assert run_main([bell_file, "--shots", "20", "--seed", "7",
@@ -214,37 +207,32 @@ class TestQirRunSchedulers:
         path.write_text(reset_chain_qir(2, rounds=2))
         outputs = []
         for flags in ([],
-                      ["--scheduler", "threaded", "--jobs", "2",
-                       "--chunk-shots", "7"],
-                      ["--scheduler", "threaded", "--jobs", "2",
-                       "--min-chunk-shots", "3"]):
+                      ["--scheduler", "process", "--jobs", "2",
+                       "--chunk-shots", "7"]):
             assert run_main([str(path), "--shots", "40", "--seed", "5",
                              *flags]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
     def test_chunk_knobs_require_a_queue_scheduler(self, bell_file, capsys):
         assert run_main([bell_file, "--shots", "10",
                          "--chunk-shots", "4"]) == 2
-        assert "--chunk-shots" in capsys.readouterr().err
+        assert "require the process scheduler" in capsys.readouterr().err
         assert run_main([bell_file, "--shots", "10",
                          "--scheduler", "batched",
-                         "--min-chunk-shots", "2"]) == 2
-        assert "threaded or process" in capsys.readouterr().err
+                         "--chunk-shots", "2"]) == 2
+        assert "require the process scheduler" in capsys.readouterr().err
 
     def test_nonpositive_chunk_sizes_are_usage_errors(self, bell_file, capsys):
-        assert run_main([bell_file, "--scheduler", "threaded",
+        assert run_main([bell_file, "--scheduler", "process",
                          "--jobs", "2", "--chunk-shots", "0"]) == 2
-        assert "--chunk-shots must be >= 1" in capsys.readouterr().err
-        assert run_main([bell_file, "--scheduler", "threaded",
-                         "--jobs", "2", "--min-chunk-shots", "0"]) == 2
-        assert "--min-chunk-shots must be >= 1" in capsys.readouterr().err
+        assert "chunk_shots must be >= 1" in capsys.readouterr().err
 
     def test_jobs_one_normalizes_away_chunk_knobs(self, bell_file, capsys):
-        # The serial-normalization path must clear the queue knobs too,
-        # or run_shots would reject chunk sizing on the serial scheduler.
+        # One worker is the in-thread loop: the process scheduler's queue
+        # knobs are accepted and have nothing to size.
         assert run_main([bell_file, "--shots", "10", "--seed", "2",
-                         "--scheduler", "threaded", "--jobs", "1",
+                         "--scheduler", "process", "--jobs", "1",
                          "--chunk-shots", "4"]) == 0
         assert "runs serially" in capsys.readouterr().err
 
@@ -551,13 +539,12 @@ class TestQirRunProcessScheduler:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("scheduler", ["process", "threaded"])
+    @pytest.mark.parametrize("scheduler", ["process"])
     def test_one_job_normalizes_to_serial_with_note(
         self, scheduler, bell_file, capsys
     ):
-        # Satellite fix: --jobs 1 used to be a usage error for process /
-        # threaded while serial accepted it -- now it runs serially and
-        # says so, instead of spinning up a one-worker pool.
+        # --jobs 1 runs the in-thread loop and says so, instead of
+        # spinning up a one-worker pool.
         assert run_main([bell_file, "--shots", "30", "--seed", "2",
                          "--scheduler", scheduler, "--jobs", "1"]) == 0
         captured = capsys.readouterr()
@@ -616,20 +603,20 @@ class TestQirRunSupervision:
     ):
         assert run_main([bell_file, "--shots", "10",
                          "--worker-timeout", "2.0"]) == 2
-        assert "require --scheduler process" in capsys.readouterr().err
-        assert run_main([bell_file, "--shots", "10", "--scheduler", "threaded",
-                         "--jobs", "2", "--max-worker-failures", "3"]) == 2
-        assert "require --scheduler process" in capsys.readouterr().err
+        assert "require the process scheduler" in capsys.readouterr().err
+        assert run_main([bell_file, "--shots", "10", "--scheduler", "batched",
+                         "--max-worker-failures", "3"]) == 2
+        assert "require the process scheduler" in capsys.readouterr().err
 
     def test_invalid_supervision_values_are_usage_errors(
         self, bell_file, capsys
     ):
         assert run_main([bell_file, "--shots", "10", "--scheduler", "process",
                          "--jobs", "2", "--worker-timeout", "0"]) == 2
-        assert "--worker-timeout must be > 0" in capsys.readouterr().err
+        assert "worker_timeout must be > 0" in capsys.readouterr().err
         assert run_main([bell_file, "--shots", "10", "--scheduler", "process",
                          "--jobs", "2", "--max-worker-failures", "0"]) == 2
-        assert "--max-worker-failures must be >= 1" in capsys.readouterr().err
+        assert "max_worker_failures must be >= 1" in capsys.readouterr().err
 
     def test_supervision_flags_accepted_on_clean_run(self, tmp_path, capsys):
         path = tmp_path / "chain.ll"

@@ -28,7 +28,6 @@ def snapshot_file(tmp_path):
 PASSING_GATES = {
     "runtime.scheduler.batched_speedup": 1.5,
     "runtime.scheduler.process_speedup": 1.6,
-    "runtime.scheduler.threaded_speedup": 1.1,
     "runtime.scheduler.queue_imbalance": (1.2, {"contiguous_imbalance": 2.5}),
     "runtime.plan.disk_warm_speedup": 2.0,
     "runtime.fusion.speedup": 3.0,
@@ -91,9 +90,6 @@ class TestRun:
         assert batched["unit"] == "ratio"
         assert batched["direction"] == "higher"
         assert batched["value"] > 1.0
-        threaded = by_name["runtime.scheduler.threaded_speedup"]
-        assert threaded["direction"] == "higher"
-        assert threaded["metadata"]["jobs"] >= 2
         assert by_name["runtime.scheduler.serial_shots_per_second"]["value"] > 0
 
     def test_records_worker_imbalance(self, snapshot_file):
@@ -317,12 +313,10 @@ GATE_CASES = {
     "all_pass": ({}, 2, 0),
     "batched_at_1": ({"runtime.scheduler.batched_speedup": 1.0}, 2, 4),
     "batched_above_1": ({"runtime.scheduler.batched_speedup": 1.001}, 2, 0),
-    "process_equals_threaded": (
-        {"runtime.scheduler.process_speedup": 1.1}, 2, 4),
-    "process_below_threaded_2cpu": (
-        {"runtime.scheduler.process_speedup": 0.6}, 2, 4),
-    "process_below_threaded_1cpu_skips": (
-        {"runtime.scheduler.process_speedup": 0.6}, 1, 0),
+    "process_at_1_2cpu": ({"runtime.scheduler.process_speedup": 1.0}, 2, 4),
+    "process_at_1_1cpu_skips": (
+        {"runtime.scheduler.process_speedup": 1.0}, 1, 0),
+    "process_above_1": ({"runtime.scheduler.process_speedup": 1.001}, 2, 0),
     "queue_at_floor": (
         {"runtime.scheduler.queue_imbalance": (1.5, {"contiguous_imbalance": 1.0})},
         2, 0),
@@ -373,8 +367,7 @@ class TestBudgetGates:
         gates = {g["record"]: g for g in budgets["gates"]}
         assert gates["runtime.scheduler.batched_speedup"]["above"] == 1.0
         process = gates["runtime.scheduler.process_speedup"]
-        assert process["above_record"] == "runtime.scheduler.threaded_speedup"
-        assert process["min_cpus"] == 2
+        assert (process["above"], process["min_cpus"]) == (1.0, 2)
         queue = gates["runtime.scheduler.queue_imbalance"]
         assert (queue["at_most"], queue["metadata_scale"]) == (1.5, 0.9)
         assert queue["at_most_metadata"] == "contiguous_imbalance"
@@ -383,7 +376,6 @@ class TestBudgetGates:
         assert gates["runtime.plan.dist_warm_speedup"]["above"] == 5.0
         assert budgets["record_thresholds"] == {
             name: 0.5 for name in (
-                "runtime.scheduler.threaded_speedup",
                 "runtime.scheduler.process_speedup",
                 "runtime.scheduler.worker_imbalance",
                 "runtime.scheduler.queue_imbalance",
@@ -398,7 +390,6 @@ class TestBudgetGates:
         names = {r.name for r in BenchSnapshot.load(snapshot_file).records}
         for gate in load_budgets()["gates"]:
             assert gate["record"] in names
-            assert gate.get("above_record", gate["record"]) in names
 
     def test_ratio_records_carry_both_arms_spread(self, snapshot_file):
         by_name = BenchSnapshot.load(snapshot_file).by_name()
@@ -406,7 +397,6 @@ class TestBudgetGates:
             "runtime.ex5.ghz10.fastpath_speedup",
             "runtime.fusion.speedup",
             "runtime.plan.dist_warm_speedup",
-            "runtime.scheduler.threaded_speedup",
             "runtime.scheduler.batched_speedup",
             "runtime.scheduler.process_speedup",
             "runtime.scheduler.recovery_overhead",
