@@ -20,7 +20,7 @@ from repro.circuit.operations import (
     Operation,
     Reset,
 )
-from repro.sim.sampling import render_counts
+from repro.sim.sampling import ZERO_COLUMN, render_counts, table_columns
 from repro.sim.statevector import StatevectorSimulator
 from repro.sim.stabilizer import StabilizerSimulator
 
@@ -93,7 +93,9 @@ def run_circuit(
             else:
                 _apply(op, circuit, sim, {})
         basis, counts = sim.sample_basis(shots)
-        return render_counts(basis, counts, list(measured.values()), list(measured), n_clbits)
+        table = {clbit: k for k, clbit in enumerate(measured)}
+        columns = table_columns(table, ZERO_COLUMN, n_clbits)
+        return render_counts(basis, counts, list(measured.values()), columns)
 
     for _ in range(shots):
         shot_seed = int(rng.integers(2**63))
@@ -104,7 +106,7 @@ def run_circuit(
         else:
             raise ValueError(f"unknown backend {backend!r}")
         bits = _execute_once(circuit, sim)
-        out = "".join(str(bits.get(c, 0)) for c in reversed(range(n_clbits)))
+        out = "".join(str(bit) for bit in table_columns(bits, 0, n_clbits))
         histogram[out] = histogram.get(out, 0) + 1
     return histogram
 

@@ -9,7 +9,7 @@ angles).
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 _FUNCTIONS: Dict[str, Callable[[float], float]] = {
     "sin": math.sin,
@@ -24,6 +24,11 @@ _FUNCTIONS: Dict[str, Callable[[float], float]] = {
 }
 
 
+#: Parenthesis (and function-call) nesting accepted in one expression;
+#: deeper input is rejected before it can exhaust the Python stack.
+MAX_NESTING = 64
+
+
 class ExprError(ValueError):
     pass
 
@@ -35,6 +40,7 @@ class ExprParser:
         self.tokens = tokens
         self.pos = 0
         self.bindings = bindings or {}
+        self.depth = 0
 
     def _peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -74,44 +80,72 @@ class ExprParser:
         return value
 
     def _power(self) -> float:
-        value = self._unary()
-        if self._peek() == "^":
+        operands = [self._unary()]
+        while self._peek() == "^":
             self._next()
-            return value ** self._power()  # right associative
+            operands.append(self._unary())
+        value = operands.pop()
+        while operands:  # right associative
+            value = operands.pop() ** value
+            if isinstance(value, complex):
+                raise ExprError("power of a negative base is not real")
         return value
 
     def _unary(self) -> float:
-        tok = self._peek()
-        if tok == "-":
-            self._next()
-            return -self._unary()
-        if tok == "+":
-            self._next()
-            return self._unary()
-        return self._primary()
+        negative = False
+        while self._peek() in ("-", "+"):
+            negative ^= self._next() == "-"
+        value = self._primary()
+        return -value if negative else value
+
+    def _group(self) -> float:
+        """The rest of ``( expr )`` -- the only place parsing recurses."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprError(f"expression nests deeper than {MAX_NESTING} parentheses")
+        value = self._additive()
+        if self._next() != ")":
+            raise ExprError("missing ')'")
+        self.depth -= 1
+        return value
 
     def _primary(self) -> float:
         tok = self._next()
         if tok == "(":
-            value = self._additive()
-            if self._next() != ")":
-                raise ExprError("missing ')'")
-            return value
+            return self._group()
         if tok == "pi":
             return math.pi
         if tok in _FUNCTIONS:
             if self._next() != "(":
                 raise ExprError(f"expected '(' after {tok}")
-            arg = self._additive()
-            if self._next() != ")":
-                raise ExprError("missing ')'")
-            return _FUNCTIONS[tok](arg)
+            return _FUNCTIONS[tok](self._group())
         if tok in self.bindings:
             return self.bindings[tok]
         try:
             return float(tok)
         except ValueError:
             raise ExprError(f"unknown symbol {tok!r} in expression") from None
+
+
+def evaluate_arguments(
+    texts: Iterator[str], bindings: Optional[Dict[str, float]] = None
+) -> List[float]:
+    """Evaluate comma-separated expressions from ``texts`` up to the ``)``
+    closing an already consumed ``(``; the rest of ``texts`` is left."""
+    args: List[float] = []
+    current: List[str] = []
+    depth = 0
+    for text in texts:
+        if depth == 0 and text in (")", ","):
+            if current or text == ",":
+                args.append(evaluate_expression(current, bindings))
+            if text == ")":
+                return args
+            current = []
+            continue
+        depth += (text == "(") - (text == ")")
+        current.append(text)
+    raise ExprError("missing ')'")
 
 
 def evaluate_expression(

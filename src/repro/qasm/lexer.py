@@ -1,9 +1,9 @@
-"""Tokenizer shared by the OpenQASM 2 and 3 parsers."""
+"""Tokenizer and token cursor shared by the OpenQASM 2 and 3 parsers."""
 
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple
+from typing import Iterator, List, NamedTuple, Optional, Type
 
 
 class QasmToken(NamedTuple):
@@ -60,3 +60,67 @@ def tokenize(source: str) -> List[QasmToken]:
         tokens.append(QasmToken(mapped, text, line))
         pos = match.end()
     return tokens
+
+
+class QasmError(ValueError):
+    """A parse error, located by line when the line is known."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class TokenCursor:
+    """A parser's position in its token list; errors raise :attr:`error`.
+    Parsers define ``_statement``, which :meth:`_statements` repeats."""
+
+    error: Type[QasmError] = QasmError
+
+    def __init__(self, source: str):
+        self.tokens = tokenize(source)
+        self.pos = 0
+
+    def _peek(self, offset: int = 0) -> Optional[QasmToken]:
+        index = self.pos + offset
+        return self.tokens[index] if index < len(self.tokens) else None
+
+    def _next(self) -> QasmToken:
+        tok = self._peek()
+        if tok is None:
+            raise self.error("unexpected end of input", self.tokens[-1].line if self.tokens else 1)
+        self.pos += 1
+        return tok
+
+    def _expect(self, kind: str, text: Optional[str] = None) -> QasmToken:
+        tok = self._next()
+        if tok.kind != kind or (text is not None and tok.text != text):
+            raise self.error(f"expected {text or kind}, got {tok.text!r}", tok.line)
+        return tok
+
+    def _accept(self, kind: str, text: Optional[str] = None) -> Optional[QasmToken]:
+        tok = self._peek()
+        if tok is not None and tok.kind == kind and (text is None or tok.text == text):
+            self.pos += 1
+            return tok
+        return None
+
+    def _texts(self) -> Iterator[str]:
+        """The remaining token texts (end of input raises)."""
+        while True:
+            yield self._next().text
+
+    def _statements(self) -> None:
+        """Parse statements to the end of input.  The expression evaluator
+        and the circuit layer validate too (math domain, duplicate
+        registers or operands); what they raise is pinned to the line of
+        the statement being parsed."""
+        while self._peek() is not None:
+            line = self._peek().line
+            try:
+                self._statement()
+            except (ValueError, IndexError, ArithmeticError) as error:
+                if getattr(error, "line", None) is not None:
+                    raise
+                raise self.error(str(error), line) from error

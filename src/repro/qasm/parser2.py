@@ -10,13 +10,13 @@ pure substitution), register broadcasting, ``measure``/``reset``/
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.operations import GateOperation, Operation, Reset
 from repro.circuit.registers import ClassicalRegister, QuantumRegister, Qubit
-from repro.qasm.expr import evaluate_expression
-from repro.qasm.lexer import QasmToken, tokenize
+from repro.qasm.expr import evaluate_arguments
+from repro.qasm.lexer import QasmError, QasmToken, TokenCursor
 
 # Gates provided by qelib1.inc (plus the builtins U and CX), mapped to the
 # canonical vocabulary.  u0/u1/u2/u3 are expressed through p/u3.
@@ -52,11 +52,16 @@ _QELIB_GATES = {
 }
 
 
-class QasmParseError(ValueError):
-    def __init__(self, message: str, line: Optional[int] = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+class QasmParseError(QasmError):
+    """An OpenQASM 2 program could not be parsed."""
+
+
+#: Gate definitions may call earlier definitions this many levels deep;
+#: expansion recurses once per level.
+_MAX_GATE_NESTING = 64
+
+#: Names a gate body may call without a definition of its own.
+_BODY_BUILTINS = frozenset({"U", "CX", "barrier"}) | frozenset(_QELIB_GATES)
 
 
 @dataclass
@@ -65,57 +70,36 @@ class _GateDef:
     params: List[str]
     qubits: List[str]
     body: List[List[QasmToken]]  # statements as token lists
+    nesting: int  # 1 + the deepest definition the body calls
 
 
-class _Parser2:
+class _Parser2(TokenCursor):
+    error = QasmParseError
+
     def __init__(self, source: str):
-        self.tokens = tokenize(source)
-        self.pos = 0
+        super().__init__(source)
         self.circuit = Circuit("qasm2")
         self.qregs: Dict[str, QuantumRegister] = {}
         self.cregs: Dict[str, ClassicalRegister] = {}
         self.gate_defs: Dict[str, _GateDef] = {}
         self.included_qelib = False
 
-    # -- token helpers ---------------------------------------------------------
-    def _peek(self, offset: int = 0) -> Optional[QasmToken]:
-        index = self.pos + offset
-        return self.tokens[index] if index < len(self.tokens) else None
-
-    def _next(self) -> QasmToken:
-        tok = self._peek()
-        if tok is None:
-            raise QasmParseError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def _expect(self, kind: str, text: Optional[str] = None) -> QasmToken:
-        tok = self._next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise QasmParseError(
-                f"expected {text or kind}, got {tok.text!r}", tok.line
-            )
-        return tok
-
-    def _accept(self, kind: str, text: Optional[str] = None) -> Optional[QasmToken]:
-        tok = self._peek()
-        if tok is not None and tok.kind == kind and (text is None or tok.text == text):
-            self.pos += 1
-            return tok
-        return None
-
     # -- top level ---------------------------------------------------------------
     def parse(self) -> Circuit:
         self._expect("ID", "OPENQASM")
         version = self._expect("NUMBER")
-        if not version.text.startswith("2"):
+        if version.text.startswith("3"):
             raise QasmParseError(
                 f"OPENQASM {version.text} is not version 2; use parse_qasm3",
                 version.line,
             )
+        if version.text not in ("2", "2.0"):
+            raise QasmParseError(
+                f"unsupported OPENQASM version {version.text} (expected 2.0)",
+                version.line,
+            )
         self._expect("PUNCT", ";")
-        while self._peek() is not None:
-            self._statement()
+        self._statements()
         return self.circuit
 
     def _statement(self) -> None:
@@ -199,7 +183,10 @@ class _Parser2:
     # -- gate definitions -----------------------------------------------------------
     def _parse_gate_def(self) -> None:
         self._expect("ID", "gate")
-        name = self._expect("ID").text
+        name_tok = self._expect("ID")
+        name = name_tok.text
+        if name in self.gate_defs:
+            raise QasmParseError(f"gate {name!r} is already defined", name_tok.line)
         params: List[str] = []
         if self._accept("PUNCT", "("):
             if not self._accept("PUNCT", ")"):
@@ -231,7 +218,25 @@ class _Parser2:
                 statement = []
                 continue
             statement.append(tok)
-        self.gate_defs[name] = _GateDef(name, params, qubits, body)
+        # A body calls only builtins and earlier definitions, so expansion
+        # cannot recurse into the gate being defined.
+        nesting = 0
+        for head, *_ in body:
+            if head.text in _BODY_BUILTINS:
+                continue
+            called = self.gate_defs.get(head.text)
+            if called is None:
+                raise QasmParseError(
+                    f"gate {name!r} calls {head.text!r} before it is defined",
+                    head.line,
+                )
+            nesting = max(nesting, called.nesting)
+        if nesting >= _MAX_GATE_NESTING:
+            raise QasmParseError(
+                f"gate {name!r} nests definitions deeper than {_MAX_GATE_NESTING}",
+                name_tok.line,
+            )
+        self.gate_defs[name] = _GateDef(name, params, qubits, body, nesting + 1)
 
     # -- applications -----------------------------------------------------------
     def _parse_gate_application(self, conditional) -> None:
@@ -239,7 +244,7 @@ class _Parser2:
         name = name_tok.text
         params: List[float] = []
         if self._accept("PUNCT", "("):
-            params = self._param_exprs()
+            params = evaluate_arguments(self._texts())
         operands: List[List[Qubit]] = []
         while True:
             operands.append(self._qubit_operand())
@@ -247,29 +252,6 @@ class _Parser2:
                 break
         self._expect("PUNCT", ";")
         self._apply_gate(name, params, operands, conditional, name_tok.line)
-
-    def _param_exprs(self, bindings: Optional[Dict[str, float]] = None) -> List[float]:
-        """Parse comma-separated expressions up to the closing ')'."""
-        params: List[float] = []
-        current: List[str] = []
-        depth = 0
-        while True:
-            tok = self._next()
-            if tok.kind == "PUNCT" and tok.text == "(":
-                depth += 1
-                current.append(tok.text)
-            elif tok.kind == "PUNCT" and tok.text == ")":
-                if depth == 0:
-                    if current:
-                        params.append(evaluate_expression(current, bindings))
-                    return params
-                depth -= 1
-                current.append(tok.text)
-            elif tok.kind == "PUNCT" and tok.text == "," and depth == 0:
-                params.append(evaluate_expression(current, bindings))
-                current = []
-            else:
-                current.append(tok.text)
 
     def _qubit_operand(self) -> List[Qubit]:
         """A register name (whole register) or an indexed qubit."""
@@ -377,36 +359,13 @@ class _Parser2:
         head = statement[0]
         if head.text == "barrier":
             return []
-        index = 1
+        rest = iter(statement[1:])
         inner_params: List[float] = []
-        if index < len(statement) and statement[index].text == "(":
-            depth = 0
-            expr: List[str] = []
-            exprs: List[List[str]] = []
-            index += 1
-            while index < len(statement):
-                tok = statement[index]
-                if tok.text == "(":
-                    depth += 1
-                    expr.append(tok.text)
-                elif tok.text == ")":
-                    if depth == 0:
-                        index += 1
-                        break
-                    depth -= 1
-                    expr.append(tok.text)
-                elif tok.text == "," and depth == 0:
-                    exprs.append(expr)
-                    expr = []
-                else:
-                    expr.append(tok.text)
-                index += 1
-            if expr:
-                exprs.append(expr)
-            inner_params = [evaluate_expression(e, bindings) for e in exprs]
+        if len(statement) > 1 and statement[1].text == "(":
+            next(rest)
+            inner_params = evaluate_arguments((tok.text for tok in rest), bindings)
         inner_qubits: List[Qubit] = []
-        while index < len(statement):
-            tok = statement[index]
+        for tok in rest:
             if tok.kind == "ID":
                 mapped = qubit_map.get(tok.text)
                 if mapped is None:
@@ -414,7 +373,6 @@ class _Parser2:
                         f"unbound qubit {tok.text!r} in gate body", tok.line
                     )
                 inner_qubits.append(mapped)
-            index += 1
         return self._build_ops(head.text, inner_params, inner_qubits, line)
 
     # -- measure / if -----------------------------------------------------------
@@ -451,7 +409,8 @@ class _Parser2:
         value = self._expect("NUMBER")
         self._expect("PUNCT", ")")
         head = self._peek()
-        assert head is not None
+        if head is None:
+            head = self._next()  # raises: nothing follows the condition
         if head.text == "measure":
             raise QasmParseError("conditional measure is not supported", head.line)
         if head.text == "reset":

@@ -15,70 +15,50 @@ This subset demonstrates exactly that burden:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import math
+from typing import Dict, List
 
 from repro.circuit.circuit import Circuit
 from repro.circuit.operations import ConditionalOperation, GateOperation, Reset
 from repro.circuit.registers import ClassicalRegister, QuantumRegister, Qubit
-from repro.qasm.expr import evaluate_expression
-from repro.qasm.lexer import QasmToken, tokenize
+from repro.qasm.expr import evaluate_arguments, evaluate_expression
+from repro.qasm.lexer import QasmError, TokenCursor
 from repro.qasm.parser2 import _QELIB_GATES
 
 
-class Qasm3ParseError(ValueError):
-    def __init__(self, message: str, line: Optional[int] = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+class Qasm3ParseError(QasmError):
+    """An OpenQASM 3 program could not be parsed."""
 
 
+#: Statements one program may unroll to, over all its (nested) loops.
 _MAX_UNROLL = 100_000
 
+#: Loops may nest this deep; replaying a body recurses once per level.
+_MAX_LOOP_NESTING = 16
 
-class _Parser3:
+
+class _Parser3(TokenCursor):
+    error = Qasm3ParseError
+
     def __init__(self, source: str):
-        self.tokens = tokenize(source)
-        self.pos = 0
+        super().__init__(source)
         self.circuit = Circuit("qasm3")
         self.qregs: Dict[str, QuantumRegister] = {}
         self.cregs: Dict[str, ClassicalRegister] = {}
         self.loop_vars: Dict[str, int] = {}
-
-    def _peek(self, offset: int = 0) -> Optional[QasmToken]:
-        index = self.pos + offset
-        return self.tokens[index] if index < len(self.tokens) else None
-
-    def _next(self) -> QasmToken:
-        tok = self._peek()
-        if tok is None:
-            raise Qasm3ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def _expect(self, kind: str, text: Optional[str] = None) -> QasmToken:
-        tok = self._next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise Qasm3ParseError(f"expected {text or kind}, got {tok.text!r}", tok.line)
-        return tok
-
-    def _accept(self, kind: str, text: Optional[str] = None) -> Optional[QasmToken]:
-        tok = self._peek()
-        if tok is not None and tok.kind == kind and (text is None or tok.text == text):
-            self.pos += 1
-            return tok
-        return None
+        #: Trip counts of the loops being unrolled, outermost first.
+        self.trips: List[int] = []
 
     # -- top level ---------------------------------------------------------------
     def parse(self) -> Circuit:
         self._expect("ID", "OPENQASM")
         version = self._expect("NUMBER")
-        if not version.text.startswith("3"):
+        if version.text not in ("3", "3.0"):
             raise Qasm3ParseError(
                 f"OPENQASM {version.text} is not version 3", version.line
             )
         self._expect("PUNCT", ";")
-        while self._peek() is not None:
-            self._statement()
+        self._statements()
         return self.circuit
 
     def _statement(self) -> None:
@@ -192,28 +172,8 @@ class _Parser3:
         name_tok = self._expect("ID")
         params: List[float] = []
         if self._accept("PUNCT", "("):
-            expr: List[str] = []
-            depth = 0
-            exprs: List[List[str]] = []
-            while True:
-                tok = self._next()
-                if tok.text == "(":
-                    depth += 1
-                    expr.append(tok.text)
-                elif tok.text == ")":
-                    if depth == 0:
-                        break
-                    depth -= 1
-                    expr.append(tok.text)
-                elif tok.text == "," and depth == 0:
-                    exprs.append(expr)
-                    expr = []
-                else:
-                    expr.append(tok.text)
-            if expr:
-                exprs.append(expr)
             bindings = {k: float(v) for k, v in self.loop_vars.items()}
-            params = [evaluate_expression(e, bindings) for e in exprs]
+            params = evaluate_arguments(self._texts(), bindings)
         qubits: List[Qubit] = []
         while True:
             qubits.append(self._qubit_ref())
@@ -225,9 +185,12 @@ class _Parser3:
         if entry is None:
             raise Qasm3ParseError(f"unknown gate {name_tok.text!r}", name_tok.line)
         canonical, num_params, num_qubits = entry
+        if len(params) != num_params or len(qubits) != num_qubits:
+            raise Qasm3ParseError(
+                f"{name_tok.text} takes {num_params} params and {num_qubits} qubits",
+                name_tok.line,
+            )
         if name_tok.text == "u2":
-            import math
-
             phi, lam = params
             canonical, params = "u3", [math.pi / 2, phi, lam]
         if canonical is None:
@@ -312,16 +275,23 @@ class _Parser3:
                 depth -= 1
         body_end = self.pos - 1
 
-        if (hi - lo + 1) > _MAX_UNROLL:
+        trips = max(0, hi - lo + 1)
+        if len(self.trips) >= _MAX_LOOP_NESTING:
+            raise Qasm3ParseError(
+                f"loops nest deeper than {_MAX_LOOP_NESTING}", type_tok.line
+            )
+        if math.prod(self.trips) * trips > _MAX_UNROLL:
             raise Qasm3ParseError(f"loop range [{lo}:{hi}] too large to unroll")
         outer = self.loop_vars.get(var)
         # The parser itself performs the unrolling (the very machinery QIR
         # inherits from LLVM): replay the body token range per iteration.
+        self.trips.append(trips)
         for i in range(lo, hi + 1):
             self.loop_vars[var] = i
             self.pos = body_start
             while self.pos < body_end:
                 self._statement()
+        self.trips.pop()
         self.pos = body_end + 1
         if outer is None:
             self.loop_vars.pop(var, None)

@@ -47,8 +47,8 @@ from repro.runtime.interpreter import Interpreter
 from repro.runtime.plan import ExecutionPlan, _analyze_entry, compile_plan
 from repro.runtime.sampling_fastpath import (
     DeferredMeasurementBackend,
-    DeferredResultStore,
     FastPathUnsupported,
+    SharedStreamResults,
     distribution_from,
     sample_counts_from,
 )
@@ -456,7 +456,7 @@ class QirRuntime:
         """
         inner = StatevectorSimulator(0, seed=seed, max_qubits=self.max_qubits)
         backend = DeferredMeasurementBackend(inner)
-        results = DeferredResultStore()
+        results = SharedStreamResults()
         interp = Interpreter(
             module,
             backend,  # type: ignore[arg-type]

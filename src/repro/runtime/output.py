@@ -7,12 +7,19 @@ the recorder turns them into structured records and renders the
     OUTPUT\tARRAY\t2\tresults
     OUTPUT\tRESULT\t0\tr0
     OUTPUT\tRESULT\t1\tr1
+
+:func:`output_columns` is the one rule for which results make up a shot's
+bitstring; every execution tier renders through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Mapping, Optional, Sequence, TypeVar, Union
+
+from repro.sim.sampling import table_columns
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -42,14 +49,27 @@ class OutputRecorder:
         """The RESULT records' values in recording order."""
         return [int(r.value) for r in self.records if r.kind == "RESULT"]
 
-    def bitstring(self) -> str:
-        """RESULT records as a bitstring, *last recorded result first* so the
-        text matches the simulator histograms (highest index leftmost)."""
-        bits = self.result_bits()
-        return "".join(str(b) for b in reversed(bits))
-
     def clear(self) -> None:
         self.records.clear()
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+def output_columns(recorded: Sequence[T], table: Mapping[int, T], unwritten: T) -> List[T]:
+    """Which results make up a shot's bitstring, leftmost bit first.
+
+    ``recorded`` holds, in record order, the value each RESULT record saw
+    at record time: an unwritten result reads 0, and ``result_get_one`` /
+    ``result_get_zero`` read 1 and 0.  The last record is the leftmost
+    bit.  With no RESULT record the final static result table is used,
+    addresses ``max..0`` with unwritten ones reading ``unwritten``.
+
+    The per-shot interpreter passes bits.  The shared-stream tiers (the
+    sampling fast path, the batch, the fused schedule) pass output
+    columns (:data:`~repro.sim.sampling.ZERO_COLUMN`) naming the
+    measurement that wrote each result, and render them per shot later.
+    """
+    if recorded:
+        return list(reversed(recorded))
+    return table_columns(table, unwritten)

@@ -49,8 +49,10 @@ PipelineLike = Union[None, str, Callable]
 #: to a recompile -- and the disk cache
 #: (:mod:`repro.runtime.plancache`) keys on it so a format bump silently
 #: invalidates every persisted plan.  v2 added the optional cached
-#: sampling ``distribution`` block.
-PLAN_WIRE_VERSION = 2
+#: sampling ``distribution`` block; v3 renders its bitstrings through the
+#: one output rule (RESULT records first), so a v2 distribution may hold
+#: the old static-table rendering and is recompiled instead.
+PLAN_WIRE_VERSION = 3
 
 
 class PlanDecodeError(ValueError):
@@ -237,8 +239,9 @@ class ExecutionPlan:
             raise PlanDecodeError("serialized plan is missing wire_version")
         if version != PLAN_WIRE_VERSION:
             # Older payloads lack blocks this decoder expects (v2 added the
-            # distribution); newer ones may lay fields out differently.
-            # Either way the caller holds the source -- fail closed.
+            # distribution) or render them differently (v3); newer ones may
+            # lay fields out differently.  Either way the caller holds the
+            # source -- fail closed.
             raise PlanDecodeError(
                 f"plan wire_version {version} does not match supported "
                 f"({PLAN_WIRE_VERSION}); recompile from source"

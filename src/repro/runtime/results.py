@@ -8,7 +8,7 @@ either kind -- the feedback path of the adaptive profiles.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.runtime.errors import QirRuntimeError
 from repro.runtime.values import IntPtr, ResultPtr
@@ -68,8 +68,6 @@ class ResultStore:
         except QirRuntimeError:
             return default
 
-    def static_bits(self, count: Optional[int] = None) -> Dict[int, int]:
+    def static_bits(self) -> Dict[int, int]:
         """The static result table (index -> bit)."""
-        if count is None:
-            return dict(self._static)
-        return {i: self._static.get(i, 0) for i in range(count)}
+        return dict(self._static)

@@ -14,11 +14,17 @@ measurement outcome --
 
 * a gate / reset / release touching an already-measured qubit,
 * measuring the same qubit twice,
-* reading a result value (``read_result`` / ``result_equal`` feedback).
+* reading a result value (``read_result`` / ``result_equal`` feedback),
+* a dynamic (``m``-style) result.
 
 On abort the caller falls back to per-shot interpretation, so the fast
 path is sound by construction rather than by up-front program analysis.
-The EX5 benchmark ablates the two strategies.
+
+:class:`SharedStreamResults` is the result store of every tier that runs
+one instruction stream for many shots -- this fast path and the batched
+scheduler.  It records which measurement each RESULT record names, and
+the shots' bitstrings are rendered afterwards through the one output
+rule (:func:`~repro.runtime.output.output_columns`).
 """
 
 from __future__ import annotations
@@ -29,9 +35,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.runtime.output import output_columns
 from repro.runtime.results import ResultStore
-from repro.runtime.values import IntPtr
-from repro.sim.sampling import render_counts, render_outcomes
+from repro.runtime.values import IntPtr, ResultPtr
+from repro.sim.backend import DelegatingBackend
+from repro.sim.sampling import ZERO_COLUMN, render_counts, render_outcomes
 from repro.sim.statevector import StatevectorSimulator
 
 #: Distributions with more nonzero outcomes than this are not cached --
@@ -44,23 +52,15 @@ class FastPathUnsupported(Exception):
     """Raised mid-execution when the program is not sampleable."""
 
 
-class DeferredMeasurementBackend:
-    """Statevector wrapper that records measurements instead of collapsing."""
+class DeferredMeasurementBackend(DelegatingBackend):
+    """Statevector wrapper that records measurements instead of collapsing.
+
+    ``measure`` returns the measured slot: the outcome it stands for is
+    that slot's bit in each basis state sampled after the evolution."""
 
     def __init__(self, inner: StatevectorSimulator):
-        self.inner = inner
-        self.measured_slots: List[int] = []
+        super().__init__(inner)
         self._measured_set: set = set()
-
-    @property
-    def num_qubits(self) -> int:
-        return self.inner.num_qubits
-
-    def allocate_qubit(self) -> int:
-        return self.inner.allocate_qubit()
-
-    def ensure_qubits(self, count: int) -> None:
-        self.inner.ensure_qubits(count)
 
     def release_qubit(self, slot: int) -> None:
         # Releasing resets the qubit.  For a *measured* qubit the reset
@@ -83,8 +83,7 @@ class DeferredMeasurementBackend:
         if slot in self._measured_set:
             raise FastPathUnsupported("qubit measured twice")
         self._measured_set.add(slot)
-        self.measured_slots.append(slot)
-        return 0  # placeholder; real outcomes are sampled afterwards
+        return slot
 
     def reset(self, slot: int) -> None:
         if slot in self._measured_set:
@@ -92,53 +91,63 @@ class DeferredMeasurementBackend:
         self.inner.reset(slot)
 
 
-class DeferredResultStore(ResultStore):
-    """Tracks which results hold placeholders; reading one aborts the fast
-    path (the program feeds back on a measurement), while the output-
-    recording epilogue (which uses :meth:`read_default`) is tolerated."""
+class SharedStreamResults(ResultStore):
+    """The result store of one instruction stream run for many shots.
+
+    A static result holds the index of the measurement that last wrote
+    it; ``values[k]`` is what measurement ``k`` returned (a deferred
+    slot, or one outcome per batch member).  Each RESULT record snapshots
+    the column it names at record time (:meth:`read_default`), and
+    :meth:`columns` applies the output rule when the run ends.
+
+    Anything one shared stream cannot express per shot declines with
+    :class:`FastPathUnsupported`: a dynamic result, or reading back a
+    written result (classical feedback).
+    """
 
     def __init__(self) -> None:
         super().__init__()
-        self.write_order: List[int] = []
-        self._deferred: set = set()
+        self.values: List[object] = []
+        self._recorded: List[int] = []
 
-    def write(self, pointer: object, value: int) -> None:
+    def new_dynamic(self, value: object) -> ResultPtr:
+        raise FastPathUnsupported("dynamic (m-style) results")
+
+    def write(self, pointer: object, value: object) -> None:
         if not isinstance(pointer, IntPtr):
             raise FastPathUnsupported("dynamic result pointers")
-        super().write(pointer, value)
-        self.write_order.append(pointer.address)
-        self._deferred.add(pointer.address)
+        super().write(pointer, len(self.values))
+        self.values.append(value)
 
     def read(self, pointer: object) -> int:
-        if isinstance(pointer, IntPtr) and pointer.address in self._deferred:
-            raise FastPathUnsupported("program reads a measurement result")
+        if isinstance(pointer, IntPtr) and pointer.address in self._static:
+            raise FastPathUnsupported("program feeds back on a measurement result")
         return super().read(pointer)
 
     def read_default(self, pointer: object, default: int = 0) -> int:
-        # Output recording only; values are reconstructed by the sampler.
-        return default
+        if isinstance(pointer, IntPtr):
+            column = self._static.get(pointer.address, ~default)
+        else:
+            column = ~super().read_default(pointer, default)
+        self._recorded.append(column)
+        return column
+
+    def columns(self) -> List[int]:
+        return output_columns(self._recorded, self._static, ZERO_COLUMN)
 
 
 def sample_counts_from(
     backend: DeferredMeasurementBackend,
-    results: DeferredResultStore,
+    results: SharedStreamResults,
     shots: int,
 ) -> Dict[str, int]:
-    """Turn one uncollapsed evolution into a shot histogram.
-
-    The k-th recorded measurement wrote the k-th result address; sampled
-    bits are routed accordingly and rendered highest-result-index first,
-    matching the per-shot path's bitstrings.
-    """
-    slots = backend.measured_slots
-    addresses = results.write_order
-    if len(slots) != len(addresses):
-        raise FastPathUnsupported("measurement/result bookkeeping mismatch")
-    if not slots:
+    """Turn one uncollapsed evolution into a shot histogram, each drawn
+    basis state rendered through the output rule's columns."""
+    columns = results.columns()
+    if not columns:
         return {"": shots}
-
     basis, counts = backend.inner.sample_basis(shots)
-    return render_counts(basis, counts, slots, addresses, max(addresses) + 1)
+    return render_counts(basis, counts, results.values, columns)
 
 
 # -- cached sampling distributions ---------------------------------------------
@@ -159,8 +168,8 @@ class SampledDistribution:
     from this table is bit-identical to re-running the evolution, for
     the same reserved fast-path seed.
 
-    Empty ``entries`` encodes the measurement-free program (the cold
-    path's ``{"": shots}``, no RNG consumed).
+    Empty ``entries`` encodes a program whose bitstring is empty (the
+    cold path's ``{"": shots}``, no RNG consumed).
     """
 
     entries: Tuple[Tuple[str, float], ...]
@@ -218,28 +227,22 @@ class SampledDistribution:
 
 def distribution_from(
     backend: DeferredMeasurementBackend,
-    results: DeferredResultStore,
+    results: SharedStreamResults,
 ) -> Optional[SampledDistribution]:
     """Extract the cacheable terminal distribution of one evolution.
 
     Reads exactly the probabilities the cold path's
     :meth:`~StatevectorSimulator.sample_basis` feeds ``Generator.choice``
-    and renders each nonzero basis outcome with the same
-    :func:`~repro.sim.sampling.render_outcomes` routing as
+    and renders each nonzero basis outcome through the same columns as
     :func:`sample_counts_from`.  Returns ``None`` when the support exceeds
-    :data:`MAX_CACHED_OUTCOMES` (not worth persisting) or the bookkeeping
-    is inconsistent.
+    :data:`MAX_CACHED_OUTCOMES` (not worth persisting).
     """
-    slots = backend.measured_slots
-    addresses = results.write_order
-    if len(slots) != len(addresses):
-        return None
-    if not slots:
+    columns = results.columns()
+    if not columns:
         return SampledDistribution(entries=())
-
     probs = backend.inner.sampling_probabilities()
     nonzero = np.flatnonzero(probs)
     if len(nonzero) > MAX_CACHED_OUTCOMES:
         return None
-    rendered = render_outcomes(nonzero, slots, addresses, max(addresses) + 1)
+    rendered = render_outcomes(nonzero, results.values, columns)
     return SampledDistribution(entries=tuple(zip(rendered, probs[nonzero].tolist())))

@@ -10,8 +10,9 @@ turns "run N shots of this module" into per-shot tasks:
   for non-Clifford per-shot workloads where the deferred-measurement
   sampling fast path is inapplicable (mid-circuit reset, re-measurement,
   gates after measurement).  Programs with *classical feedback* on a
-  measurement abort with :class:`BatchedUnsupported` and fall back to the
-  per-shot loop;
+  measurement abort with
+  :class:`~repro.runtime.sampling_fastpath.FastPathUnsupported` and fall
+  back to the per-shot loop;
 * :class:`ProcessScheduler` -- N worker *processes* draining a shared
   :class:`~repro.runtime.dispatch.ChunkQueue` (the supervisor drains it
   into pool waves; the executor's idle processes self-schedule the
@@ -78,11 +79,11 @@ from repro.runtime.errors import (
     WorkerTimeoutError,
 )
 from repro.runtime.interpreter import Interpreter, InterpreterStats
-from repro.runtime.output import OutputRecord
-from repro.runtime.results import ResultStore
-from repro.runtime.values import IntPtr
-from repro.sim.fusion import FusedProgram, run_fused, run_fused_batched
+from repro.runtime.output import OutputRecord, output_columns
+from repro.runtime.sampling_fastpath import FastPathUnsupported, SharedStreamResults
+from repro.sim.fusion import FusedProgram, run_fused
 from repro.sim.noise import NoiseModel, NoisyBackend
+from repro.sim.sampling import render_columns
 from repro.sim.stabilizer import StabilizerSimulator
 from repro.sim.statevector import BatchedStatevectorSimulator, StatevectorSimulator
 
@@ -511,12 +512,10 @@ class ShotExecutor:
             observer=self.observer,
         )
         value = interp.run(entry)
-        bits = interp.output.result_bits()
-        # If the program recorded no output, fall back to the static result
-        # table so base-profile programs without an epilogue still report.
-        if not bits and interp.results.max_static_index >= 0:
-            table = interp.results.static_bits(interp.results.max_static_index + 1)
-            bits = [table[i] for i in sorted(table)]
+        # Record order: the rightmost bit first.
+        bits = output_columns(
+            interp.output.result_bits(), interp.results.static_bits(), 0
+        )[::-1]
         if ctx is not None and not ctx.is_inert:
             bits = ctx.mangle_bits(bits)
         bitstring = "".join(str(b) for b in reversed(bits))
@@ -558,7 +557,7 @@ class ShotExecutor:
         attempt)``.
         """
         backend = _make_backend("statevector", seed, self.max_qubits, None)
-        bits, bitstring = run_fused(schedule, backend)
+        (bitstring,) = run_fused(schedule, backend)
         # Coarse synthesized stats: the interpreter's per-instruction
         # bookkeeping does not exist here, but gate/measurement totals
         # keep profiled runs meaningful.
@@ -568,7 +567,7 @@ class ShotExecutor:
         stats.quantum_calls = schedule.source_gates + schedule.measurements
         return ExecutionResult(
             output_records=[],
-            result_bits=bits,
+            result_bits=[int(b) for b in reversed(bitstring)],
             bitstring=bitstring,
             messages=[],
             stats=stats,
@@ -1498,10 +1497,13 @@ class BatchedScheduler:
     backend, no noise, no per-shot resilience, no per-shot stats.  The
     moment the program does something one shared instruction stream
     cannot express per member -- classical feedback on an outcome,
-    dynamic `m`-style results -- the attempt aborts with
-    :class:`BatchedUnsupported` and the task falls back to the per-shot
-    path, so batched execution is sound by construction (the same
-    optimistic-abort design as the sampling fast path).
+    dynamic `m`-style results -- the shared-stream result store
+    (:class:`~repro.runtime.sampling_fastpath.SharedStreamResults`, the
+    sampling fast path's store) aborts the attempt with
+    :class:`~repro.runtime.sampling_fastpath.FastPathUnsupported` and the
+    task falls back to the per-shot path, so batched execution is sound
+    by construction.  Bitstrings follow the one output rule
+    (:func:`~repro.runtime.output.output_columns`).
     """
 
     name = "batched"
@@ -1519,7 +1521,7 @@ class BatchedScheduler:
         if reason is None:
             try:
                 return run_batched(task)
-            except BatchedUnsupported as abort:
+            except FastPathUnsupported as abort:
                 reason = str(abort)
         if obs.enabled:
             obs.inc("runtime.scheduler.batched_fallback", reason=reason)
@@ -1603,50 +1605,6 @@ def get_scheduler(
 # -- batched execution --------------------------------------------------------
 
 
-class BatchedUnsupported(Exception):
-    """Raised mid-execution when the program cannot run as one batch."""
-
-
-class BatchedResultStore(ResultStore):
-    """Result store for batched runs: static results hold per-member
-    outcome *vectors*; reading one back (classical feedback) aborts the
-    batch, while the output-recording epilogue (``read_default``) is
-    tolerated -- mirroring the sampling fast path's DeferredResultStore."""
-
-    def new_dynamic(self, value):  # noqa: D102 - see class docstring
-        raise BatchedUnsupported("dynamic (m-style) results")
-
-    def write(self, pointer: object, value) -> None:
-        if not isinstance(pointer, IntPtr):
-            raise BatchedUnsupported("dynamic result pointers")
-        super().write(pointer, value)
-
-    def read(self, pointer: object):
-        value = super().read(pointer)
-        if isinstance(value, np.ndarray):
-            raise BatchedUnsupported("program feeds back on a measurement result")
-        return value
-
-    def read_default(self, pointer: object, default: int = 0) -> int:
-        # Output recording only; per-member values are reconstructed by
-        # the batch runner from the stored vectors.
-        return default
-
-    def member_bitstring(self, member: int) -> str:
-        """Member's bitstring, highest result index leftmost (the shared
-        rendering convention of the per-shot path and the fast path)."""
-        if self.max_static_index < 0:
-            return ""
-        bits = []
-        for address in range(self.max_static_index, -1, -1):
-            value = self._static.get(address, 0)
-            if isinstance(value, np.ndarray):
-                bits.append(str(int(value[member])))
-            else:
-                bits.append(str(int(value)))
-        return "".join(bits)
-
-
 def batch_chunk_size(shots: int, required_qubits: Optional[int]) -> int:
     """How many members one batched evolution should carry.
 
@@ -1683,37 +1641,28 @@ def run_batched(task: ShotTask) -> List[ShotOutcome]:
             # the (batch, 2**n) array.  Per-member RNGs draw in the same
             # member order as the interpreter's batched measure, so
             # counts stay bit-identical.
-            strings = run_fused_batched(task.schedule, backend)
+            strings = run_fused(task.schedule, backend)
+        else:
+            results = SharedStreamResults()
+            interp = Interpreter(
+                task.module,
+                backend,  # type: ignore[arg-type]
+                step_limit=executor.step_limit,
+                allow_on_the_fly_qubits=executor.allow_on_the_fly_qubits,
+                observer=executor.observer,
+                results=results,
+            )
+            interp.run(task.entry)
             if obs.enabled:
-                obs.inc("runtime.scheduler.batched_chunks")
-            for member in range(size):
-                outcomes.append(
-                    ShotOutcome(
-                        shot=start + member,
-                        bitstring=strings[member],
-                        backend_label=executor.backend_name,
-                    )
-                )
-            start += size
-            continue
-        results = BatchedResultStore()
-        interp = Interpreter(
-            task.module,
-            backend,  # type: ignore[arg-type]
-            step_limit=executor.step_limit,
-            allow_on_the_fly_qubits=executor.allow_on_the_fly_qubits,
-            observer=executor.observer,
-            results=results,
-        )
-        interp.run(task.entry)
+                fold_intrinsic_stats(obs, interp.stats)
+            strings = render_columns(results.values, results.columns(), size)
         if obs.enabled:
             obs.inc("runtime.scheduler.batched_chunks")
-            fold_intrinsic_stats(obs, interp.stats)
-        for member in range(size):
+        for member, bitstring in enumerate(strings):
             outcomes.append(
                 ShotOutcome(
                     shot=start + member,
-                    bitstring=results.member_bitstring(member),
+                    bitstring=bitstring,
                     backend_label=executor.backend_name,
                 )
             )

@@ -22,11 +22,13 @@ the compile phase can precompute a :class:`FusedProgram`:
   the resulting state is synthesised back into amplitudes exactly once
   via :func:`stabilizer_statevector`.
 
-Executors for the scalar and batched statevector simulators live here
-too (:func:`run_fused`, :func:`run_fused_batched`); both replicate the
-interpreter path's RNG draw order (one draw per measurement, one per
-superposed reset), which is what keeps fused counts bit-identical to the
-unfused serial reference for a fixed seed.
+One executor, :func:`run_fused`, walks the schedule on either the scalar
+or the batched statevector simulator.  It replicates the interpreter
+path's RNG draw order (one draw per measurement, one per superposed
+reset), which keeps fused counts bit-identical to the unfused serial
+reference for a fixed seed, and renders through output columns the
+tracer fixed at compile time with the runtime's one output rule
+(:func:`~repro.runtime.output.output_columns`).
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ from repro.llvmir.values import (
 )
 from repro.qir.catalog import QIS_PREFIX, RT_PREFIX, parse_qis_name
 from repro.sim.gates import gate_matrix, is_clifford_gate
+from repro.sim.sampling import ZERO_COLUMN, render_columns
 from repro.sim.stabilizer import StabilizerSimulator
+from repro.sim.statevector import BatchedStatevectorSimulator
 
 __all__ = [
     "FusedProgram",
@@ -58,7 +62,6 @@ __all__ = [
     "specialize_module",
     "stabilizer_statevector",
     "run_fused",
-    "run_fused_batched",
 ]
 
 #: Fuse only while the union support stays within this many qubits (4x4
@@ -83,17 +86,16 @@ class TraceGate:
 
 
 @dataclass(frozen=True)
-class TraceMeasure:
+class MeasureOp:
     slot: int
-    address: int
 
 
 @dataclass(frozen=True)
-class TraceReset:
+class ResetOp:
     slot: int
 
 
-TraceOp = Union[TraceGate, TraceMeasure, TraceReset]
+TraceOp = Union[TraceGate, MeasureOp, ResetOp]
 
 
 @dataclass(frozen=True)
@@ -102,10 +104,10 @@ class Trace:
 
     ops: Tuple[TraceOp, ...]
     num_slots: int
-    #: Result addresses recorded by ``result_record_output`` in program
-    #: order, or ``None`` when the program records no output (then the
-    #: bitstring renders from the static result table, address-ascending).
-    output_addresses: Optional[Tuple[int, ...]]
+    #: Output columns, leftmost bit first: ``k >= 0`` names the k-th
+    #: measurement, a negative column the constant bit ``~k``
+    #: (:mod:`repro.sim.sampling`).
+    columns: Tuple[int, ...]
 
 
 def _resolve_entry(module: Module, entry: Optional[str]):
@@ -185,8 +187,10 @@ def extract_trace(module: Module, entry: Optional[str] = None) -> Optional[Trace
         return slot
 
     ops: List[TraceOp] = []
+    # Result address -> index of the measurement that last wrote it.
+    written: Dict[int, int] = {}
+    measurements = 0
     recorded: List[int] = []
-    has_records = False
 
     for inst in block.instructions:
         if isinstance(inst, ReturnInst):
@@ -206,7 +210,9 @@ def extract_trace(module: Module, entry: Optional[str] = None) -> Optional[Trace
                 result = _const_address(operands[1])
                 if qubit is None or result is None:
                     return None
-                ops.append(TraceMeasure(slot_for(qubit), result))
+                written[result] = measurements
+                measurements += 1
+                ops.append(MeasureOp(slot_for(qubit)))
                 continue
             if qis.gate == "reset":
                 if len(operands) != 1:
@@ -214,7 +220,7 @@ def extract_trace(module: Module, entry: Optional[str] = None) -> Optional[Trace
                 qubit = _const_address(operands[0])
                 if qubit is None:
                     return None
-                ops.append(TraceReset(slot_for(qubit)))
+                ops.append(ResetOp(slot_for(qubit)))
                 continue
             if qis.gate in ("m", "read_result"):
                 return None  # dynamic results / feedback: not traceable
@@ -238,17 +244,20 @@ def extract_trace(module: Module, entry: Optional[str] = None) -> Optional[Trace
             address = _const_address(inst.operands[0]) if inst.operands else None
             if address is None:
                 return None
-            has_records = True
-            recorded.append(address)
+            recorded.append(written.get(address, ZERO_COLUMN))
             continue
         if name in _RT_IGNORED:
             continue
         return None  # allocation, messages, feedback, defined calls: bail
 
+    # Imported here: repro.runtime's package import reaches back into
+    # this module (the plan compiler specializes through it).
+    from repro.runtime.output import output_columns
+
     return Trace(
         ops=tuple(ops),
         num_slots=len(binding),
-        output_addresses=tuple(recorded) if has_records else None,
+        columns=tuple(output_columns(recorded, written, ZERO_COLUMN)),
     )
 
 
@@ -262,17 +271,6 @@ class KernelOp:
     matrix: np.ndarray
     qubits: Tuple[int, ...]
     gates: int  # source gates folded into this kernel
-
-
-@dataclass(frozen=True)
-class MeasureOp:
-    slot: int
-    address: int
-
-
-@dataclass(frozen=True)
-class ResetOp:
-    slot: int
 
 
 ScheduleOp = Union[KernelOp, MeasureOp, ResetOp]
@@ -291,7 +289,7 @@ class FusedProgram:
     num_slots: int
     prefix: Tuple[TraceGate, ...]
     ops: Tuple[ScheduleOp, ...]
-    output_addresses: Optional[Tuple[int, ...]]
+    columns: Tuple[int, ...]
     source_gates: int
 
     @property
@@ -423,16 +421,13 @@ def build_schedule(
             continue
         ops.extend(_fuse_gates(run))
         run = []
-        if isinstance(op, TraceMeasure):
-            ops.append(MeasureOp(op.slot, op.address))
-        else:
-            ops.append(ResetOp(op.slot))
+        ops.append(op)  # measure / reset: kept in place, never fused
     ops.extend(_fuse_gates(run))
     return FusedProgram(
         num_slots=trace.num_slots,
         prefix=prefix,
         ops=tuple(ops),
-        output_addresses=trace.output_addresses,
+        columns=trace.columns,
         source_gates=gates,
     )
 
@@ -535,64 +530,27 @@ def _prefix_state(program: FusedProgram) -> np.ndarray:
     return stabilizer_statevector(tableau)
 
 
-def run_fused(program: FusedProgram, simulator) -> Tuple[List[int], str]:
-    """Execute a schedule on a scalar :class:`StatevectorSimulator`.
+def run_fused(program: FusedProgram, simulator) -> List[str]:
+    """Execute a schedule; one bitstring per shot the simulator carries.
 
-    Returns ``(bits, bitstring)`` with exactly the per-shot path's
-    rendering: recorded output order when the program records results,
-    address-ascending static-table order otherwise, reversed so the
-    highest index is leftmost.
+    ``simulator`` is a scalar :class:`StatevectorSimulator` (one shot) or
+    a :class:`BatchedStatevectorSimulator` (one shot per member).  Each
+    measurement's value -- an int, or one outcome per member -- is
+    collected in schedule order and rendered through the program's
+    output columns.
     """
     simulator.ensure_qubits(program.num_slots)
     if program.prefix:
         simulator.load_state(_prefix_state(program))
-    values: Dict[int, int] = {}
+    values: list = []
     for op in program.ops:
         if isinstance(op, KernelOp):
             simulator.apply_matrix(op.matrix, list(op.qubits))
         elif isinstance(op, MeasureOp):
-            values[op.address] = int(simulator.measure(op.slot))
+            values.append(simulator.measure(op.slot))
         else:
             simulator.reset(op.slot)
-    if program.output_addresses is not None:
-        bits = [values.get(a, 0) for a in program.output_addresses]
-    elif values:
-        # Static-table fallback rendering: addresses 0..max ascending,
-        # unwritten slots defaulting to 0 (ResultStore.static_bits).
-        bits = [values.get(a, 0) for a in range(max(values) + 1)]
-    else:
-        bits = []
-    return bits, "".join(str(b) for b in reversed(bits))
-
-
-def run_fused_batched(program: FusedProgram, simulator) -> List[str]:
-    """Execute a schedule on a :class:`BatchedStatevectorSimulator`.
-
-    Returns one bitstring per member, rendered address-descending like
-    :meth:`BatchedResultStore.member_bitstring` (the batched scheduler's
-    convention -- identical to the per-shot strings for the programs the
-    tracer accepts, whose record order follows address order).
-    """
-    simulator.ensure_qubits(program.num_slots)
-    if program.prefix:
-        simulator.load_state(_prefix_state(program))
-    values: Dict[int, np.ndarray] = {}
-    for op in program.ops:
-        if isinstance(op, KernelOp):
-            simulator.apply_matrix(op.matrix, list(op.qubits))
-        elif isinstance(op, MeasureOp):
-            values[op.address] = simulator.measure(op.slot)
-        else:
-            simulator.reset(op.slot)
-    if not values:
-        return ["" for _ in range(simulator.batch)]
-    addresses = range(max(values), -1, -1)
-    out: List[str] = []
-    for member in range(simulator.batch):
-        out.append(
-            "".join(
-                str(int(values[a][member])) if a in values else "0"
-                for a in addresses
-            )
-        )
-    return out
+    if isinstance(simulator, BatchedStatevectorSimulator):
+        return render_columns(values, program.columns, simulator.batch)
+    # One shot: a plain index-and-join costs less than numpy's set-up.
+    return ["".join([str(values[c] if c >= 0 else ~c) for c in program.columns])]

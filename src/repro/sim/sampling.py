@@ -2,33 +2,58 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
+#: Output columns name where each bit of a rendered bitstring comes from,
+#: leftmost first: a column ``k >= 0`` reads the k-th measurement, and a
+#: negative column ``c`` is the constant bit ``~c`` (``~1`` for a
+#: ``result_get_one`` record, ``ZERO_COLUMN`` for an unwritten result).
+ZERO_COLUMN = ~0
 
-def render_outcomes(basis, slots, addresses, width: int) -> List[str]:
-    """Render basis-state indices as ``width``-bit strings, highest address
-    first: bit ``slots[k]`` goes to ``addresses[k]`` (a later write wins),
-    unwritten addresses read ``0`` and addresses outside ``0..width-1`` are
-    not rendered.  A ``uint8`` matrix is filled one column per address and
-    its rows read back as ``S{width}`` strings, so no Python code runs per
-    outcome."""
-    if width <= 0:
-        return [""] * len(basis)
-    written = {a: s for a, s in zip(addresses, slots) if 0 <= a < width}
-    chars = np.full((len(basis), width), ord("0"), dtype=np.uint8)
-    columns = width - 1 - np.array(list(written), dtype=np.int64)
-    shifts = np.array(list(written.values()), dtype=np.int64)
-    chars[:, columns] = ((np.asarray(basis, dtype=np.int64)[:, None] >> shifts) & 1) + ord("0")
+T = TypeVar("T")
+
+
+def table_columns(table: Mapping[int, T], unwritten: T, width: Optional[int] = None) -> List[T]:
+    """A static result table as output columns, highest address first.
+
+    Addresses ``width-1 .. 0`` are rendered (``width`` defaults to one
+    past the highest address in ``table``); an address missing from
+    ``table`` reads ``unwritten``, and addresses outside ``0..width-1``
+    are not rendered."""
+    if width is None:
+        width = max(table, default=-1) + 1
+    return [table.get(address, unwritten) for address in range(width - 1, -1, -1)]
+
+
+def render_columns(values: Sequence[np.ndarray], columns: Sequence[int], rows: int) -> List[str]:
+    """Render ``rows`` bitstrings through ``columns``; ``values[k]`` holds
+    the k-th measurement's bit in every row.  A ``uint8`` matrix is filled
+    one column at a time and its rows read back as ``S{width}`` strings,
+    so no Python code runs per row."""
+    width = len(columns)
+    if width == 0:
+        return [""] * rows
+    chars = np.empty((rows, width), dtype=np.uint8)
+    for index, column in enumerate(columns):
+        chars[:, index] = values[column] if column >= 0 else ~column
+    chars += ord("0")
     return chars.view(f"S{width}").ravel().astype(str).tolist()
 
 
-def render_counts(basis, counts, slots, addresses, width: int) -> Dict[str, int]:
+def render_outcomes(basis, slots, columns: Sequence[int]) -> List[str]:
+    """Render basis-state indices: measurement ``k`` reads bit ``slots[k]``
+    of the index, and ``columns`` picks and orders the output bits."""
+    basis = np.asarray(basis, dtype=np.int64)
+    return render_columns([(basis >> slot) & 1 for slot in slots], columns, len(basis))
+
+
+def render_counts(basis, counts, slots, columns: Sequence[int]) -> Dict[str, int]:
     """Histogram of :func:`render_outcomes` over distinct ``basis`` indices
     drawn ``counts`` times; indices that render alike are summed."""
     histogram: Dict[str, int] = {}
-    for bits, count in zip(render_outcomes(basis, slots, addresses, width), counts.tolist()):
+    for bits, count in zip(render_outcomes(basis, slots, columns), counts.tolist()):
         histogram[bits] = histogram.get(bits, 0) + count
     return histogram
 
@@ -48,7 +73,8 @@ def sample_counts(
     probs = probs / probs.sum()
     outcomes = rng.choice(len(probs), size=shots, p=probs)
     bits = range(num_bits)
-    return render_counts(*np.unique(outcomes, return_counts=True), bits, bits, num_bits)
+    columns = table_columns({bit: bit for bit in bits}, ZERO_COLUMN)
+    return render_counts(*np.unique(outcomes, return_counts=True), bits, columns)
 
 
 def counts_to_probabilities(counts: Mapping[str, int]) -> Dict[str, float]:

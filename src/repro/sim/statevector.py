@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.sim.gates import gate_matrix
-from repro.sim.sampling import render_counts
+from repro.sim.sampling import ZERO_COLUMN, render_counts, table_columns
 
 _ATOL = 1e-12
 
@@ -281,7 +281,8 @@ class StatevectorSimulator:
         """
         basis, counts = self.sample_basis(shots)
         qubits = list(qubits) if qubits is not None else list(range(self._num_qubits))
-        return render_counts(basis, counts, qubits, range(len(qubits)), len(qubits))
+        columns = table_columns({k: k for k in range(len(qubits))}, ZERO_COLUMN)
+        return render_counts(basis, counts, qubits, columns)
 
 
 class BatchedStatevectorSimulator:
@@ -297,6 +298,9 @@ class BatchedStatevectorSimulator:
     mid-circuit resets, re-measurement, and gates after measurement are
     all supported; only *classical feedback* on an outcome is not, since
     one instruction stream cannot branch differently per member.
+    :meth:`measure` returns one outcome per member; callers render the
+    members' bitstrings through the output rule's columns
+    (:func:`repro.sim.sampling.render_columns`).
 
     Determinism contract: member ``i`` seeded with seed ``s`` draws the
     exact uniform sequence -- and applies bit-identical gate arithmetic --

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.output import OutputRecord, OutputRecorder
+from repro.runtime.output import OutputRecord, OutputRecorder, output_columns
 from repro.runtime.results import RESULT_ONE, RESULT_ZERO, ResultStore
 from repro.runtime.errors import QirRuntimeError
 from repro.runtime.values import (
@@ -34,9 +34,10 @@ class TestOutputRecorder:
         rec.record("ARRAY", 3, None)
         rec.record("RESULT", 1, None)
         rec.record("RESULT", 0, None)
-        rec.record("RESULT", 1, None)
-        assert rec.result_bits() == [1, 0, 1]
-        assert rec.bitstring() == "101"
+        rec.record("RESULT", 0, None)
+        assert rec.result_bits() == [1, 0, 0]
+        # The last record is the leftmost bit; the table is not consulted.
+        assert output_columns(rec.result_bits(), {5: 1}, 0) == [0, 0, 1]
 
     def test_clear(self):
         rec = OutputRecorder()
@@ -79,8 +80,10 @@ class TestResultStore:
     def test_static_bits_table(self):
         store = ResultStore()
         store.write(IntPtr(0), 1)
-        store.write(IntPtr(2), 1)
-        assert store.static_bits(3) == {0: 1, 1: 0, 2: 1}
+        store.write(IntPtr(2), 0)
+        assert store.static_bits() == {0: 1, 2: 0}
+        # With no RESULT record the table renders max..0, gaps reading 0.
+        assert output_columns([], store.static_bits(), 0) == [0, 0, 1]
 
     def test_non_result_pointer_rejected(self):
         store = ResultStore()

@@ -4,9 +4,11 @@ import pytest
 
 from repro.qir import AdaptiveProfile, SimpleModule
 from repro.runtime import QirRuntime
-from repro.runtime.sampling_fastpath import FastPathUnsupported
+from repro.runtime.results import RESULT_ONE
+from repro.runtime.sampling_fastpath import FastPathUnsupported, SharedStreamResults
+from repro.runtime.values import IntPtr
 from repro.sim import NoiseModel
-from repro.sim.sampling import counts_to_probabilities, total_variation_distance
+from repro.sim.sampling import ZERO_COLUMN, counts_to_probabilities, total_variation_distance
 from repro.workloads.qec import teleportation_qir
 from repro.workloads.qir_programs import bell_qir, ghz_qir
 
@@ -140,3 +142,34 @@ class TestCorrectness:
         a = QirRuntime(seed=15).run_shots(bell_qir("static"), shots=200).counts
         b = QirRuntime(seed=15).run_shots(bell_qir("static"), shots=200).counts
         assert a == b
+
+
+class TestSharedStreamResults:
+    def test_dynamic_result_declines_at_the_first_m_call(self):
+        with pytest.raises(FastPathUnsupported, match="dynamic"):
+            SharedStreamResults().new_dynamic(0)
+
+    def test_reading_a_written_result_declines(self):
+        store = SharedStreamResults()
+        store.write(IntPtr(1), 4)
+        with pytest.raises(FastPathUnsupported, match="feeds back"):
+            store.read(IntPtr(1))
+        assert store.read(RESULT_ONE) == 1
+
+    def test_records_snapshot_the_measurement_at_record_time(self):
+        store = SharedStreamResults()
+        store.read_default(IntPtr(0))  # before any write: constant 0
+        store.write(IntPtr(0), "first")
+        store.read_default(IntPtr(0))
+        store.write(IntPtr(0), "second")
+        store.read_default(IntPtr(0))
+        store.read_default(RESULT_ONE)
+        assert store.values == ["first", "second"]
+        assert store.columns() == [~1, 1, 0, ZERO_COLUMN]
+
+    def test_without_records_the_final_table_is_rendered(self):
+        store = SharedStreamResults()
+        store.write(IntPtr(2), "a")
+        store.write(IntPtr(0), "b")
+        store.write(IntPtr(2), "c")
+        assert store.columns() == [2, ZERO_COLUMN, 1]

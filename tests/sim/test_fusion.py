@@ -17,6 +17,8 @@ Covers the three specialization tiers end to end:
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from repro.workloads.qir_programs import (
 )
 
 SEED = 11
+RECORD_ORDER = str(Path(__file__).resolve().parents[2] / "examples" / "record_order.ll")
 
 
 def _per_gate_state(trace, num_slots: int) -> np.ndarray:
@@ -236,8 +239,9 @@ def test_distribution_entry_validation_fails_closed():
             SampledDistribution.from_entries(bad)
 
 
-@pytest.mark.parametrize("version", [1, PLAN_WIRE_VERSION + 1])
+@pytest.mark.parametrize("version", [1, 2, PLAN_WIRE_VERSION + 1])
 def test_wrong_wire_versions_fail_closed(version):
+    assert PLAN_WIRE_VERSION == 3
     plan = compile_plan(ghz_qir(3, addressing="static"))
     payload = json.loads(plan.to_bytes())
     payload["wire_version"] = version
@@ -281,6 +285,37 @@ def test_plan_cache_verify_deletes_corrupt_distribution(tmp_path):
     assert report.corrupt == [path]
     assert cache.get(plan.key) is None  # deleted: clean miss, no crash
     assert observer.metrics.value("cache.plan_disk.corrupt", 0) >= 1
+
+
+def test_plan_cache_treats_a_v2_entry_as_a_miss(tmp_path, monkeypatch):
+    # A v2 distribution may hold the old static-table rendering of a
+    # program with RESULT records, so it must be recompiled, not served.
+    import repro.runtime.plan as plan_module
+    import repro.runtime.plancache as plancache_module
+
+    with open(RECORD_ORDER) as handle:
+        text = handle.read()
+    plan = _warmed_plan(text)
+    with monkeypatch.context() as patch:
+        patch.setattr(plan_module, "PLAN_WIRE_VERSION", 2)
+        patch.setattr(plancache_module, "PLAN_WIRE_VERSION", 2)
+        v2_path = PlanCache(str(tmp_path)).put(plan.key, plan)
+    with open(v2_path, "rb") as handle:
+        assert json.loads(handle.read())["wire_version"] == 2
+
+    cache = PlanCache(str(tmp_path))
+    assert cache.path_for(plan.key) != v2_path
+    assert cache.get(plan.key) is None
+    assert cache.stats["misses"] == 1
+
+    # Even found at the v3 address, the v2 bytes are dropped and the
+    # session recompiles; the cold run renders from the records.
+    shutil.copy(v2_path, cache.path_for(plan.key))
+    session = QirSession(runtime=QirRuntime(seed=SEED), plan_cache_dir=str(tmp_path))
+    result = session.run_shots(text, shots=20)
+    assert session.plan_cache.stats["corrupt"] == 1
+    assert not result.distribution_served
+    assert result.counts == {"100": 20}
 
 
 def test_warm_serve_is_bit_identical_to_cold_fastpath():

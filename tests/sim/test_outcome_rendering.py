@@ -8,7 +8,8 @@ routing exact:
   tables) of every sampling surface on a fixed corpus at fixed seeds.  It
   was recorded with the per-outcome Python loops the vectorised renderer
   replaced, so any change to a bit, a key or an RNG draw shows up here.
-* A property test checks :func:`render_outcomes` against
+* A property test checks the static-table helper composed with
+  :func:`render_outcomes` (:func:`static_render`) against
   :func:`reference_render`, the original loop, kept below as the spec.
 """
 
@@ -23,7 +24,7 @@ from repro.circuit import Circuit, run_circuit
 from repro.qir import SimpleModule
 from repro.runtime import QirRuntime, QirSession
 from repro.runtime.sampling_fastpath import MAX_CACHED_OUTCOMES
-from repro.sim.sampling import render_outcomes, sample_counts
+from repro.sim.sampling import ZERO_COLUMN, render_outcomes, sample_counts, table_columns
 from repro.sim.statevector import StatevectorSimulator
 from repro.workloads.qir_programs import bell_qir, ghz_qir
 
@@ -42,6 +43,14 @@ def reference_render(basis, slots, addresses, width):
     for slot, address in zip(slots, addresses):
         by_address[address] = str((basis >> slot) & 1)
     return "".join(by_address.get(address, "0") for address in range(width - 1, -1, -1))
+
+
+def static_render(basis, slots, addresses, width):
+    """The renderer a static result table drives: measurement ``k`` reads
+    bit ``slots[k]`` and writes ``addresses[k]``; the table's columns come
+    from :func:`table_columns`."""
+    table = {address: k for k, address in enumerate(addresses)}
+    return render_outcomes(basis, slots, table_columns(table, ZERO_COLUMN, width))
 
 
 # -- corpus -------------------------------------------------------------------
@@ -222,23 +231,26 @@ def _routing(draw):
 def test_render_matches_reference_loop(case):
     basis, slots, addresses, width = case
     expected = [reference_render(b, slots, addresses, width) for b in basis]
-    assert render_outcomes(np.asarray(basis, dtype=np.int64), slots, addresses, width) == expected
+    assert static_render(np.asarray(basis, dtype=np.int64), slots, addresses, width) == expected
 
 
 def test_render_examples():
     basis = np.array([0b101, 0b011, 0b000])
     # q0 -> address 2, q2 -> address 0, address 1 unwritten.
-    assert render_outcomes(basis, [0, 2], [2, 0], 3) == ["101", "100", "000"]
+    assert static_render(basis, [0, 2], [2, 0], 3) == ["101", "100", "000"]
     # Address 0 written twice: the later write (q1) wins.
-    assert render_outcomes(basis, [0, 1], [0, 0], 1) == ["0", "1", "0"]
-    assert render_outcomes(basis, [], [], 0) == ["", "", ""]
-    assert render_outcomes(np.array([], dtype=np.int64), [0], [0], 2) == []
+    assert static_render(basis, [0, 1], [0, 0], 1) == ["0", "1", "0"]
+    assert static_render(basis, [], [], 0) == ["", "", ""]
+    assert static_render(np.array([], dtype=np.int64), [0], [0], 2) == []
+    # Columns straight from RESULT records: q2 leftmost, a constant one,
+    # then a record made before anything was measured (constant zero).
+    assert render_outcomes(basis, [0, 2], [1, ~1, ZERO_COLUMN]) == ["110", "010", "010"]
 
 
 def test_render_skips_addresses_outside_the_width():
     # A program may write result address -1 (``inttoptr (i64 -1 ...)``);
     # like the per-shot path, the fast path does not render it.
-    assert render_outcomes(np.array([0b11]), [0, 1], [-1, 0], 1) == ["1"]
-    assert render_outcomes(np.array([0b11]), [0, 1], [3, 0], 2) == ["01"]
-    assert render_outcomes(np.array([0b11]), [0], [-1], 0) == [""]
-    assert render_outcomes(np.array([0b11]), [0], [-3], -2) == [""]
+    assert static_render(np.array([0b11]), [0, 1], [-1, 0], 1) == ["1"]
+    assert static_render(np.array([0b11]), [0, 1], [3, 0], 2) == ["01"]
+    assert static_render(np.array([0b11]), [0], [-1], 0) == [""]
+    assert static_render(np.array([0b11]), [0], [-3], -2) == [""]

@@ -1,5 +1,7 @@
 """Tests for the qir-run / qir-opt / qir-translate command-line tools."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.tools.qir_opt import main as opt_main
@@ -21,6 +23,8 @@ def loop_file(tmp_path):
     path.write_text(counted_loop_qir(4))
     return str(path)
 
+
+RECORD_ORDER = str(Path(__file__).resolve().parents[2] / "examples" / "record_order.ll")
 
 QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -184,6 +188,37 @@ class TestQirRunSchedulers:
                              *flags]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],  # the default: sampling fast path
+            ["--scheduler", "serial"],
+            ["--scheduler", "serial", "--retries", "2"],  # per-shot loop
+            ["--scheduler", "batched"],
+            ["--scheduler", "process", "--jobs", "2"],
+            ["--scheduler", "process", "--jobs", "2", "--retries", "2"],
+            ["--no-fusion"],
+            ["--no-fusion", "--retries", "2"],
+        ],
+    )
+    def test_histogram_keys_are_the_single_shot_records(self, flags, capsys):
+        # record_order.ll records a subset of its results in reverse order,
+        # one of them before it is measured; every tier must print the
+        # RESULT records' bitstring, last record leftmost.
+        assert run_main([RECORD_ORDER, "--seed", "7"]) == 0
+        records = [
+            line.split("\t")[2]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("OUTPUT\tRESULT")
+        ]
+        assert records == ["0", "0", "1"]
+        assert run_main([RECORD_ORDER, "--shots", "50", "--seed", "7", *flags]) == 0
+        histogram = [
+            line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("TIMING")
+        ]
+        assert histogram == ["".join(reversed(records)) + "\t50"]
 
     def test_jobs_with_serial_is_usage_error(self, bell_file, capsys):
         assert run_main([bell_file, "--shots", "10", "--jobs", "4"]) == 2
@@ -474,6 +509,20 @@ class TestQirTranslate:
         assert translate_main([str(path), "--to", "qasm2"]) == 0
         out = capsys.readouterr().out
         assert "if(" in out  # conditionals survive as QASM2 ifs
+
+    def test_recursive_gate_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "rec.qasm"
+        path.write_text(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\ngate g a { g a; }\nqreg q[1];\ng q[0];\n'
+        )
+        # Returning (rather than raising) proves no traceback escaped.
+        assert translate_main([str(path), "--to", "qir"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "qir-translate: cannot read qasm2 input: line 3: "
+            "gate 'g' calls 'g' before it is defined"
+        ]
 
     def test_untranslatable_input(self, tmp_path, capsys):
         path = tmp_path / "loop.ll"
