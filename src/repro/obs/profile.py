@@ -137,17 +137,12 @@ def render_profile(observer: Observer, title: str = "qir profile") -> str:
 
     # -- scheduler (execute phase) --------------------------------------------
     sched_runs = _labeled(counters, "runtime.scheduler.runs", "scheduler")
-    sched_falls = _labeled(counters, "runtime.scheduler.batched_fallback", "reason")
     sched_lines: List[str] = []
     for name in sorted(sched_runs):
         sched_lines.append(f"  runs[{name}]{'':<14}{_fmt(sched_runs[name])}")
     for key in sorted(k for k in list(counters) if k.startswith("runtime.scheduler.")):
         short = key[len("runtime.scheduler."):]
         sched_lines.append(f"  {short:<22}{_fmt(counters.pop(key))}")
-    for reason in sorted(sched_falls):
-        sched_lines.append(
-            f"  batched fell back to serial x{_fmt(sched_falls[reason])}: {reason}"
-        )
     out += _section("scheduler", sched_lines)
 
     # -- supervision (process-scheduler worker watchdog) ----------------------

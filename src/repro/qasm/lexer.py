@@ -5,6 +5,14 @@ from __future__ import annotations
 import re
 from typing import Iterator, List, NamedTuple, Optional, Type
 
+#: Statements one program may unroll to: QASM3 loop iterations over all
+#: (nested) loops, QASM2 gate-body statements over all expansions.
+MAX_UNROLL = 100_000
+
+#: Qubits plus classical bits one program may declare over all registers;
+#: a declaration's size is otherwise unbounded work for every later stage.
+MAX_DECLARED_BITS = 16_384
+
 
 class QasmToken(NamedTuple):
     kind: str  # ID NUMBER STRING PUNCT ARROW EQEQ
@@ -81,6 +89,7 @@ class TokenCursor:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.pos = 0
+        self.declared_bits = 0
 
     def _peek(self, offset: int = 0) -> Optional[QasmToken]:
         index = self.pos + offset
@@ -105,6 +114,16 @@ class TokenCursor:
             self.pos += 1
             return tok
         return None
+
+    def _declare_bits(self, size: int, line: int) -> None:
+        """Count one register declaration against :data:`MAX_DECLARED_BITS`."""
+        self.declared_bits += size
+        if self.declared_bits > MAX_DECLARED_BITS:
+            raise self.error(
+                f"declares {self.declared_bits} bits in total (at most "
+                f"{MAX_DECLARED_BITS} qubits and bits are supported)",
+                line,
+            )
 
     def _texts(self) -> Iterator[str]:
         """The remaining token texts (end of input raises)."""

@@ -16,7 +16,7 @@ from repro.circuit.circuit import Circuit
 from repro.circuit.operations import GateOperation, Operation, Reset
 from repro.circuit.registers import ClassicalRegister, QuantumRegister, Qubit
 from repro.qasm.expr import evaluate_arguments
-from repro.qasm.lexer import QasmError, QasmToken, TokenCursor
+from repro.qasm.lexer import MAX_UNROLL, QasmError, QasmToken, TokenCursor
 
 # Gates provided by qelib1.inc (plus the builtins U and CX), mapped to the
 # canonical vocabulary.  u0/u1/u2/u3 are expressed through p/u3.
@@ -83,6 +83,8 @@ class _Parser2(TokenCursor):
         self.cregs: Dict[str, ClassicalRegister] = {}
         self.gate_defs: Dict[str, _GateDef] = {}
         self.included_qelib = False
+        #: Gate-body statements expanded so far, against MAX_UNROLL.
+        self.expanded = 0
 
     # -- top level ---------------------------------------------------------------
     def parse(self) -> Circuit:
@@ -178,6 +180,7 @@ class _Parser2(TokenCursor):
         self._expect("PUNCT", ";")
         if "." in size.text:
             raise QasmParseError("register size must be an integer", size.line)
+        self._declare_bits(int(size.text), size.line)
         return name.text, int(size.text)
 
     # -- gate definitions -----------------------------------------------------------
@@ -356,6 +359,11 @@ class _Parser2(TokenCursor):
     ) -> List[Operation]:
         if not statement:
             return []
+        self.expanded += 1
+        if self.expanded > MAX_UNROLL:
+            raise QasmParseError(
+                f"gate expansion exceeds {MAX_UNROLL} statements", line
+            )
         head = statement[0]
         if head.text == "barrier":
             return []

@@ -22,16 +22,13 @@ from repro.circuit.circuit import Circuit
 from repro.circuit.operations import ConditionalOperation, GateOperation, Reset
 from repro.circuit.registers import ClassicalRegister, QuantumRegister, Qubit
 from repro.qasm.expr import evaluate_arguments, evaluate_expression
-from repro.qasm.lexer import QasmError, TokenCursor
+from repro.qasm.lexer import MAX_UNROLL, QasmError, TokenCursor
 from repro.qasm.parser2 import _QELIB_GATES
 
 
 class Qasm3ParseError(QasmError):
     """An OpenQASM 3 program could not be parsed."""
 
-
-#: Statements one program may unroll to, over all its (nested) loops.
-_MAX_UNROLL = 100_000
 
 #: Loops may nest this deep; replaying a body recurses once per level.
 _MAX_LOOP_NESTING = 16
@@ -107,6 +104,7 @@ class _Parser3(TokenCursor):
             size_tok = self._expect("NUMBER")
             self._expect("PUNCT", "]")
             size = int(size_tok.text)
+            self._declare_bits(size, size_tok.line)
         name = self._expect("ID")
         self._expect("PUNCT", ";")
         if kind == "qubit":
@@ -280,8 +278,10 @@ class _Parser3(TokenCursor):
             raise Qasm3ParseError(
                 f"loops nest deeper than {_MAX_LOOP_NESTING}", type_tok.line
             )
-        if math.prod(self.trips) * trips > _MAX_UNROLL:
-            raise Qasm3ParseError(f"loop range [{lo}:{hi}] too large to unroll")
+        if math.prod(self.trips) * trips > MAX_UNROLL:
+            raise Qasm3ParseError(
+                f"loop range [{lo}:{hi}] too large to unroll", type_tok.line
+            )
         outer = self.loop_vars.get(var)
         # The parser itself performs the unrolling (the very machinery QIR
         # inherits from LLVM): replay the body token range per iteration.

@@ -28,8 +28,8 @@ or other rules -- so failure sets are exactly reproducible.
 The three ``worker_*``/``ipc_*`` sites are **process-level**: they model
 the machinery around the interpreter failing, not the shot itself, so
 they are consulted only by the process scheduler's worker loop (see
-:mod:`repro.runtime.schedulers`) and are inert under the serial and
-batched schedulers.  Their ``failures`` field counts
+:mod:`repro.runtime.schedulers`) and are inert under the serial
+scheduler.  Their ``failures`` field counts
 *chunk dispatch attempts* instead of shot attempts: ``failures=1``
 crashes the first dispatch of a poisoned chunk and lets the re-queued
 dispatch succeed, while the

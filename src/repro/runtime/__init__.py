@@ -61,7 +61,6 @@ from repro.runtime.dispatch import (
 )
 from repro.runtime.schedulers import (
     SCHEDULERS,
-    BatchedScheduler,
     ProcessScheduler,
     SerialScheduler,
     ShotOutcome,
@@ -112,7 +111,6 @@ __all__ = [
     "plan_key",
     "SCHEDULERS",
     "SerialScheduler",
-    "BatchedScheduler",
     "ProcessScheduler",
     "ShotOutcome",
     "SupervisionRecord",

@@ -10,11 +10,13 @@ Architecturally this module is now a thin front over the two-phase stack:
 * the **compile phase** (:mod:`repro.runtime.plan`) turns source into a
   frozen :class:`~repro.runtime.plan.ExecutionPlan` (``run_shots`` accepts
   one anywhere it accepts source, skipping the frontend entirely);
-* the **execute phase** (:mod:`repro.runtime.schedulers`) runs the shots
-  through a pluggable :class:`ShotScheduler` -- ``serial`` (default),
-  ``batched`` (one vectorised statevector evolution), or ``process``
-  (``jobs=N`` worker processes fed serialized plans) -- all of which
-  reproduce identical ``counts`` for the same ``seed=`` thanks to
+* the **execute phase** (:mod:`repro.runtime.schedulers`) serves the
+  shots from the first tier that applies: the plan's cached distribution,
+  the sampling fast path (one evolution, then joint sampling), the batch
+  (one vectorised evolution of the plan's fused schedule), or the
+  per-shot loop on the requested placement -- ``serial`` (default) or
+  ``process`` (``jobs=N`` worker processes fed serialized plans).  Every
+  tier reproduces identical ``counts`` for the same ``seed=`` thanks to
   spawned per-shot seeding.
 
 For cross-call caching of parsed modules and compiled plans, use
@@ -44,7 +46,7 @@ from repro.resilience.fallback import BackendLevel, FallbackChain, program_is_cl
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.retry import RetryPolicy
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.plan import ExecutionPlan, _analyze_entry, compile_plan
+from repro.runtime.plan import ExecutionPlan, compile_plan
 from repro.runtime.sampling_fastpath import (
     DeferredMeasurementBackend,
     FastPathUnsupported,
@@ -58,10 +60,12 @@ from repro.runtime.schedulers import (
     ShotExecutor,
     ShotTask,
     ShotsResult,
+    batch_chunk_size,
     build_shots_result,
     fastpath_sequence,
     fold_intrinsic_stats,
     get_scheduler,
+    run_batched,
     sorted_counts as _sorted_counts,
 )
 from repro.sim.noise import NoiseModel
@@ -93,10 +97,10 @@ class QirRuntime:
     >>> result = rt.execute(qir_text)
     >>> counts = rt.run_shots(qir_text, shots=1000).counts
 
-    ``scheduler``/``jobs`` pick the default execute-phase strategy for
-    ``run_shots`` (overridable per call): ``serial``, ``batched``
-    (vectorised multi-shot evolution), or ``process`` (``jobs`` worker
-    processes); see :func:`~repro.runtime.schedulers.get_scheduler`.
+    ``scheduler``/``jobs`` pick the default placement of the per-shot
+    loop for ``run_shots`` (overridable per call): ``serial`` or
+    ``process`` (``jobs`` worker processes); see
+    :func:`~repro.runtime.schedulers.get_scheduler`.
     """
 
     def __init__(
@@ -121,7 +125,7 @@ class QirRuntime:
         self.noise = noise
         #: Plan specialization toggles (qir-run --no-fusion /
         #: --no-dist-cache): ``fusion`` gates the fused kernel schedule in
-        #: the per-shot and batched paths; ``dist_cache`` gates both
+        #: the per-shot loop and the batch; ``dist_cache`` gates both
         #: serving from and capturing a plan's memoized distribution.
         self.fusion = fusion
         self.dist_cache = dist_cache
@@ -185,18 +189,23 @@ class QirRuntime:
         ``sampling``:
 
         * ``"auto"`` (default) -- attempt the deferred-measurement fast path
-          (one statevector evolution, then joint sampling) and fall back to
-          per-shot interpretation when the program is not sampleable (mid-
-          circuit feedback, re-measurement, noise, non-statevector backend);
-        * ``"never"`` -- always interpret per shot (the qir-runner model);
+          (one statevector evolution, then joint sampling); when the
+          program is not sampleable (mid-circuit reset, re-measurement,
+          feedback) run it in the batch if the plan allows, else per shot;
+        * ``"never"`` -- always run one shot at a time (the qir-runner model);
         * ``"require"`` -- fast path or raise :class:`FastPathUnsupported`.
 
-        ``scheduler`` / ``jobs`` override the runtime's default execute
-        strategy for this call; :func:`get_scheduler` validates them
-        together with the process-only options below.  The ``batched``
-        scheduler never takes the sampling fast path (it exists for the
-        programs the fast path rejects), so ``sampling="require"`` with it
-        raises.  The
+        The batch (:func:`~repro.runtime.schedulers.run_batched`) is picked
+        from the plan, not by an option: it serves an ``"auto"`` run the
+        fast path declined when the program is an :class:`ExecutionPlan`
+        with a fused schedule (fusion on, within ``max_qubits``) on the
+        clean statevector, in-thread (``jobs == 1``), not resilient,
+        without ``keep_stats``, and for more than one shot.  Its result
+        reports ``scheduler == "batched"``.
+
+        ``scheduler`` / ``jobs`` override the runtime's default placement
+        of the per-shot loop for this call; :func:`get_scheduler`
+        validates them together with the process-only options below.  The
         ``process`` scheduler ships the compiled plan to worker processes
         as :meth:`ExecutionPlan.to_bytes` payloads; raw text/``Module``
         programs are compiled (without re-verification) to make one.
@@ -206,7 +215,7 @@ class QirRuntime:
         failures are retried per ``retry``, the backend may be demoted per
         ``fallback``, and shots that still fail are returned as structured
         records on the result instead of raising.  Resilience is per-shot,
-        so the batched scheduler degrades to the per-shot loop for it.
+        so a resilient run never takes the fast path or the batch.
 
         ``worker_timeout`` / ``max_worker_failures`` configure the process
         scheduler's worker supervisor (heartbeat deadline in seconds, and
@@ -314,28 +323,25 @@ class QirRuntime:
                 "inject, retry, or degrade individual shots"
             )
 
-        if sched.name == "batched":
-            if sampling == "require":
-                raise FastPathUnsupported(
-                    "the batched scheduler never takes the sampling fast path "
-                    "(it exists for the per-shot programs the fast path "
-                    "rejects); use scheduler='serial' or 'process'"
-                )
-            can_try = False
-        else:
-            can_try = (
-                not resilient
-                and sampling != "never"
-                and self.backend_name == "statevector"
-                and (self.noise is None or self.noise.is_trivial)
-                and not keep_stats
-            )
+        can_try = (
+            not resilient
+            and sampling != "never"
+            and self.backend_name == "statevector"
+            and (self.noise is None or self.noise.is_trivial)
+            and not keep_stats
+        )
         # One root per run, drawn *before* any fast-path attempt so the
         # stream position -- and therefore every spawned per-shot seed --
-        # is identical across sampling modes and schedulers.  Serial,
-        # batched, and process execution of the same program with the
-        # same runtime seed produce identical counts.
+        # is identical across sampling modes, tiers and schedulers.
+        # Serial, process, and batch execution of the same program with
+        # the same runtime seed produce identical counts.
         root = np.random.SeedSequence(int(self._rng.integers(2**63)))
+
+        schedule = plan.fused if plan is not None and self.fusion else None
+        if schedule is not None and schedule.num_slots > self.max_qubits:
+            # Too wide for the statevector: the interpreter path raises
+            # the coded QubitAllocationError the fused kernels cannot.
+            schedule = None
 
         obs = self.observer
         if can_try:
@@ -373,6 +379,18 @@ class QirRuntime:
             except FastPathUnsupported:
                 if sampling == "require":
                     raise
+            # The batch: sampling is "auto" and the fast path declined.  A
+            # fused schedule is a static gate trace, so the program has no
+            # classical feedback and one kernel stream serves every shot.
+            # Chunks of one member (one shot, or a register too wide for
+            # the amplitude budget) gain nothing over the per-shot loop.
+            if (
+                sched.jobs == 1
+                and schedule is not None
+                and batch_chunk_size(shots, schedule.num_slots) > 1
+            ):
+                counts = run_batched(schedule, shots, root, obs)
+                return ShotsResult(counts=counts, shots=shots, scheduler="batched")
         elif sampling == "require" and not resilient:
             raise FastPathUnsupported(
                 "sampling fast path requires the statevector backend, no "
@@ -392,20 +410,10 @@ class QirRuntime:
             # Single-level chain: demotion is impossible, failures raise.
             chain = FallbackChain([BackendLevel(self.backend_name, noisy=True)])
 
-        required_qubits = plan.required_qubits if plan is not None else None
-        if required_qubits is None and sched.name == "batched":
-            required_qubits = _analyze_entry(module, entry)[2]
-
-        schedule = plan.fused if plan is not None and self.fusion else None
-        if schedule is not None and schedule.num_slots > self.max_qubits:
-            # Too wide for the statevector: the interpreter path raises
-            # the coded QubitAllocationError the fused kernels cannot.
-            schedule = None
-
         # Process workers need the program as bytes.  A compiled plan
         # serializes directly; raw programs get a lightweight plan (no
         # re-verify -- the parent already ran its own checks, and workers
-        # re-validate integrity via the embedded module hash).
+        # re-validate integrity via the wire seal).
         plan_bytes = None
         if sched.name == "process":
             worker_plan = plan if plan is not None else compile_plan(
@@ -425,7 +433,6 @@ class QirRuntime:
             keep_stats=keep_stats,
             resilient=resilient,
             timed=self.observer.enabled,
-            required_qubits=required_qubits,
             plan_bytes=plan_bytes,
             run_id=run_id,
             schedule=schedule,

@@ -144,8 +144,8 @@ class Interpreter:
         self.observer = observer
         self._profile_intrinsics = observer is not None and observer.enabled
         self.qubits = QubitManager(backend, allow_on_the_fly=allow_on_the_fly_qubits)
-        # Pluggable result store: the sampling fast path and the batched
-        # scheduler substitute stores with deferred/vectorised semantics.
+        # Pluggable result store: the sampling fast path substitutes one
+        # with deferred-measurement semantics.
         self.results = results if results is not None else ResultStore()
         self.output = OutputRecorder()
         self.messages: List[str] = []

@@ -51,14 +51,46 @@ PipelineLike = Union[None, str, Callable]
 #: invalidates every persisted plan.  v2 added the optional cached
 #: sampling ``distribution`` block; v3 renders its bitstrings through the
 #: one output rule (RESULT records first), so a v2 distribution may hold
-#: the old static-table rendering and is recompiled instead.
-PLAN_WIRE_VERSION = 3
+#: the old static-table rendering and is recompiled instead; v4 seals the
+#: whole body with one SHA-256 (v3 hashed only the module text, so an
+#: edit to any other field decoded silently).
+PLAN_WIRE_VERSION = 4
+
+#: A serialized plan opens with ``{"sha256": "<64 hex>", `` -- the SHA-256
+#: of the JSON body it precedes -- so the bytes stay one JSON object while
+#: a decoder proves the whole body intact before parsing any of it.
+_SEAL_HEAD = b'{"sha256": "'
+_SEAL_TAIL = b'", '
+_DIGEST_END = len(_SEAL_HEAD) + 64
 
 
 class PlanDecodeError(ValueError):
     """A serialized plan could not be decoded (corrupt, truncated, or
     written by a newer wire format).  Callers holding the original source
     should treat this as a cache miss and recompile."""
+
+
+def encode_payload(payload: dict) -> bytes:
+    """The wire bytes of a (non-empty) plan payload: its JSON body behind
+    the SHA-256 seal."""
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    return _SEAL_HEAD + digest + _SEAL_TAIL + body[1:]
+
+
+def _unsealed_body(data: bytes) -> bytes:
+    """The JSON body of sealed wire bytes, or :class:`PlanDecodeError`."""
+    if not (
+        data.startswith(_SEAL_HEAD) and data.startswith(_SEAL_TAIL, _DIGEST_END)
+    ):
+        raise PlanDecodeError("not a serialized plan: no SHA-256 seal")
+    body = b"{" + data[_DIGEST_END + len(_SEAL_TAIL):]
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    if digest != data[len(_SEAL_HEAD):_DIGEST_END]:
+        raise PlanDecodeError(
+            "plan bytes do not match their recorded hash (corrupt entry)"
+        )
+    return body
 
 
 def content_hash(program: Union[str, Module]) -> str:
@@ -184,20 +216,17 @@ class ExecutionPlan:
     def to_bytes(self) -> bytes:
         """Serialize the plan for another process (or the disk cache).
 
-        The module travels as its printed IR plus a SHA-256 of that text,
-        so a decoder can prove integrity before parsing; every analysis
-        field rides along verbatim, which is the point -- a deserialized
-        plan skips verify, passes, and analysis entirely.  Note the
-        printed text is the *compiled* module (post-pipeline), while
-        ``source_hash`` stays the identity of the original source.
+        The module travels as its printed IR and every analysis field
+        rides along verbatim, which is the point -- a deserialized plan
+        skips verify, passes, and analysis entirely.  One SHA-256 seals
+        the whole body (:func:`encode_payload`), so a decoder proves
+        integrity before parsing.  Note the printed text is the
+        *compiled* module (post-pipeline), while ``source_hash`` stays
+        the identity of the original source.
         """
-        module_text = print_module(self.module)
         payload = {
             "wire_version": PLAN_WIRE_VERSION,
-            "module_text": module_text,
-            "module_sha256": hashlib.sha256(
-                module_text.encode("utf-8")
-            ).hexdigest(),
+            "module_text": print_module(self.module),
             "source_hash": self.source_hash,
             "key": self.key,
             "backend": self.backend,
@@ -216,32 +245,31 @@ class ExecutionPlan:
                 else {"entries": self.distribution.to_entries()}
             ),
         }
-        return json.dumps(payload, sort_keys=True).encode("utf-8")
+        return encode_payload(payload)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ExecutionPlan":
         """Decode a plan serialized by :meth:`to_bytes`.
 
-        Raises :class:`PlanDecodeError` on anything suspect -- malformed
-        JSON, a newer wire version, a module text whose hash does not
-        match -- never a half-reconstructed plan.  The module text is
+        Raises :class:`PlanDecodeError` on anything suspect -- a missing
+        seal, bytes that do not match it, malformed JSON, another wire
+        version -- never a half-reconstructed plan.  The module text is
         re-parsed (cheap next to verify + passes + analysis, which are
         all skipped because their results ride in the payload).
         """
+        body = _unsealed_body(data)
         try:
-            payload = json.loads(data.decode("utf-8"))
+            payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise PlanDecodeError(f"not a serialized plan: {error}") from error
-        if not isinstance(payload, dict):
-            raise PlanDecodeError("not a serialized plan: expected a JSON object")
         version = payload.get("wire_version")
         if not isinstance(version, int):
             raise PlanDecodeError("serialized plan is missing wire_version")
         if version != PLAN_WIRE_VERSION:
-            # Older payloads lack blocks this decoder expects (v2 added the
-            # distribution) or render them differently (v3); newer ones may
-            # lay fields out differently.  Either way the caller holds the
-            # source -- fail closed.
+            # Older payloads lack blocks this decoder expects or render
+            # them differently (real v1-v3 bytes carry no seal and already
+            # failed above); newer ones may lay fields out differently.
+            # Either way the caller holds the source -- fail closed.
             raise PlanDecodeError(
                 f"plan wire_version {version} does not match supported "
                 f"({PLAN_WIRE_VERSION}); recompile from source"
@@ -249,11 +277,6 @@ class ExecutionPlan:
         text = payload.get("module_text")
         if not isinstance(text, str):
             raise PlanDecodeError("serialized plan is missing module_text")
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        if digest != payload.get("module_sha256"):
-            raise PlanDecodeError(
-                "module text does not match its recorded hash (corrupt entry)"
-            )
         try:
             module = parse_assembly(text)
         except Exception as error:

@@ -17,14 +17,16 @@ measurement outcome --
 * reading a result value (``read_result`` / ``result_equal`` feedback),
 * a dynamic (``m``-style) result.
 
-On abort the caller falls back to per-shot interpretation, so the fast
-path is sound by construction rather than by up-front program analysis.
+On abort the caller falls back -- to the batch tier
+(:func:`~repro.runtime.schedulers.run_batched`) when the plan has a fused
+schedule, else to per-shot interpretation -- so the fast path is sound by
+construction rather than by up-front program analysis.
 
-:class:`SharedStreamResults` is the result store of every tier that runs
-one instruction stream for many shots -- this fast path and the batched
-scheduler.  It records which measurement each RESULT record names, and
-the shots' bitstrings are rendered afterwards through the one output
-rule (:func:`~repro.runtime.output.output_columns`).
+:class:`SharedStreamResults` is this fast path's result store: one
+instruction stream for many shots.  It records which measurement each
+RESULT record names, and the shots' bitstrings are rendered afterwards
+through the one output rule
+(:func:`~repro.runtime.output.output_columns`).
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class SharedStreamResults(ResultStore):
 
     A static result holds the index of the measurement that last wrote
     it; ``values[k]`` is what measurement ``k`` returned (a deferred
-    slot, or one outcome per batch member).  Each RESULT record snapshots
+    slot).  Each RESULT record snapshots
     the column it names at record time (:meth:`read_default`), and
     :meth:`columns` applies the output rule when the run ends.
 

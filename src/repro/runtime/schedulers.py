@@ -5,14 +5,6 @@ read-only artifact; this module spends it.  A :class:`ShotScheduler`
 turns "run N shots of this module" into per-shot tasks:
 
 * :class:`SerialScheduler` -- the historical in-order loop;
-* :class:`BatchedScheduler` -- one vectorised multi-shot statevector
-  evolution (:class:`~repro.sim.statevector.BatchedStatevectorSimulator`)
-  for non-Clifford per-shot workloads where the deferred-measurement
-  sampling fast path is inapplicable (mid-circuit reset, re-measurement,
-  gates after measurement).  Programs with *classical feedback* on a
-  measurement abort with
-  :class:`~repro.runtime.sampling_fastpath.FastPathUnsupported` and fall
-  back to the per-shot loop;
 * :class:`ProcessScheduler` -- N worker *processes* draining a shared
   :class:`~repro.runtime.dispatch.ChunkQueue` (the supervisor drains it
   into pool waves; the executor's idle processes self-schedule the
@@ -23,10 +15,17 @@ turns "run N shots of this module" into per-shot tasks:
 
 :func:`get_scheduler` is the one place their options are validated.
 
+:func:`run_batched` is the *batch tier*, not a scheduler: one vectorised
+evolution of the plan's fused schedule for all shots
+(:class:`~repro.sim.statevector.BatchedStatevectorSimulator`).  The
+runtime picks it from the plan, never from an option (see
+:meth:`~repro.runtime.execute.QirRuntime.run_shots`); a fused schedule is
+a static gate trace, so a program it serves has no classical feedback.
+
 Determinism: every shot's RNG is derived from a spawned child seed --
 ``SeedSequence(entropy=root, spawn_key=(shot, attempt))`` -- never from a
 shared stream, and the merge re-sorts per-shot outcomes by shot index, so
-serial, batched, and process execution of the same program with the same
+serial, process, and batch execution of the same program with the same
 seed produce identical ``counts``.
 
 Resilience (retry / fault injection / backend fallback) hooks in at the
@@ -49,6 +48,7 @@ import multiprocessing
 import os
 import pickle
 import threading
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -80,14 +80,12 @@ from repro.runtime.errors import (
 )
 from repro.runtime.interpreter import Interpreter, InterpreterStats
 from repro.runtime.output import OutputRecord, output_columns
-from repro.runtime.sampling_fastpath import FastPathUnsupported, SharedStreamResults
 from repro.sim.fusion import FusedProgram, run_fused
 from repro.sim.noise import NoiseModel, NoisyBackend
-from repro.sim.sampling import render_columns
 from repro.sim.stabilizer import StabilizerSimulator
 from repro.sim.statevector import BatchedStatevectorSimulator, StatevectorSimulator
 
-SCHEDULERS = ("serial", "batched", "process")
+SCHEDULERS = ("serial", "process")
 
 SeedLike = Union[int, np.random.SeedSequence, None]
 
@@ -110,10 +108,6 @@ def fastpath_sequence(root: np.random.SeedSequence) -> np.random.SeedSequence:
     return np.random.SeedSequence(
         entropy=root.entropy, spawn_key=tuple(root.spawn_key) + (_FASTPATH_KEY,)
     )
-
-#: Overall amplitude budget for one batched chunk (~128 MiB of complex128).
-_BATCH_AMPLITUDE_BUDGET = 1 << 23
-_BATCH_CHUNK_CAP = 1024
 
 
 def shot_sequence(
@@ -556,7 +550,9 @@ class ShotExecutor:
         is bit-identical to an unfused run of the same ``(root, shot,
         attempt)``.
         """
-        backend = _make_backend("statevector", seed, self.max_qubits, None)
+        backend = StatevectorSimulator(
+            schedule.num_slots, seed=seed, max_qubits=self.max_qubits
+        )
         (bitstring,) = run_fused(schedule, backend)
         # Coarse synthesized stats: the interpreter's per-instruction
         # bookkeeping does not exist here, but gate/measurement totals
@@ -696,7 +692,6 @@ class ShotTask:
     keep_stats: bool
     resilient: bool
     timed: bool
-    required_qubits: Optional[int] = None
     #: Serialized ExecutionPlan for process workers (set by the runtime
     #: whenever the process scheduler is selected); workers deserialize
     #: this instead of re-running the compile phase.
@@ -1490,58 +1485,6 @@ class ProcessScheduler:
         return outcomes
 
 
-class BatchedScheduler:
-    """One vectorised evolution of all shots at once (chunked for memory).
-
-    Applies when the per-shot loop would otherwise dominate: statevector
-    backend, no noise, no per-shot resilience, no per-shot stats.  The
-    moment the program does something one shared instruction stream
-    cannot express per member -- classical feedback on an outcome,
-    dynamic `m`-style results -- the shared-stream result store
-    (:class:`~repro.runtime.sampling_fastpath.SharedStreamResults`, the
-    sampling fast path's store) aborts the attempt with
-    :class:`~repro.runtime.sampling_fastpath.FastPathUnsupported` and the
-    task falls back to the per-shot path, so batched execution is sound
-    by construction.  Bitstrings follow the one output rule
-    (:func:`~repro.runtime.output.output_columns`).
-    """
-
-    name = "batched"
-    jobs = 1
-
-    def __init__(self) -> None:
-        #: What actually ran: stays "batched" on success, flips to
-        #: "serial" when the task was ineligible or the batch aborted.
-        self.effective = "batched"
-
-    def run(self, task: ShotTask) -> List[ShotOutcome]:
-        executor = task.executor
-        obs = executor.observer
-        reason = self._ineligible_reason(task)
-        if reason is None:
-            try:
-                return run_batched(task)
-            except FastPathUnsupported as abort:
-                reason = str(abort)
-        if obs.enabled:
-            obs.inc("runtime.scheduler.batched_fallback", reason=reason)
-        self.effective = "serial"
-        return SerialScheduler().run(task)
-
-    @staticmethod
-    def _ineligible_reason(task: ShotTask) -> Optional[str]:
-        executor = task.executor
-        if executor.backend_name != "statevector":
-            return "non-statevector backend"
-        if executor.noise is not None and not executor.noise.is_trivial:
-            return "noise model"
-        if task.resilient:
-            return "per-shot resilience"
-        if task.keep_stats:
-            return "keep_stats"
-        return None
-
-
 def get_scheduler(
     name: str,
     jobs: int = 1,
@@ -1557,7 +1500,7 @@ def get_scheduler(
     * ``name`` is one of :data:`SCHEDULERS`;
     * ``jobs`` (``>= 1``) is the worker count.  ``jobs == 1`` runs the
       in-thread loop on every scheduler; ``jobs > 1`` needs the process
-      scheduler, since serial and batched have no workers;
+      scheduler, since serial has no workers;
     * ``worker_timeout`` (``> 0`` seconds), ``max_worker_failures``
       (``>= 1``, default 2) and ``chunk_shots`` (``>= 1``) configure the
       process scheduler's supervisor and work queue, and are rejected for
@@ -1572,7 +1515,7 @@ def get_scheduler(
     if name != "process":
         if jobs > 1:
             raise ValueError(
-                f"jobs > 1 requires the process scheduler (the {name} "
+                "jobs > 1 requires the process scheduler (the serial "
                 "scheduler runs in one thread)"
             )
         if (
@@ -1585,7 +1528,7 @@ def get_scheduler(
                 "require the process scheduler (no worker pool to "
                 "supervise or feed)"
             )
-        return SerialScheduler() if name == "serial" else BatchedScheduler()
+        return SerialScheduler()
     if worker_timeout is not None and worker_timeout <= 0:
         raise ValueError("worker_timeout must be > 0 seconds")
     if max_worker_failures is not None and max_worker_failures < 1:
@@ -1604,70 +1547,43 @@ def get_scheduler(
 
 # -- batched execution --------------------------------------------------------
 
+#: Overall amplitude budget for one batched chunk (~128 MiB of complex128).
+_BATCH_AMPLITUDE_BUDGET = 1 << 23
+_BATCH_CHUNK_CAP = 1024
 
-def batch_chunk_size(shots: int, required_qubits: Optional[int]) -> int:
+def batch_chunk_size(shots: int, width: int) -> int:
     """How many members one batched evolution should carry.
 
     Bounded by an overall amplitude budget (so wide registers get small
-    chunks) and a hard cap; unknown widths use a conservative guess.
+    chunks) and a hard cap.
     """
-    width = required_qubits if required_qubits is not None else 12
-    chunk = max(1, _BATCH_AMPLITUDE_BUDGET >> max(0, width))
+    chunk = max(1, _BATCH_AMPLITUDE_BUDGET >> width)
     return max(1, min(shots, chunk, _BATCH_CHUNK_CAP))
 
 
-def run_batched(task: ShotTask) -> List[ShotOutcome]:
-    """Evolve all shots as chunked batches; one interpreter run per chunk.
+def run_batched(
+    schedule: FusedProgram,
+    shots: int,
+    root: np.random.SeedSequence,
+    observer=NULL_OBSERVER,
+) -> Dict[str, int]:
+    """The batch tier: evolve all shots through the fused schedule as
+    chunked :class:`BatchedStatevectorSimulator` batches; sorted counts.
 
     Member ``i`` of the batch draws from the same spawned seed the serial
-    scheduler would hand shot ``i``'s backend, so counts are identical.
+    loop would hand shot ``i``'s backend, so counts are identical.
     """
-    executor = task.executor
-    obs = executor.observer
-    chunk_size = batch_chunk_size(task.shots, task.required_qubits)
-    outcomes: List[ShotOutcome] = []
-    start = 0
-    while start < task.shots:
-        size = min(chunk_size, task.shots - start)
-        seeds = [
-            shot_sequence(task.root, start + member, 0) for member in range(size)
-        ]
-        backend = BatchedStatevectorSimulator(
-            size, seeds=seeds, max_qubits=executor.max_qubits
-        )
-        if task.schedule is not None:
-            # Fused batched path: the kernel schedule replaces the whole
-            # interpreter walk, one pre-multiplied pass per kernel over
-            # the (batch, 2**n) array.  Per-member RNGs draw in the same
-            # member order as the interpreter's batched measure, so
-            # counts stay bit-identical.
-            strings = run_fused(task.schedule, backend)
-        else:
-            results = SharedStreamResults()
-            interp = Interpreter(
-                task.module,
-                backend,  # type: ignore[arg-type]
-                step_limit=executor.step_limit,
-                allow_on_the_fly_qubits=executor.allow_on_the_fly_qubits,
-                observer=executor.observer,
-                results=results,
-            )
-            interp.run(task.entry)
-            if obs.enabled:
-                fold_intrinsic_stats(obs, interp.stats)
-            strings = render_columns(results.values, results.columns(), size)
-        if obs.enabled:
-            obs.inc("runtime.scheduler.batched_chunks")
-        for member, bitstring in enumerate(strings):
-            outcomes.append(
-                ShotOutcome(
-                    shot=start + member,
-                    bitstring=bitstring,
-                    backend_label=executor.backend_name,
-                )
-            )
-        start += size
-    return outcomes
+    width = schedule.num_slots
+    chunk_size = batch_chunk_size(shots, width)
+    counts: Counter = Counter()
+    for start in range(0, shots, chunk_size):
+        size = min(chunk_size, shots - start)
+        seeds = [shot_sequence(root, start + member, 0) for member in range(size)]
+        backend = BatchedStatevectorSimulator(size, width, seeds=seeds)
+        counts.update(run_fused(schedule, backend))
+        if observer.enabled:
+            observer.inc("runtime.scheduler.batched_chunks")
+    return sorted_counts(counts)
 
 
 # -- merging ------------------------------------------------------------------

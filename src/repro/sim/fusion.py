@@ -534,12 +534,11 @@ def run_fused(program: FusedProgram, simulator) -> List[str]:
     """Execute a schedule; one bitstring per shot the simulator carries.
 
     ``simulator`` is a scalar :class:`StatevectorSimulator` (one shot) or
-    a :class:`BatchedStatevectorSimulator` (one shot per member).  Each
-    measurement's value -- an int, or one outcome per member -- is
-    collected in schedule order and rendered through the program's
-    output columns.
+    a :class:`BatchedStatevectorSimulator` (one shot per member), either
+    one ``program.num_slots`` qubits wide.  Each measurement's value -- an
+    int, or one outcome per member -- is collected in schedule order and
+    rendered through the program's output columns.
     """
-    simulator.ensure_qubits(program.num_slots)
     if program.prefix:
         simulator.load_state(_prefix_state(program))
     values: list = []

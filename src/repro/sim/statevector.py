@@ -36,7 +36,7 @@ def _two_qubit_update(view: np.ndarray, matrix: np.ndarray, q0_is_high: bool) ->
     axis -2 (batch and spectator axes elsewhere).  The arithmetic is a
     fixed-order elementwise expansion -- the same expression evaluates
     identically for the scalar simulator and the batched one, which is
-    what lets serial and batched schedulers reproduce bit-identical
+    what lets the per-shot loop and the batch reproduce bit-identical
     amplitudes (and therefore identical counts) from the same seeds.
     """
     s = [
@@ -286,21 +286,20 @@ class StatevectorSimulator:
 
 
 class BatchedStatevectorSimulator:
-    """``batch`` independent statevectors evolving under one instruction
-    stream (the BatchedScheduler's entry point, ROADMAP "batched multi-shot").
+    """``batch`` independent ``num_qubits``-wide statevectors evolving
+    under one fused kernel schedule (the batch tier,
+    :func:`repro.runtime.schedulers.run_batched`, via
+    :func:`repro.sim.fusion.run_fused`).
 
-    The state is a single ``(batch, 2**n)`` array; every gate applies to
-    all members in one vectorised operation, so the per-instruction Python
-    overhead -- which dominates per-shot re-interpretation for small
-    registers -- is paid once per *batch* instead of once per shot.
-    Measurements genuinely collapse each member against its own RNG
-    stream, so (unlike the deferred-measurement sampling fast path)
-    mid-circuit resets, re-measurement, and gates after measurement are
-    all supported; only *classical feedback* on an outcome is not, since
-    one instruction stream cannot branch differently per member.
-    :meth:`measure` returns one outcome per member; callers render the
-    members' bitstrings through the output rule's columns
-    (:func:`repro.sim.sampling.render_columns`).
+    The state is a single ``(batch, 2**n)`` array; every kernel applies to
+    all members in one vectorised operation, so the per-gate Python
+    overhead -- which dominates per-shot execution for small registers --
+    is paid once per *batch* instead of once per shot.  Measurements
+    genuinely collapse each member against its own RNG stream, so (unlike
+    the deferred-measurement sampling fast path) mid-circuit resets,
+    re-measurement, and gates after measurement are all supported.  The
+    register is sized up front and never grows: a fused schedule knows
+    its width.  :meth:`measure` returns one outcome per member.
 
     Determinism contract: member ``i`` seeded with seed ``s`` draws the
     exact uniform sequence -- and applies bit-identical gate arithmetic --
@@ -326,13 +325,11 @@ class BatchedStatevectorSimulator:
                 f"{num_qubits} qubits exceeds max_qubits={max_qubits}"
             )
         self.batch = batch
-        self.max_qubits = max_qubits
         self._num_qubits = num_qubits
         seed_list = list(seeds) if seeds is not None else [None] * batch
         self._rngs = [np.random.default_rng(s) for s in seed_list]
         self._state = np.zeros((batch, 1 << num_qubits), dtype=np.complex128)
         self._state[:, 0] = 1.0
-        self._free_slots: List[int] = []
 
     # -- inspection -------------------------------------------------------------
     @property
@@ -354,31 +351,6 @@ class BatchedStatevectorSimulator:
         self._check_qubit(qubit)
         view = self._member_axis_view(member, qubit)
         return float(np.sum(np.abs(view[:, 1, :]) ** 2))
-
-    # -- allocation -------------------------------------------------------------
-    def allocate_qubit(self) -> int:
-        if self._free_slots:
-            return self._free_slots.pop()
-        if self._num_qubits >= self.max_qubits:
-            raise MemoryError(f"cannot grow beyond max_qubits={self.max_qubits}")
-        width = self._state.shape[1]
-        new = np.zeros((self.batch, width * 2), dtype=np.complex128)
-        new[:, :width] = self._state
-        self._state = new
-        slot = self._num_qubits
-        self._num_qubits += 1
-        return slot
-
-    def release_qubit(self, slot: int) -> None:
-        self._check_qubit(slot)
-        self.reset(slot)
-        if slot in self._free_slots:
-            raise ValueError(f"double release of qubit slot {slot}")
-        self._free_slots.append(slot)
-
-    def ensure_qubits(self, count: int) -> None:
-        while self._num_qubits < count:
-            self.allocate_qubit()
 
     def load_state(self, amplitudes: np.ndarray) -> None:
         """Broadcast precomputed amplitudes to every member (the
@@ -434,11 +406,6 @@ class BatchedStatevectorSimulator:
             self._state[member] = _apply_dense(
                 self._state[member], matrix, qubits, n
             )
-
-    def apply_gate(
-        self, name: str, qubits: Sequence[int], params: Sequence[float] = ()
-    ) -> None:
-        self.apply_matrix(gate_matrix(name, params), list(qubits))
 
     def _apply_x_member(self, member: int, qubit: int) -> None:
         view = self._member_axis_view(member, qubit)

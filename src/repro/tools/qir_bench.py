@@ -197,8 +197,8 @@ def fastpath_arms(runtime: QirRuntime, text: str, shots: int) -> Tuple[Arm, Arm]
 def fusion_arms(plan: ExecutionPlan, shots: int) -> Tuple[Arm, Arm]:
     """Per-gate interpretation (baseline) vs the fused kernel schedule.
 
-    Both arms run ``sampling="never"`` (fusion lives in the per-shot and
-    batched paths; the fast path would mask it).  Raises ``ValueError``
+    Both arms run ``sampling="never"`` (fusion lives in the per-shot loop
+    and the batch; the fast path would mask it).  Raises ``ValueError``
     when the plan has no fused schedule -- comparing identical code
     paths would report noise as signal.
     """
@@ -311,26 +311,30 @@ def _bench_schedulers(snapshot: BenchSnapshot, shots: int, repeats: int) -> None
     """Compile-once/execute-many scheduler records (ROADMAP: parallel shots).
 
     ``reset_chain_qir`` is the non-Clifford mid-circuit-reset workload the
-    sampling fast path rejects, so every scheduler really pays per-shot
-    cost.  One serial block is the shared baseline of both ratios; the
-    budgets file gates batched > serial and process > serial.
+    sampling fast path rejects.  The baseline is the serial per-shot loop
+    (``sampling="never"``); the batched arm is the serial default, which
+    the batch tier serves; the process arm runs per shot in workers.  One
+    serial block is the shared baseline of both ratios; the budgets file
+    gates batched > serial and process > serial.
     """
     text = reset_chain_qir(3, rounds=3)
     jobs = max(2, min(4, os.cpu_count() or 2))
 
-    def arm(scheduler: str, jobs: int = 1) -> Arm:
+    def arm(sampling: str, scheduler: str = "serial", jobs: int = 1) -> Arm:
         runtime = QirRuntime(seed=7)
         plan = QirSession(runtime=runtime).compile(text)
         return lambda: runtime.run_shots(
-            plan, shots=shots, scheduler=scheduler, jobs=jobs
+            plan, shots=shots, sampling=sampling, scheduler=scheduler, jobs=jobs
         )
 
     batched = measure_arms(
-        arm("serial"), arm("batched"), repeats=repeats, shots=shots
+        arm("never"), arm("auto"), repeats=repeats, shots=shots
     )
     serial = batched.baseline
     process = ArmComparison(
-        serial, measure(arm("process", jobs=jobs), repeats=repeats), shots
+        serial,
+        measure(arm("never", "process", jobs=jobs), repeats=repeats),
+        shots,
     )
 
     snapshot.add(

@@ -77,10 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     execution = parser.add_argument_group("execution")
     execution.add_argument("--scheduler", default="serial",
                            metavar="{" + ",".join(SCHEDULERS) + "}",
-                           help="shot scheduler: serial (default), batched "
-                                "(vectorised multi-shot statevector "
-                                "evolution), or process (--jobs worker "
-                                "processes fed serialized plans)")
+                           help="where per-shot work runs: serial "
+                                "(default) or process (--jobs worker "
+                                "processes fed serialized plans); an "
+                                "in-thread run of a fused plan the "
+                                "sampling fast path rejects is served by "
+                                "one vectorised batch instead")
     execution.add_argument("--jobs", type=int, default=1, metavar="N",
                            help="worker processes for --scheduler process "
                                 "(default 1: the serial loop)")

@@ -154,7 +154,7 @@ attributes #0 = {{ "entry_point" "qir_profiles"="base_profile" "required_num_qub
 
 
 def reset_chain_qir(num_qubits: int = 2, rounds: int = 3, angle: float = 0.7) -> str:
-    """Rotation + mid-circuit reset/re-measure chain: the batched scheduler's
+    """Rotation + mid-circuit reset/re-measure chain: the batch tier's
     home turf.
 
     Each round rotates every qubit by a (non-Clifford) ``ry`` angle,
@@ -162,9 +162,9 @@ def reset_chain_qir(num_qubits: int = 2, rounds: int = 3, angle: float = 0.7) ->
     program re-measures the same slots every round.  The deferred-
     measurement sampling fast path rejects this shape (gates and resets
     after measurement), and the stabilizer backend cannot take it either
-    (arbitrary rotations), which leaves per-shot interpretation -- exactly
-    the loop ``BatchedScheduler`` vectorises.  No classical feedback, so
-    the batch never aborts.
+    (arbitrary rotations).  It has no classical feedback, so its plan's
+    fused schedule runs every shot in one vectorised batch; with
+    ``sampling="never"`` (or no plan) it runs one shot at a time.
     """
     if num_qubits < 1:
         raise ValueError("need at least one qubit")

@@ -10,6 +10,10 @@ from repro.qasm.parser3 import Qasm3ParseError, parse_qasm3
 H2 = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 H3 = "OPENQASM 3;\n"
 DEEP = "(" * 2000 + "1" + ")" * 2000
+#: g17 expands to 2**17 leaf statements from 540 bytes of source.
+DOUBLING = "gate g0 a { h a; }\n" + "".join(
+    f"gate g{i} a {{ g{i - 1} a; g{i - 1} a; }}\n" for i in range(1, 18)
+)
 
 #: id -> (source, line of the error, message pattern)
 QASM2_HOSTILE = {
@@ -44,6 +48,12 @@ QASM2_HOSTILE = {
     "complex_power": (H2 + "qreg q[1];\nrx((-8)^(1/3)) q[0];", 4, "not real"),
     "truncated_if": (H2 + "qreg q[1];\ncreg c[1];\nif (c == 1)", 5, "unexpected end of input"),
     "truncated_expression": (H2 + "qreg q[1];\nrx(1 +) q[0];", 4, "unexpected end of expression"),
+    "doubling_gate_chain": (H2 + DOUBLING + "qreg q[1];\ng17 q[0];", 22, "gate expansion exceeds 100000 statements"),
+    "expansion_budget_is_per_program": (
+        H2 + DOUBLING + "qreg q[1];\ng15 q[0];\ng15 q[0];", 23, "gate expansion exceeds 100000",
+    ),
+    "huge_registers": (H2 + "qreg q[1000000];\ncreg c[1000000];\nh q[0];", 3, "declares 1000000 bits in total"),
+    "total_declared_bits": (H2 + "qreg q[16384];\ncreg c[1];", 4, "declares 16385 bits in total"),
 }
 
 QASM3_HOSTILE = {
@@ -76,6 +86,8 @@ QASM3_HOSTILE = {
     "clbit_out_of_range": (H3 + "qubit[1] q;\nbit[1] c;\nc[4] = measure q[0];", 4, "bit index 4 out of range"),
     "math_range": (H3 + "qubit[1] q;\nrx(exp(1000)) q[0];", 3, "math range error"),
     "truncated_loop": (H3 + "qubit[1] q;\nfor uint i in [0:1] { h q[0];", 3, "unexpected end of input"),
+    "huge_register": (H3 + "qubit[100000] q;", 2, "declares 100000 bits in total"),
+    "total_declared_bits": (H3 + "qubit[16000] q;\nbit[385] c;", 3, "declares 16385 bits in total"),
 }
 
 
@@ -103,3 +115,10 @@ def test_comments_around_the_header_are_accepted():
 def test_unary_and_power_chains_do_not_recurse():
     circuit = parse_qasm2(H2 + "qreg q[1];\nrx(" + "-" * 3000 + "1) q[0];\nrx(" + "1^" * 3000 + "2) q[0];")
     assert [op.params for op in circuit.operations] == [(1.0,), (1.0,)]
+
+
+def test_declared_bit_budget_is_inclusive():
+    circuit = parse_qasm2(H2 + "qreg q[16383];\ncreg c[1];")
+    assert circuit.num_qubits == 16383
+    circuit = parse_qasm3(H3 + "qubit[16384] q;")
+    assert circuit.num_qubits == 16384

@@ -191,8 +191,6 @@ class TestSchedulerKnobPlumbing:
     def test_serial_rejects_chunk_knobs(self):
         with pytest.raises(ValueError, match="require the process scheduler"):
             get_scheduler("serial", chunk_shots=4)
-        with pytest.raises(ValueError, match="require the process scheduler"):
-            get_scheduler("batched", chunk_shots=2)
 
     def test_invalid_chunk_sizes_are_rejected(self):
         with pytest.raises(ValueError, match="chunk_shots must be >= 1"):

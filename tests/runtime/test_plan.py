@@ -184,7 +184,7 @@ class TestPlanWireFormat:
 
         with pytest.raises(PlanDecodeError, match="not a serialized plan"):
             ExecutionPlan.from_bytes(b"\x00\x01 not json")
-        with pytest.raises(PlanDecodeError, match="JSON object"):
+        with pytest.raises(PlanDecodeError, match="no SHA-256 seal"):
             ExecutionPlan.from_bytes(b'["a", "list"]')
 
     def test_tampered_module_text_raises(self):
@@ -202,10 +202,11 @@ class TestPlanWireFormat:
         import json as json_mod
 
         from repro.runtime import ExecutionPlan, PlanDecodeError
-        from repro.runtime.plan import PLAN_WIRE_VERSION
+        from repro.runtime.plan import PLAN_WIRE_VERSION, encode_payload
 
         plan = compile_plan(bell_qir("static"))
         payload = json_mod.loads(plan.to_bytes())
+        del payload["sha256"]
         payload["wire_version"] = PLAN_WIRE_VERSION + 1
         with pytest.raises(PlanDecodeError, match="does not match supported"):
-            ExecutionPlan.from_bytes(json_mod.dumps(payload).encode())
+            ExecutionPlan.from_bytes(encode_payload(payload))

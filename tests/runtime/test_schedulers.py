@@ -1,9 +1,10 @@
 """The execute phase: scheduler selection, determinism, and resilience
-semantics across placements (serial / batched / process)."""
+semantics across placements (serial / process) and the batch tier."""
 
 import json
 import re
 
+import numpy as np
 import pytest
 
 from repro.obs.observer import Observer
@@ -14,18 +15,20 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.runtime import (
-    BatchedScheduler,
+    SCHEDULERS,
     ProcessScheduler,
     QirRuntime,
     QirSession,
     QubitAllocationError,
     SerialScheduler,
+    compile_plan,
     get_scheduler,
     run_shots,
 )
 from repro.runtime.errors import BackendFaultError
 from repro.runtime.sampling_fastpath import FastPathUnsupported
-from repro.runtime.schedulers import batch_chunk_size
+from repro.runtime.schedulers import batch_chunk_size, run_batched
+from repro.sim import NoiseModel
 from repro.tools.qir_run import main as run_main
 from repro.workloads.qir_programs import bell_qir, ghz_qir, qft_qir, reset_chain_qir
 
@@ -52,6 +55,24 @@ declare i1 @__quantum__qis__read_result__body(ptr)
 attributes #0 = { "entry_point" "required_num_qubits"="1" "required_num_results"="2" }
 """
 
+#: A Clifford program the fast path declines (a gate after a measurement)
+#: and whose plan has a fused schedule: the stabilizer backend can run it.
+CLIFFORD_RESET_PROGRAM = """
+define void @main() #0 {
+entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__qis__reset__body(ptr null)
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__mz__body(ptr null, ptr inttoptr (i64 1 to ptr))
+  ret void
+}
+declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__reset__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+attributes #0 = { "entry_point" "required_num_qubits"="1" "required_num_results"="2" }
+"""
+
 
 def counts_for(text, scheduler, *, seed=123, shots=200, jobs=1, **kwargs):
     rt = QirRuntime(seed=seed)
@@ -60,11 +81,18 @@ def counts_for(text, scheduler, *, seed=123, shots=200, jobs=1, **kwargs):
     )
 
 
+def batch_counts(text, *, seed=123, shots=200):
+    """The batch executor called directly, from the root a fresh
+    ``QirRuntime(seed=seed)`` draws for its first run."""
+    root = np.random.SeedSequence(int(np.random.default_rng(seed).integers(2**63)))
+    return run_batched(compile_plan(text).fused, shots, root)
+
+
 class TestGetScheduler:
     def test_resolves_each_name(self):
+        assert SCHEDULERS == ("serial", "process")
         assert isinstance(get_scheduler("serial"), SerialScheduler)
         assert isinstance(get_scheduler("process", 4), ProcessScheduler)
-        assert isinstance(get_scheduler("batched"), BatchedScheduler)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
@@ -94,26 +122,26 @@ class TestCrossSchedulerDeterminism:
     def test_counts_are_identical_across_schedulers(self, text):
         serial = counts_for(text, "serial", sampling="never")
         process = counts_for(text, "process", jobs=2, sampling="never")
-        batched = counts_for(text, "batched")
-        assert serial.counts == process.counts == batched.counts
+        assert serial.counts == process.counts == batch_counts(text)
         assert sum(serial.counts.values()) == 200
 
     def test_rejected_fastpath_attempt_does_not_shift_seeds(self):
-        # Under sampling="auto" serial/process *attempt* the fast path on
-        # this program and get rejected; batched never attempts it.  The
-        # attempt must not consume from the runtime's seed stream, or the
-        # schedulers would diverge.
+        # Under sampling="auto" the runtime *attempts* the fast path on
+        # this program and gets rejected before the per-shot loop or the
+        # batch runs.  The attempt must not consume from the runtime's
+        # seed stream, or the tiers would diverge.
         text = reset_chain_qir(2, rounds=2)
         auto_serial = counts_for(text, "serial")
         never_serial = counts_for(text, "serial", sampling="never")
-        batched = counts_for(text, "batched")
+        batched = counts_for(compile_plan(text), "serial")
+        assert batched.scheduler == "batched"
         assert auto_serial.counts == never_serial.counts == batched.counts
 
     def test_result_reports_the_scheduler_that_ran(self):
         text = reset_chain_qir(2, rounds=2)
         assert counts_for(text, "serial").scheduler == "serial"
         assert counts_for(text, "process", jobs=2).scheduler == "process"
-        assert counts_for(text, "batched").scheduler == "batched"
+        assert counts_for(compile_plan(text), "serial").scheduler == "batched"
 
     def test_module_level_wrapper_accepts_scheduler(self):
         result = run_shots(
@@ -124,20 +152,27 @@ class TestCrossSchedulerDeterminism:
 
 
 class TestBatchedScheduler:
+    """The batch tier, which reports ``scheduler == "batched"``."""
+
     def test_never_takes_the_sampling_fastpath(self):
-        result = counts_for(bell_qir("static"), "batched")
-        assert not result.used_fast_path
-        assert result.scheduler == "batched"
+        # The fast path serves what it can before the batch is considered.
+        sampled = counts_for(compile_plan(bell_qir("static")), "serial")
+        assert sampled.used_fast_path and sampled.scheduler != "batched"
+        batched = counts_for(compile_plan(reset_chain_qir(2, rounds=2)), "serial")
+        assert not batched.used_fast_path and batched.scheduler == "batched"
 
     def test_sampling_require_raises(self):
-        with pytest.raises(FastPathUnsupported, match="batched"):
-            counts_for(bell_qir("static"), "batched", sampling="require")
+        # "require" means the fast path or an error, never the batch.
+        with pytest.raises(FastPathUnsupported):
+            counts_for(
+                compile_plan(reset_chain_qir(2, rounds=2)), "serial",
+                sampling="require",
+            )
 
     def test_chunk_size_respects_the_amplitude_budget(self):
         assert batch_chunk_size(100, 4) == 100
         assert batch_chunk_size(5000, 4) == 1024  # hard cap
         assert batch_chunk_size(10, 24) == 1      # wide register: tiny chunks
-        assert batch_chunk_size(10, None) >= 1    # unknown width is safe
 
     def test_chunked_execution_matches_serial(self, monkeypatch):
         import repro.runtime.schedulers as schedulers
@@ -146,63 +181,76 @@ class TestBatchedScheduler:
         text = reset_chain_qir(2, rounds=2)
         observer = Observer()
         rt = QirRuntime(seed=123, observer=observer)
-        batched = rt.run_shots(text, shots=40, scheduler="batched")
+        batched = rt.run_shots(compile_plan(text), shots=40)
         serial = QirRuntime(seed=123).run_shots(text, shots=40, sampling="never")
+        assert batched.scheduler == "batched"
         assert batched.counts == serial.counts
         assert observer.metrics.value("runtime.scheduler.batched_chunks") == 5
 
     @pytest.mark.parametrize(
-        "kwargs,reason",
-        [
-            ({"keep_stats": True}, "keep_stats"),
-            ({"collect_failures": True}, "per-shot resilience"),
-        ],
+        "kwargs", [{"keep_stats": True}, {"collect_failures": True}]
     )
-    def test_static_ineligibility_falls_back_to_serial(self, kwargs, reason):
-        observer = Observer()
-        rt = QirRuntime(seed=1, observer=observer)
-        result = rt.run_shots(
-            bell_qir("static"), shots=20, scheduler="batched",
-            sampling="never", **kwargs,
+    def test_static_ineligibility_falls_back_to_serial(self, kwargs):
+        result = QirRuntime(seed=1).run_shots(
+            compile_plan(reset_chain_qir(2, rounds=2)), shots=20, **kwargs
         )
         assert result.scheduler == "serial"
         assert sum(result.counts.values()) == 20
-        key = "runtime.scheduler.batched_fallback{reason=" + reason + "}"
-        assert observer.metrics.value(key) == 1
 
     def test_stabilizer_backend_falls_back_to_serial(self):
         rt = QirRuntime(backend="stabilizer", seed=1)
-        result = rt.run_shots(bell_qir("static"), shots=20, scheduler="batched")
+        plan = compile_plan(CLIFFORD_RESET_PROGRAM)
+        assert plan.fused is not None
+        result = rt.run_shots(plan, shots=20)
         assert result.scheduler == "serial"
         assert sum(result.counts.values()) == 20
-
-    def test_classical_feedback_aborts_the_batch(self):
-        observer = Observer()
-        rt = QirRuntime(seed=3, observer=observer)
-        result = rt.run_shots(FEEDBACK_PROGRAM, shots=30, scheduler="batched")
-        assert result.scheduler == "serial"
-        assert sum(result.counts.values()) == 30
-        counters = observer.snapshot()["counters"]
-        fallbacks = {
-            k: v
-            for k, v in counters.items()
-            if k.startswith("runtime.scheduler.batched_fallback")
-        }
-        assert len(fallbacks) == 1
-        (key,) = fallbacks
-        assert "feeds back" in key
-        # The serial fallback really ran the feedback: the conditional x
-        # zeroes the qubit whenever r0 was 1, so the second measurement is
-        # always 0 (without feedback, "11" would appear).
-        assert set(result.counts) <= {"00", "01"}
 
     def test_batched_counts_metrics(self):
         observer = Observer()
         rt = QirRuntime(seed=9, observer=observer)
-        rt.run_shots(reset_chain_qir(2, rounds=2), shots=25, scheduler="batched")
+        rt.run_shots(compile_plan(reset_chain_qir(2, rounds=2)), shots=25)
         metrics = observer.metrics
         assert metrics.value("runtime.shots.batched") == 25
         assert metrics.value("runtime.scheduler.runs{scheduler=batched}") == 1
+
+
+# The batch selection rule, row by row: (program, QirRuntime options,
+# run_shots options) -> the tier or placement that serves the run, and
+# whether the run is clean (statevector, no noise), so its counts must
+# equal the serial one-shot-at-a-time run of the same seed.
+CHAIN = reset_chain_qir(2, rounds=2)
+SELECTION = {
+    "plan": ("plan", {}, {}, "batched", True),
+    "raw_text": ("text", {}, {}, "serial", True),
+    "no_fusion": ("plan", {"fusion": False}, {}, "serial", True),
+    "feedback": ("feedback", {}, {}, "serial", True),
+    "sampling_never": ("plan", {}, {"sampling": "never"}, "serial", True),
+    "process_jobs2": ("plan", {}, {"scheduler": "process", "jobs": 2}, "process", True),
+    "process_jobs1": ("plan", {}, {"scheduler": "process", "jobs": 1}, "batched", True),
+    "keep_stats": ("plan", {}, {"keep_stats": True}, "serial", True),
+    "retry": ("plan", {}, {"retry": RetryPolicy(max_attempts=2)}, "serial", True),
+    "noise": ("plan", {"noise": NoiseModel(depolarizing_1q=0.05)}, {}, "serial", False),
+    "stabilizer": ("clifford", {"backend": "stabilizer"}, {}, "serial", False),
+    "one_shot": ("plan", {}, {"shots": 1}, "serial", True),
+}
+
+
+@pytest.mark.parametrize("row", sorted(SELECTION))
+def test_batch_selection_rule(row):
+    source, runtime_options, run_options, label, clean = SELECTION[row]
+    text = {
+        "feedback": FEEDBACK_PROGRAM, "clifford": CLIFFORD_RESET_PROGRAM,
+    }.get(source, CHAIN)
+    program = text if source == "text" else compile_plan(text)
+    run_options = {"shots": 60, **run_options}
+    result = QirRuntime(seed=4, **runtime_options).run_shots(program, **run_options)
+    assert result.scheduler == label
+    assert not result.used_fast_path
+    if clean:
+        reference = QirRuntime(seed=4).run_shots(
+            text, shots=run_options["shots"], sampling="never"
+        )
+        assert result.counts == reference.counts
 
 
 class TestProcessScheduler:
@@ -534,25 +582,28 @@ class TestMergeStability:
 # The one option rule, row by row: (scheduler, jobs, worker_timeout,
 # max_worker_failures, chunk_shots) -> an error substring, or the
 # placement that runs and its worker count.  Every row goes through the
-# library (get_scheduler, then run_shots) and through qir-run.
+# library (get_scheduler, then run_shots) and through qir-run, on a
+# feedback program so no tier serves it ahead of the placement.  The
+# batch is a tier, not a scheduler: naming it is an unknown scheduler.
 NOT_POOLED = "require the process scheduler"
+NO_BATCHED = "unknown scheduler 'batched'; choose from serial, process"
 OPTION_RULE = [
     (("threaded", 1, None, None, None),
-     "unknown scheduler 'threaded'; choose from serial, batched, process"),
+     "unknown scheduler 'threaded'; choose from serial, process"),
     (("serial", 0, None, None, None), "jobs must be >= 1"),
     (("process", 0, None, None, None), "jobs must be >= 1"),
     (("serial", 2, None, None, None), "jobs > 1 requires the process scheduler"),
-    (("batched", 4, None, None, None), "jobs > 1 requires the process scheduler"),
+    (("batched", 4, None, None, None), NO_BATCHED),
     (("serial", 1, 1.0, None, None), NOT_POOLED),
-    (("batched", 1, None, 3, None), NOT_POOLED),
+    (("batched", 1, None, 3, None), NO_BATCHED),
     (("serial", 1, None, None, 4), NOT_POOLED),
-    (("batched", 1, None, None, 2), NOT_POOLED),
+    (("batched", 1, None, None, 2), NO_BATCHED),
     (("process", 2, 0.0, None, None), "worker_timeout must be > 0"),
     (("process", 1, -1.0, None, None), "worker_timeout must be > 0"),
     (("process", 2, None, 0, None), "max_worker_failures must be >= 1"),
     (("process", 2, None, None, 0), "chunk_shots must be >= 1"),
     (("serial", 1, None, None, None), ("serial", 1)),
-    (("batched", 1, None, None, None), ("batched", 1)),
+    (("batched", 1, None, None, None), NO_BATCHED),
     (("process", 1, None, None, None), ("serial", 1)),
     (("process", 1, 2.5, 5, 4), ("serial", 1)),
     (("process", 2, None, None, None), ("process", 2)),
@@ -585,8 +636,8 @@ def test_option_rule_is_shared_by_library_and_cli(
         max_worker_failures=max_worker_failures,
         chunk_shots=chunk_shots,
     )
-    program = tmp_path / "chain.ll"
-    program.write_text(reset_chain_qir(2, rounds=2))
+    program = tmp_path / "feedback.ll"
+    program.write_text(FEEDBACK_PROGRAM)
     metrics = tmp_path / "m.json"
     code = run_main([
         str(program), "--shots", "8", "--seed", "3", "--metrics", str(metrics),
@@ -604,7 +655,7 @@ def test_option_rule_is_shared_by_library_and_cli(
     placement, workers = expected
     assert get_scheduler(name, jobs, **knobs).jobs == workers
     result = run_shots(
-        reset_chain_qir(2, rounds=2), shots=8, seed=3,
+        FEEDBACK_PROGRAM, shots=8, seed=3,
         scheduler=name, jobs=jobs, **knobs,
     )
     assert result.scheduler == placement
@@ -616,17 +667,22 @@ def test_option_rule_is_shared_by_library_and_cli(
     assert ("runs serially" in err) == (name == "process" and workers == 1)
 
 
-@pytest.mark.parametrize("scheduler, jobs", [
+@pytest.mark.parametrize("placement, jobs", [
     ("serial", 1), ("batched", 1), ("process", 2),
 ])
 @pytest.mark.parametrize("sampling", ["auto", "never"])
 @pytest.mark.parametrize("addressing", ["static", "dynamic"])
 def test_program_wider_than_max_qubits_raises_coded_error(
-    addressing, sampling, scheduler, jobs
+    addressing, sampling, placement, jobs
 ):
     # 9 qubits on an 8-qubit statevector: the width alone exceeds the
     # guard, whatever the interpreter reserves for static addresses.
+    # "batched" runs a compiled plan in-thread, where the batch tier is
+    # considered and must step aside for the too-wide schedule.
     text = ghz_qir(9, addressing=addressing)
+    scheduler = "process" if placement == "process" else "serial"
+    if placement == "batched":
+        text = compile_plan(text)
     runtime = QirRuntime(max_qubits=8, seed=1)
     with pytest.raises(QubitAllocationError, match="max_qubits=8"):
         runtime.run_shots(

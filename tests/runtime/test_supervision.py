@@ -30,6 +30,7 @@ from repro.runtime import (
     SupervisionRecord,
     WorkerCrashError,
     WorkerTimeoutError,
+    compile_plan,
     get_scheduler,
 )
 from repro.runtime.schedulers import ProcessScheduler
@@ -259,12 +260,11 @@ class TestSupervisionConfiguration:
         assert scheduler.worker_timeout == 2.5
         assert scheduler.max_worker_failures == 5
 
-    @pytest.mark.parametrize("name", ["serial", "batched"])
-    def test_supervision_options_rejected_off_process(self, name):
+    def test_supervision_options_rejected_off_process(self):
         with pytest.raises(ValueError, match="process scheduler"):
-            get_scheduler(name, jobs=1, worker_timeout=1.0)
+            get_scheduler("serial", jobs=1, worker_timeout=1.0)
         with pytest.raises(ValueError, match="process scheduler"):
-            get_scheduler(name, jobs=1, max_worker_failures=3)
+            get_scheduler("serial", jobs=1, max_worker_failures=3)
 
     def test_invalid_supervision_values_rejected(self):
         with pytest.raises(ValueError, match="worker_timeout"):
@@ -290,8 +290,10 @@ class TestSupervisionConfiguration:
         assert result.supervision is None
 
     def test_in_process_schedulers_have_no_supervision(self):
-        result = run("batched")
-        assert result.supervision is None
+        assert run("serial").supervision is None
+        batched = QirRuntime(seed=7).run_shots(compile_plan(PROGRAM), shots=12)
+        assert batched.scheduler == "batched"
+        assert batched.supervision is None
 
 
 class TestSupervisionRecord:

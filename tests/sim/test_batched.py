@@ -9,11 +9,17 @@ arithmetic -- that a scalar :class:`StatevectorSimulator` seeded with
 import numpy as np
 import pytest
 
+from repro.sim.gates import gate_matrix
 from repro.sim.statevector import BatchedStatevectorSimulator, StatevectorSimulator
 
 
 def scalar_twin(seed, num_qubits):
     return StatevectorSimulator(num_qubits, seed=seed)
+
+
+def apply(sim, name, qubits, params=()):
+    """One gate, as a fused kernel schedule applies it to either simulator."""
+    sim.apply_matrix(gate_matrix(name, params), qubits)
 
 
 class TestConstruction:
@@ -42,8 +48,8 @@ class TestGateEquivalence:
         batched = BatchedStatevectorSimulator(3, num_qubits=2, seeds=[1, 2, 3])
         scalar = scalar_twin(1, 2)
         for sim in (batched, scalar):
-            sim.apply_gate("h", [0])
-            sim.apply_gate("ry", [1], [0.37])
+            apply(sim, "h", [0])
+            apply(sim, "ry", [1], [0.37])
         for member in range(3):
             assert np.array_equal(batched.member_state(member), scalar.state)
 
@@ -51,9 +57,9 @@ class TestGateEquivalence:
         batched = BatchedStatevectorSimulator(2, num_qubits=3, seeds=[5, 6])
         scalar = scalar_twin(5, 3)
         for sim in (batched, scalar):
-            sim.apply_gate("h", [0])
-            sim.apply_gate("cnot", [0, 2])
-            sim.apply_gate("cnot", [2, 1])
+            apply(sim, "h", [0])
+            apply(sim, "cnot", [0, 2])
+            apply(sim, "cnot", [2, 1])
         for member in range(2):
             assert np.array_equal(batched.member_state(member), scalar.state)
 
@@ -61,16 +67,16 @@ class TestGateEquivalence:
         batched = BatchedStatevectorSimulator(2, num_qubits=3, seeds=[5, 6])
         scalar = scalar_twin(5, 3)
         for sim in (batched, scalar):
-            sim.apply_gate("x", [0])
-            sim.apply_gate("x", [1])
-            sim.apply_gate("ccx", [0, 1, 2])
+            apply(sim, "x", [0])
+            apply(sim, "x", [1])
+            apply(sim, "ccx", [0, 1, 2])
         for member in range(2):
             assert np.array_equal(batched.member_state(member), scalar.state)
 
     def test_gate_validation_matches_scalar(self):
         sim = BatchedStatevectorSimulator(2, num_qubits=2)
         with pytest.raises(ValueError):
-            sim.apply_gate("cnot", [0, 0])
+            apply(sim, "cnot", [0, 0])
         with pytest.raises(ValueError):
             sim.apply_matrix(np.eye(2), [0, 1])
 
@@ -79,11 +85,11 @@ class TestMeasurementEquivalence:
     def test_members_collapse_like_seeded_scalars(self):
         seeds = [11, 12, 13, 14]
         batched = BatchedStatevectorSimulator(4, num_qubits=1, seeds=seeds)
-        batched.apply_gate("h", [0])
+        apply(batched, "h", [0])
         outcomes = batched.measure(0)
         for member, seed in enumerate(seeds):
             scalar = scalar_twin(seed, 1)
-            scalar.apply_gate("h", [0])
+            apply(scalar, "h", [0])
             assert outcomes[member] == scalar.measure(0)
             assert np.array_equal(batched.member_state(member), scalar.state)
 
@@ -92,15 +98,15 @@ class TestMeasurementEquivalence:
         # as the scalar simulator would, keeping streams aligned after.
         seeds = [7, 8]
         batched = BatchedStatevectorSimulator(2, num_qubits=1, seeds=seeds)
-        batched.apply_gate("ry", [0], [1.1])
+        apply(batched, "ry", [0], [1.1])
         batched.reset(0)
-        batched.apply_gate("h", [0])
+        apply(batched, "h", [0])
         post_reset = batched.measure(0)
         for member, seed in enumerate(seeds):
             scalar = scalar_twin(seed, 1)
-            scalar.apply_gate("ry", [0], [1.1])
+            apply(scalar, "ry", [0], [1.1])
             scalar.reset(0)
-            scalar.apply_gate("h", [0])
+            apply(scalar, "h", [0])
             assert post_reset[member] == scalar.measure(0)
 
     def test_mid_circuit_remeasurement_chain_matches_scalar(self):
@@ -111,8 +117,8 @@ class TestMeasurementEquivalence:
         def chain(sim, measure_all):
             results = []
             for theta in (0.4, 0.9):
-                sim.apply_gate("ry", [0], [theta])
-                sim.apply_gate("cnot", [0, 1])
+                apply(sim, "ry", [0], [theta])
+                apply(sim, "cnot", [0, 1])
                 results.append(measure_all())
                 sim.reset(0)
             return results
@@ -127,25 +133,3 @@ class TestMeasurementEquivalence:
             for r, (b0, b1) in enumerate(batched_rounds):
                 assert b0[member] == scalar_rounds[r][0]
                 assert b1[member] == scalar_rounds[r][1]
-
-
-class TestAllocation:
-    def test_ensure_qubits_grows_all_members(self):
-        sim = BatchedStatevectorSimulator(2, num_qubits=1, seeds=[1, 2])
-        sim.apply_gate("x", [0])
-        sim.ensure_qubits(3)
-        assert sim.num_qubits == 3
-        scalar = scalar_twin(1, 1)
-        scalar.apply_gate("x", [0])
-        scalar.ensure_qubits(3)
-        for member in range(2):
-            assert np.array_equal(batched_state := sim.member_state(member), scalar.state)
-            assert batched_state.shape == (8,)
-
-    def test_allocate_and_release_round_trip(self):
-        sim = BatchedStatevectorSimulator(2, num_qubits=0, seeds=[1, 2])
-        a = sim.allocate_qubit()
-        b = sim.allocate_qubit()
-        assert {a, b} == {0, 1}
-        sim.release_qubit(b)
-        assert sim.allocate_qubit() == b

@@ -8,7 +8,7 @@ Covers the three specialization tiers end to end:
   matches per-gate evolution (up to global phase), and routed plans keep
   bit-identical histograms;
 * schedulers: fused counts equal the unfused serial reference across
-  serial / batched / process for a fixed seed;
+  serial / process and the batch for a fixed seed;
 * the cached sampling distribution: wire round-trip, fail-closed decode
   of wrong versions and corrupt blocks, disk-cache verify deletion, and
   warm-serve bit-identity;
@@ -34,8 +34,10 @@ from repro.runtime.plan import (
     ExecutionPlan,
     PlanDecodeError,
     compile_plan,
+    encode_payload,
 )
 from repro.runtime.plancache import PlanCache
+from repro.runtime.schedulers import run_batched
 from repro.runtime.sampling_fastpath import SampledDistribution
 from repro.sim import StatevectorSimulator
 from repro.sim.fusion import build_schedule, extract_trace, run_fused
@@ -63,7 +65,7 @@ def _per_gate_state(trace, num_slots: int) -> np.ndarray:
 
 
 def _fused_state(program) -> np.ndarray:
-    simulator = StatevectorSimulator(0)
+    simulator = StatevectorSimulator(program.num_slots)
     run_fused(program, simulator)
     return simulator.state.copy()
 
@@ -156,9 +158,7 @@ def test_fused_counts_match_unfused_serial_across_schedulers(text):
     reference = QirRuntime(seed=SEED, fusion=False).run_shots(
         text, shots=shots, sampling="never"
     )
-    for scheduler, jobs in [
-        ("serial", 1), ("batched", 1), ("process", 2),
-    ]:
+    for scheduler, jobs in [("serial", 1), ("process", 2)]:
         result = QirRuntime(seed=SEED, fusion=True).run_shots(
             text, shots=shots, sampling="never",
             scheduler=scheduler, jobs=jobs,
@@ -167,6 +167,11 @@ def test_fused_counts_match_unfused_serial_across_schedulers(text):
             f"{scheduler}: fused counts diverged from the serial "
             f"unfused reference"
         )
+    # The batch, called directly: the fast path would serve the terminal-
+    # measurement programs before the runtime reached it.
+    root = np.random.SeedSequence(int(np.random.default_rng(SEED).integers(2**63)))
+    batched = run_batched(compile_plan(text).fused, shots, root)
+    assert batched == reference.counts
 
 
 def _clifford_preamble_program() -> str:
@@ -239,34 +244,56 @@ def test_distribution_entry_validation_fails_closed():
             SampledDistribution.from_entries(bad)
 
 
-@pytest.mark.parametrize("version", [1, 2, PLAN_WIRE_VERSION + 1])
-def test_wrong_wire_versions_fail_closed(version):
-    assert PLAN_WIRE_VERSION == 3
-    plan = compile_plan(ghz_qir(3, addressing="static"))
+def _edited_payload(plan) -> dict:
+    """A plan's wire payload, unsealed for editing (see ``encode_payload``)."""
     payload = json.loads(plan.to_bytes())
+    del payload["sha256"]
+    return payload
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, PLAN_WIRE_VERSION + 1])
+def test_wrong_wire_versions_fail_closed(version):
+    assert PLAN_WIRE_VERSION == 4
+    plan = compile_plan(ghz_qir(3, addressing="static"))
+    payload = _edited_payload(plan)
     payload["wire_version"] = version
     with pytest.raises(PlanDecodeError, match="wire_version"):
-        ExecutionPlan.from_bytes(json.dumps(payload).encode("utf-8"))
+        ExecutionPlan.from_bytes(encode_payload(payload))
+    # Real v3 and older bytes are bare JSON, without the seal.
+    with pytest.raises(PlanDecodeError, match="no SHA-256 seal"):
+        ExecutionPlan.from_bytes(json.dumps(payload, sort_keys=True).encode())
+
+
+def test_every_single_byte_flip_fails_closed():
+    plan = _warmed_plan(ghz_qir(3, addressing="static"))
+    wire = plan.to_bytes()
+    ExecutionPlan.from_bytes(wire)
+    for index in range(len(wire)):
+        for mask in (0x01, 0x80):
+            flipped = bytearray(wire)
+            flipped[index] ^= mask
+            with pytest.raises(PlanDecodeError):
+                ExecutionPlan.from_bytes(bytes(flipped))
 
 
 def test_corrupt_distribution_block_fails_closed():
     plan = _warmed_plan(ghz_qir(3, addressing="static"))
-    payload = json.loads(plan.to_bytes())
+    payload = _edited_payload(plan)
 
     corrupted = dict(payload)
     corrupted["distribution"] = {"entries": [["00", 0.2], ["11", 0.2]]}
     with pytest.raises(PlanDecodeError, match="corrupt distribution"):
-        ExecutionPlan.from_bytes(json.dumps(corrupted).encode("utf-8"))
+        ExecutionPlan.from_bytes(encode_payload(corrupted))
 
     ragged = dict(payload)
     ragged["distribution"] = {"entries": [["0", 0.5], ["111", 0.25], ["", 0.25]]}
     with pytest.raises(PlanDecodeError, match="corrupt distribution"):
-        ExecutionPlan.from_bytes(json.dumps(ragged).encode("utf-8"))
+        ExecutionPlan.from_bytes(encode_payload(ragged))
 
     not_an_object = dict(payload)
     not_an_object["distribution"] = [1, 2, 3]
     with pytest.raises(PlanDecodeError, match="distribution block"):
-        ExecutionPlan.from_bytes(json.dumps(not_an_object).encode("utf-8"))
+        ExecutionPlan.from_bytes(encode_payload(not_an_object))
 
 
 def test_plan_cache_verify_deletes_corrupt_distribution(tmp_path):
@@ -277,9 +304,10 @@ def test_plan_cache_verify_deletes_corrupt_distribution(tmp_path):
     assert path is not None
 
     payload = json.loads(open(path, "rb").read())
+    del payload["sha256"]
     payload["distribution"] = {"entries": [["00", 7.0]]}
     with open(path, "wb") as handle:
-        handle.write(json.dumps(payload, sort_keys=True).encode("utf-8"))
+        handle.write(encode_payload(payload))
 
     report = cache.verify(delete=True)
     assert report.corrupt == [path]
@@ -308,7 +336,7 @@ def test_plan_cache_treats_a_v2_entry_as_a_miss(tmp_path, monkeypatch):
     assert cache.get(plan.key) is None
     assert cache.stats["misses"] == 1
 
-    # Even found at the v3 address, the v2 bytes are dropped and the
+    # Even found at the v4 address, the v2 bytes are dropped and the
     # session recompiles; the cold run renders from the records.
     shutil.copy(v2_path, cache.path_for(plan.key))
     session = QirSession(runtime=QirRuntime(seed=SEED), plan_cache_dir=str(tmp_path))

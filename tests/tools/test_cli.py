@@ -176,14 +176,15 @@ class TestQirRunResilience:
 
 class TestQirRunSchedulers:
     def test_schedulers_agree_on_counts(self, tmp_path, capsys):
-        # reset_chain is fastpath-ineligible, so every scheduler really
-        # runs per-shot (or batched) execution and counts must agree.
+        # reset_chain is fastpath-ineligible: by default the batch serves
+        # it, without fusion the serial loop runs it per shot, and process
+        # workers run it per shot.  Counts must agree.
         path = tmp_path / "chain.ll"
         path.write_text(reset_chain_qir(2, rounds=2))
         outputs = []
-        for flags in (["--scheduler", "serial"],
-                      ["--scheduler", "process", "--jobs", "2"],
-                      ["--scheduler", "batched"]):
+        for flags in ([],
+                      ["--no-fusion"],
+                      ["--scheduler", "process", "--jobs", "2"]):
             assert run_main([str(path), "--shots", "80", "--seed", "5",
                              *flags]) == 0
             outputs.append(capsys.readouterr().out)
@@ -195,7 +196,7 @@ class TestQirRunSchedulers:
             [],  # the default: sampling fast path
             ["--scheduler", "serial"],
             ["--scheduler", "serial", "--retries", "2"],  # per-shot loop
-            ["--scheduler", "batched"],
+            ["--scheduler", "process", "--jobs", "1"],
             ["--scheduler", "process", "--jobs", "2"],
             ["--scheduler", "process", "--jobs", "2", "--retries", "2"],
             ["--no-fusion"],
@@ -228,9 +229,11 @@ class TestQirRunSchedulers:
         assert run_main([bell_file, "--jobs", "0"]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
 
-    def test_profile_shows_cache_and_scheduler_sections(self, bell_file, capsys):
-        assert run_main([bell_file, "--shots", "20", "--seed", "7",
-                         "--scheduler", "batched", "--profile"]) == 0
+    def test_profile_shows_cache_and_scheduler_sections(self, tmp_path, capsys):
+        path = tmp_path / "chain.ll"
+        path.write_text(reset_chain_qir(2, rounds=2))
+        assert run_main([str(path), "--shots", "20", "--seed", "7",
+                         "--profile"]) == 0
         err = capsys.readouterr().err
         assert "-- compile & cache --" in err
         assert "cache.plan.miss" in err
@@ -252,10 +255,6 @@ class TestQirRunSchedulers:
     def test_chunk_knobs_require_a_queue_scheduler(self, bell_file, capsys):
         assert run_main([bell_file, "--shots", "10",
                          "--chunk-shots", "4"]) == 2
-        assert "require the process scheduler" in capsys.readouterr().err
-        assert run_main([bell_file, "--shots", "10",
-                         "--scheduler", "batched",
-                         "--chunk-shots", "2"]) == 2
         assert "require the process scheduler" in capsys.readouterr().err
 
     def test_nonpositive_chunk_sizes_are_usage_errors(self, bell_file, capsys):
@@ -524,6 +523,19 @@ class TestQirTranslate:
             "gate 'g' calls 'g' before it is defined"
         ]
 
+    def test_huge_register_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.qasm"
+        path.write_text(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1000000];\nh q[0];\n'
+        )
+        assert translate_main([str(path), "--to", "qir"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "qir-translate: cannot read qasm2 input: line 3: declares 1000000 "
+            "bits in total (at most 16384 qubits and bits are supported)"
+        ]
+
     def test_untranslatable_input(self, tmp_path, capsys):
         path = tmp_path / "loop.ll"
         path.write_text(counted_loop_qir(4))
@@ -653,7 +665,7 @@ class TestQirRunSupervision:
         assert run_main([bell_file, "--shots", "10",
                          "--worker-timeout", "2.0"]) == 2
         assert "require the process scheduler" in capsys.readouterr().err
-        assert run_main([bell_file, "--shots", "10", "--scheduler", "batched",
+        assert run_main([bell_file, "--shots", "10", "--scheduler", "serial",
                          "--max-worker-failures", "3"]) == 2
         assert "require the process scheduler" in capsys.readouterr().err
 
