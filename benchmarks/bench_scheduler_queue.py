@@ -41,7 +41,7 @@ def _run(chunk_shots):
     runtime = QirRuntime(seed=7, observer=observer)
     plan = QirSession(runtime=runtime).compile(reset_chain_qir(3, rounds=3))
     result = runtime.run_shots(
-        plan, shots=SHOTS, scheduler="process", jobs=JOBS,
+        plan, shots=SHOTS, jobs=JOBS,
         retry=RetryPolicy(max_attempts=3), fault_plan=_uneven_plan(),
         chunk_shots=chunk_shots,
     )
@@ -91,7 +91,7 @@ def test_queue_rebalances_under_transient_chunk_loss():
     )
     supervised = QirRuntime(seed=7).run_shots(
         reset_chain_qir(3, rounds=2), shots=24,
-        scheduler="process", jobs=JOBS, chunk_shots=4, fault_plan=plan,
+        jobs=JOBS, chunk_shots=4, fault_plan=plan,
     )
     assert supervised.counts == serial.counts
     assert supervised.supervision is not None

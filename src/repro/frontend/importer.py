@@ -28,7 +28,7 @@ from repro.llvmir.instructions import (
     ReturnInst,
     StoreInst,
 )
-from repro.llvmir.module import Module
+from repro.llvmir.module import EntryPointError, Module
 from repro.llvmir.values import (
     ConstantFloat,
     ConstantInt,
@@ -403,19 +403,11 @@ def import_circuit(
     module: Module, entry: Optional[str] = None, name: Optional[str] = None
 ) -> Circuit:
     """Convert a QIR module's entry point into a :class:`Circuit`."""
-    if entry is not None:
-        fn = module.get_function(entry)
-        if fn is None or fn.is_declaration:
-            raise CircuitImportError(f"no defined function @{entry}")
-    else:
-        entry_points = module.entry_points()
-        if len(entry_points) != 1:
-            defined = module.defined_functions()
-            if len(defined) == 1:
-                entry_points = defined
-            else:
-                raise CircuitImportError(
-                    "ambiguous entry point; pass entry= explicitly"
-                )
-        fn = entry_points[0]
+    try:
+        fn = module.entry_function(entry)
+    except EntryPointError as error:
+        raise CircuitImportError(
+            str(error) if entry is not None
+            else "ambiguous entry point; pass entry= explicitly"
+        ) from None
     return _Importer(fn, name or fn.name or "imported").run()

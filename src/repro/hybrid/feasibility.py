@@ -16,7 +16,7 @@ from typing import List, Optional
 from repro.hybrid.latency import DeviceModel
 from repro.hybrid.partition import FeedbackRegion, Partition, partition_function
 from repro.llvmir.function import Function
-from repro.llvmir.module import Module
+from repro.llvmir.module import EntryPointError, Module
 
 
 @dataclass
@@ -103,10 +103,13 @@ def check_feasibility(
     elif isinstance(target, Function):
         partition = partition_function(target)
     else:
-        entry_points = target.entry_points() or target.defined_functions()
-        if len(entry_points) != 1:
-            raise ValueError("pass a specific Function for multi-entry modules")
-        partition = partition_function(entry_points[0])
+        try:
+            fn = target.entry_function()
+        except EntryPointError:
+            raise ValueError(
+                "pass a specific Function for multi-entry modules"
+            ) from None
+        partition = partition_function(fn)
 
     timings = [time_region(r, device) for r in partition.regions]
     report = FeasibilityReport(

@@ -43,6 +43,10 @@ class AttributeGroup:
 ModuleFlag = Tuple[int, str, Constant]
 
 
+class EntryPointError(LookupError):
+    """:meth:`Module.entry_function` found no single function to run."""
+
+
 class Module:
     __slots__ = (
         "name",
@@ -116,6 +120,33 @@ class Module:
 
     def entry_points(self) -> List[Function]:
         return [f for f in self.functions.values() if f.is_entry_point]
+
+    def entry_function(self, entry: Optional[str] = None) -> Function:
+        """The function a run starts at -- the one entry-point rule.
+
+        ``entry`` names a defined function; without it, the one function
+        marked ``entry_point``, or (with none marked) the one defined
+        function.  Anything else raises :class:`EntryPointError`.
+        """
+        if entry is not None:
+            fn = self.get_function(entry)
+            if fn is None or fn.is_declaration:
+                raise EntryPointError(f"no defined function @{entry}")
+            return fn
+        entry_points = self.entry_points()
+        if len(entry_points) == 1:
+            return entry_points[0]
+        if entry_points:
+            raise EntryPointError(
+                f"module has {len(entry_points)} entry points; pass entry= explicitly"
+            )
+        defined = self.defined_functions()
+        if len(defined) == 1:
+            return defined[0]
+        raise EntryPointError(
+            "module has no entry_point attribute and multiple definitions; "
+            "pass entry= explicitly"
+        )
 
     # -- globals ---------------------------------------------------------------
     def add_global(self, gv: GlobalVariable) -> GlobalVariable:

@@ -37,7 +37,7 @@ import json
 import os
 import sqlite3
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -94,6 +94,14 @@ CREATE TABLE IF NOT EXISTS runs (
 );
 CREATE INDEX IF NOT EXISTS idx_runs_finished ON runs (finished_at);
 """
+
+#: What a damaged database file makes sqlite3 raise: its own errors, and a
+#: bare UnicodeDecodeError when a mangled TEXT value is read back.
+_DAMAGE = (sqlite3.Error, UnicodeDecodeError)
+
+#: ...plus what decoding a damaged row raises (a missing column is an
+#: IndexError; a value of the wrong type a ValueError or OverflowError).
+_READ_DAMAGE = _DAMAGE + (IndexError, ValueError, OverflowError)
 
 
 class LedgerError(Exception):
@@ -255,36 +263,47 @@ class RunRecord:
 
     @classmethod
     def from_row(cls, row: sqlite3.Row) -> "RunRecord":
-        def _json(text: str, default):
+        """Decode one row.  A value of the wrong type (a damaged file)
+        raises ``ValueError``; the read surfaces report it as
+        :class:`LedgerError`."""
+
+        def _typed(key: str, *types):
+            value = row[key]
+            if not isinstance(value, types):
+                raise ValueError(f"ledger column {key} holds {value!r}")
+            return value
+
+        def _json(key: str, default):
             try:
-                return json.loads(text)
+                value = json.loads(row[key])
             except (TypeError, ValueError):
                 return default
+            return value if isinstance(value, type(default)) else default
 
         return cls(
-            run_id=row["run_id"],
-            started_at=row["started_at"],
-            finished_at=row["finished_at"],
-            plan_key=row["plan_key"],
-            entry=row["entry"],
-            scheduler=row["scheduler"],
-            backend=row["backend"],
-            jobs=row["jobs"],
-            shots=row["shots"],
-            successful_shots=row["successful_shots"],
-            failed_shots=row["failed_shots"],
-            retried_shots=row["retried_shots"],
-            used_fast_path=bool(row["used_fast_path"]),
-            degraded=bool(row["degraded"]),
-            wall_seconds=row["wall_seconds"],
-            shots_per_second=row["shots_per_second"],
-            error_code=row["error_code"],
-            supervision_state=row["supervision_state"],
-            redispatches=row["redispatches"],
-            worker_failures=row["worker_failures"],
-            demotions=_json(row["demotions"], []),
-            counters=_json(row["counters"], {}),
-            environment=_json(row["environment"], {}),
+            run_id=_typed("run_id", str),
+            started_at=float(_typed("started_at", int, float)),
+            finished_at=float(_typed("finished_at", int, float)),
+            plan_key=_typed("plan_key", str, type(None)),
+            entry=_typed("entry", str, type(None)),
+            scheduler=_typed("scheduler", str),
+            backend=_typed("backend", str),
+            jobs=int(_typed("jobs", int, float)),
+            shots=int(_typed("shots", int, float)),
+            successful_shots=int(_typed("successful_shots", int, float)),
+            failed_shots=int(_typed("failed_shots", int, float)),
+            retried_shots=int(_typed("retried_shots", int, float)),
+            used_fast_path=bool(_typed("used_fast_path", int, float)),
+            degraded=bool(_typed("degraded", int, float)),
+            wall_seconds=float(_typed("wall_seconds", int, float)),
+            shots_per_second=float(_typed("shots_per_second", int, float)),
+            error_code=_typed("error_code", str),
+            supervision_state=_typed("supervision_state", str),
+            redispatches=int(_typed("redispatches", int, float)),
+            worker_failures=int(_typed("worker_failures", int, float)),
+            demotions=_json("demotions", []),
+            counters=_json("counters", {}),
+            environment=_json("environment", {}),
         )
 
 
@@ -332,7 +351,11 @@ class RunLedger:
         # A sanity probe: a truncated or overwritten file can satisfy the
         # pragma yet have a mangled table -- fail here, inside the guarded
         # section, so the caller's quarantine logic sees it.
-        conn.execute("SELECT run_id FROM runs LIMIT 1")
+        try:
+            conn.execute("SELECT run_id FROM runs LIMIT 1")
+        except _DAMAGE:
+            conn.close()
+            raise
         return conn
 
     def quarantine(self) -> Optional[str]:
@@ -376,7 +399,10 @@ class RunLedger:
         # and misuse arrive as the OperationalError/ProgrammingError
         # subclasses.  A failed integrity probe (missing runs table on a
         # non-empty file) surfaces as OperationalError "no such table",
-        # which *is* an overwritten/foreign file -- quarantine that too.
+        # which *is* an overwritten/foreign file -- quarantine that too,
+        # as well as text that no longer decodes.
+        if isinstance(error, UnicodeDecodeError):
+            return True
         if isinstance(error, sqlite3.DatabaseError) and not isinstance(
             error, (sqlite3.OperationalError, sqlite3.ProgrammingError)
         ):
@@ -387,13 +413,13 @@ class RunLedger:
         """Returns ``(written, corruption_suspected)``."""
         try:
             conn = self._connect()
-        except (sqlite3.Error, OSError, LedgerError) as error:
+        except (*_DAMAGE, OSError, LedgerError) as error:
             self._note_write_error()
             return False, self._looks_corrupt(error)
         try:
             with conn:
                 conn.execute(_INSERT, record.to_row())
-        except (sqlite3.Error, OSError) as error:
+        except (*_DAMAGE, OSError) as error:
             self._note_write_error()
             return False, self._looks_corrupt(error)
         finally:
@@ -407,30 +433,32 @@ class RunLedger:
             self.observer.inc("ledger.write_error")
 
     # -- read (the CLI surface; raises LedgerError on unusable files) ---------
-    def _read_connect(self) -> sqlite3.Connection:
+    @contextmanager
+    def _reading(self):
+        """A read connection: anything a damaged file raises inside the
+        block leaves as :class:`LedgerError`."""
         if not os.path.exists(self.path):
             raise LedgerError(f"no ledger at {self.path}")
         try:
-            return self._connect()
-        except sqlite3.Error as error:
+            with closing(self._connect()) as conn:
+                yield conn
+        except _READ_DAMAGE as error:
             raise LedgerError(f"unreadable ledger {self.path}: {error}") from error
+
+    def _select(self, sql: str, params: tuple) -> List[RunRecord]:
+        with self._reading() as conn:
+            return [RunRecord.from_row(r) for r in conn.execute(sql, params)]
 
     def list_runs(self, limit: int = 50) -> List[RunRecord]:
         """Most recent runs first."""
-        with closing(self._read_connect()) as conn:
-            rows = conn.execute(
-                "SELECT * FROM runs ORDER BY finished_at DESC, run_id DESC "
-                "LIMIT ?",
-                (limit,),
-            ).fetchall()
-        return [RunRecord.from_row(r) for r in rows]
+        return self._select(
+            "SELECT * FROM runs ORDER BY finished_at DESC, run_id DESC LIMIT ?",
+            (limit,),
+        )
 
     def get(self, run_id: str) -> Optional[RunRecord]:
-        with closing(self._read_connect()) as conn:
-            row = conn.execute(
-                "SELECT * FROM runs WHERE run_id = ?", (run_id,)
-            ).fetchone()
-        return RunRecord.from_row(row) if row is not None else None
+        rows = self._select("SELECT * FROM runs WHERE run_id = ?", (run_id,))
+        return rows[0] if rows else None
 
     def top(self, by: str = "wall_seconds", limit: int = 10) -> List[RunRecord]:
         """Runs ranked by one numeric column, descending."""
@@ -438,31 +466,26 @@ class RunLedger:
             raise LedgerError(
                 f"cannot sort by {by!r}; choose from {', '.join(SORTABLE_COLUMNS)}"
             )
-        with closing(self._read_connect()) as conn:
-            rows = conn.execute(
-                f"SELECT * FROM runs ORDER BY {by} DESC, run_id LIMIT ?",
-                (limit,),
-            ).fetchall()
-        return [RunRecord.from_row(r) for r in rows]
+        return self._select(
+            f"SELECT * FROM runs ORDER BY {by} DESC, run_id LIMIT ?", (limit,)
+        )
 
     def flaky(self, limit: int = 50) -> List[RunRecord]:
         """Runs where infrastructure wobbled: redispatches, worker loss,
         demotions, or degraded results -- the ``qir-ledger flaky`` view."""
-        with closing(self._read_connect()) as conn:
-            rows = conn.execute(
-                "SELECT * FROM runs WHERE redispatches > 0 "
-                "OR worker_failures > 0 OR degraded != 0 OR demotions != '[]' "
-                "ORDER BY finished_at DESC LIMIT ?",
-                (limit,),
-            ).fetchall()
-        return [RunRecord.from_row(r) for r in rows]
+        return self._select(
+            "SELECT * FROM runs WHERE redispatches > 0 "
+            "OR worker_failures > 0 OR degraded != 0 OR demotions != '[]' "
+            "ORDER BY finished_at DESC LIMIT ?",
+            (limit,),
+        )
 
     def gc(self, keep_days: float) -> int:
         """Delete rows older than ``keep_days``; returns the count."""
         if keep_days < 0:
             raise LedgerError("--keep-days must be >= 0")
         cutoff = time.time() - keep_days * 86400.0
-        with closing(self._read_connect()) as conn:
+        with self._reading() as conn:
             cursor = conn.execute(
                 "DELETE FROM runs WHERE finished_at < ?", (cutoff,)
             )
@@ -471,7 +494,7 @@ class RunLedger:
 
     def __len__(self) -> int:
         try:
-            with closing(self._read_connect()) as conn:
+            with self._reading() as conn:
                 return conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
         except LedgerError:
             return 0

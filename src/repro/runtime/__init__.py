@@ -60,7 +60,6 @@ from repro.runtime.dispatch import (
     guided_chunks,
 )
 from repro.runtime.schedulers import (
-    SCHEDULERS,
     ProcessScheduler,
     SerialScheduler,
     ShotOutcome,
@@ -109,7 +108,6 @@ __all__ = [
     "compile_plan",
     "content_hash",
     "plan_key",
-    "SCHEDULERS",
     "SerialScheduler",
     "ProcessScheduler",
     "ShotOutcome",

@@ -14,10 +14,13 @@ Architecturally this module is now a thin front over the two-phase stack:
   shots from the first tier that applies: the plan's cached distribution,
   the sampling fast path (one evolution, then joint sampling), the batch
   (one vectorised evolution of the plan's fused schedule), or the
-  per-shot loop on the requested placement -- ``serial`` (default) or
-  ``process`` (``jobs=N`` worker processes fed serialized plans).  Every
-  tier reproduces identical ``counts`` for the same ``seed=`` thanks to
-  spawned per-shot seeding.
+  per-shot loop, in-thread (``jobs=1``, the default) or in ``jobs=N``
+  worker processes fed serialized plans.  Every tier reproduces
+  identical ``counts`` for the same ``seed=`` thanks to spawned per-shot
+  seeding.
+
+The runtime picks its own path: ``jobs`` is the only placement option,
+and the input decides the specialization (see :meth:`QirRuntime.run_shots`).
 
 For cross-call caching of parsed modules and compiled plans, use
 :class:`repro.runtime.session.QirSession`.
@@ -97,9 +100,9 @@ class QirRuntime:
     >>> result = rt.execute(qir_text)
     >>> counts = rt.run_shots(qir_text, shots=1000).counts
 
-    ``scheduler``/``jobs`` pick the default placement of the per-shot
-    loop for ``run_shots`` (overridable per call): ``serial`` or
-    ``process`` (``jobs`` worker processes); see
+    ``jobs`` is the default placement of the per-shot loop for
+    ``run_shots`` (overridable per call): in-thread for ``1``, else that
+    many worker processes; see
     :func:`~repro.runtime.schedulers.get_scheduler`.
     """
 
@@ -112,10 +115,7 @@ class QirRuntime:
         allow_on_the_fly_qubits: bool = True,
         noise: Optional[NoiseModel] = None,
         observer=None,
-        scheduler: str = "serial",
         jobs: int = 1,
-        fusion: bool = True,
-        dist_cache: bool = True,
     ):
         self.backend_name = backend
         self.seed = seed
@@ -123,18 +123,11 @@ class QirRuntime:
         self.max_qubits = max_qubits
         self.allow_on_the_fly_qubits = allow_on_the_fly_qubits
         self.noise = noise
-        #: Plan specialization toggles (qir-run --no-fusion /
-        #: --no-dist-cache): ``fusion`` gates the fused kernel schedule in
-        #: the per-shot loop and the batch; ``dist_cache`` gates both
-        #: serving from and capturing a plan's memoized distribution.
-        self.fusion = fusion
-        self.dist_cache = dist_cache
         # Observability (repro.obs): the default is the shared no-op whose
         # hot-path cost is a single attribute check (bench_obs.py guards it).
         self.observer = as_observer(observer)
-        self.default_scheduler = scheduler
         self.default_jobs = jobs
-        get_scheduler(scheduler, jobs)  # validate the combination eagerly
+        get_scheduler(jobs)  # validate eagerly
         self._rng = np.random.default_rng(seed)
 
     def _make_executor(self) -> ShotExecutor:
@@ -177,7 +170,6 @@ class QirRuntime:
         fault_plan: Optional[FaultPlan] = None,
         fallback: Optional[FallbackChain] = None,
         collect_failures: bool = False,
-        scheduler: Optional[str] = None,
         jobs: Optional[int] = None,
         worker_timeout: Optional[float] = None,
         max_worker_failures: Optional[int] = None,
@@ -198,17 +190,22 @@ class QirRuntime:
         The batch (:func:`~repro.runtime.schedulers.run_batched`) is picked
         from the plan, not by an option: it serves an ``"auto"`` run the
         fast path declined when the program is an :class:`ExecutionPlan`
-        with a fused schedule (fusion on, within ``max_qubits``) on the
+        with a fused schedule (within ``max_qubits``) on the
         clean statevector, in-thread (``jobs == 1``), not resilient,
         without ``keep_stats``, and for more than one shot.  Its result
         reports ``scheduler == "batched"``.
 
-        ``scheduler`` / ``jobs`` override the runtime's default placement
-        of the per-shot loop for this call; :func:`get_scheduler`
-        validates them together with the process-only options below.  The
-        ``process`` scheduler ships the compiled plan to worker processes
-        as :meth:`ExecutionPlan.to_bytes` payloads; raw text/``Module``
+        ``jobs`` overrides the runtime's default placement of the
+        per-shot loop for this call; :func:`get_scheduler` validates it
+        together with the pool options below.  With ``jobs > 1`` (and more
+        than one shot) the compiled plan travels to worker processes as
+        :meth:`ExecutionPlan.to_bytes` payloads; raw text/``Module``
         programs are compiled (without re-verification) to make one.
+
+        A raw text/``Module`` program runs unspecialized: no fused
+        schedule, no batch, and no memoized distribution to serve or
+        capture.  Pass an :class:`ExecutionPlan` (``QirSession`` does) to
+        get them.
 
         Passing any of ``retry`` / ``fault_plan`` / ``fallback`` (or
         ``collect_failures=True``) selects the *resilient* per-shot loop:
@@ -217,14 +214,15 @@ class QirRuntime:
         records on the result instead of raising.  Resilience is per-shot,
         so a resilient run never takes the fast path or the batch.
 
-        ``worker_timeout`` / ``max_worker_failures`` configure the process
-        scheduler's worker supervisor (heartbeat deadline in seconds, and
-        failed rounds before the circuit breaker finishes the run in the
-        serial loop).  The resulting
+        ``worker_timeout`` / ``max_worker_failures`` configure the worker
+        pool's supervisor (heartbeat deadline in seconds, and failed
+        rounds before the circuit breaker finishes the run in the serial
+        loop).  The resulting
         :class:`~repro.runtime.schedulers.SupervisionRecord` rides on
         ``result.supervision``.  ``chunk_shots`` fixes the size of the
-        process scheduler's work-queue chunks (default: guided sizing; see
-        :func:`repro.runtime.dispatch.guided_chunks`).
+        pool's work-queue chunks (default: guided sizing; see
+        :func:`repro.runtime.dispatch.guided_chunks`).  All three need
+        ``jobs > 1``.
 
         ``run_context`` is the run's durable identity (see
         :mod:`repro.obs.runctx`): pass one (``QirSession`` does, with the
@@ -236,10 +234,8 @@ class QirRuntime:
         """
         if sampling not in ("auto", "never", "require"):
             raise ValueError(f"unknown sampling mode {sampling!r}")
-        scheduler_name = scheduler if scheduler is not None else self.default_scheduler
         jobs_n = jobs if jobs is not None else self.default_jobs
         sched = get_scheduler(
-            scheduler_name,
             jobs_n,
             worker_timeout=worker_timeout,
             max_worker_failures=max_worker_failures,
@@ -250,7 +246,7 @@ class QirRuntime:
         if run_context is not None or obs.enabled:
             base = run_context if run_context is not None else RunContext()
             labels: dict = {
-                "scheduler": scheduler_name,
+                "scheduler": sched.name,
                 "backend": self.backend_name,
                 "jobs": jobs_n,
                 "shots": shots,
@@ -263,7 +259,7 @@ class QirRuntime:
         t0 = perf_counter()
         if obs.enabled:
             with obs.span(
-                "run_shots", shots=shots, sampling=sampling, scheduler=scheduler_name
+                "run_shots", shots=shots, sampling=sampling, scheduler=sched.name
             ) as span:
                 result = self._run_shots_impl(
                     program, shots, entry, keep_stats, sampling,
@@ -337,7 +333,7 @@ class QirRuntime:
         # the same runtime seed produce identical counts.
         root = np.random.SeedSequence(int(self._rng.integers(2**63)))
 
-        schedule = plan.fused if plan is not None and self.fusion else None
+        schedule = plan.fused if plan is not None else None
         if schedule is not None and schedule.num_slots > self.max_qubits:
             # Too wide for the statevector: the interpreter path raises
             # the coded QubitAllocationError the fused kernels cannot.
@@ -350,7 +346,7 @@ class QirRuntime:
             # sampling alone.  The reserved fast-path sequence spawned
             # from this run's root is the exact generator the cold path
             # would have sampled with, so warm counts are bit-identical.
-            if plan is not None and self.dist_cache:
+            if plan is not None:
                 distribution = plan.distribution
                 if distribution is not None:
                     if obs.enabled:
@@ -367,11 +363,10 @@ class QirRuntime:
                 if obs.enabled:
                     obs.inc("cache.distribution.miss")
             try:
-                capture = plan is not None and self.dist_cache
                 counts, distribution = self._run_shots_sampled(
-                    module, shots, entry, fastpath_sequence(root), capture
+                    module, shots, entry, fastpath_sequence(root), plan is not None
                 )
-                if distribution is not None and plan is not None:
+                if distribution is not None:  # captured for a plan only
                     plan.attach_distribution(distribution)
                 return ShotsResult(
                     counts=_sorted_counts(counts), shots=shots, used_fast_path=True
@@ -410,12 +405,13 @@ class QirRuntime:
             # Single-level chain: demotion is impossible, failures raise.
             chain = FallbackChain([BackendLevel(self.backend_name, noisy=True)])
 
-        # Process workers need the program as bytes.  A compiled plan
+        # Process workers need the program as bytes -- only when the pool
+        # will run (a one-shot run takes the serial loop).  A compiled plan
         # serializes directly; raw programs get a lightweight plan (no
         # re-verify -- the parent already ran its own checks, and workers
         # re-validate integrity via the wire seal).
         plan_bytes = None
-        if sched.name == "process":
+        if sched.jobs > 1 and shots > 1:
             worker_plan = plan if plan is not None else compile_plan(
                 module, backend=self.backend_name, entry=entry, verify=False
             )
@@ -454,12 +450,10 @@ class QirRuntime:
         """One evolution + joint sampling (see runtime.sampling_fastpath).
 
         With ``capture=True`` the terminal distribution also comes back
-        (for plan memoization) -- but only when the evolution consumed no
-        RNG draws.  A mid-evolution draw (a reset or release of a
-        superposed qubit) shifts the generator's position, so a warm
-        replay sampling straight from the stored table would read a
-        different stream than this cold run did; such programs simply
-        stay uncached.
+        (for plan memoization).  The evolution never draws from the RNG
+        (the deferred backend declines anything that would, such as a
+        reset of a superposed qubit), so a warm replay sampling straight
+        from the stored table reads the same stream this cold run did.
         """
         inner = StatevectorSimulator(0, seed=seed, max_qubits=self.max_qubits)
         backend = DeferredMeasurementBackend(inner)
@@ -472,12 +466,11 @@ class QirRuntime:
             observer=self.observer,
             results=results,
         )
-        state_before = inner._rng.bit_generator.state if capture else None
         interp.run(entry)
         if self.observer.enabled:
             fold_intrinsic_stats(self.observer, interp.stats)
         distribution = None
-        if capture and inner._rng.bit_generator.state == state_before:
+        if capture:
             # Extracted before sampling: probabilities() reads amplitudes
             # without touching the generator.
             distribution = distribution_from(backend, results)
@@ -507,7 +500,6 @@ def run_shots(
     fault_plan: Optional[FaultPlan] = None,
     fallback: Optional[FallbackChain] = None,
     collect_failures: bool = False,
-    scheduler: Optional[str] = None,
     jobs: Optional[int] = None,
     worker_timeout: Optional[float] = None,
     max_worker_failures: Optional[int] = None,
@@ -525,7 +517,6 @@ def run_shots(
         fault_plan=fault_plan,
         fallback=fallback,
         collect_failures=collect_failures,
-        scheduler=scheduler,
         jobs=jobs,
         worker_timeout=worker_timeout,
         max_worker_failures=max_worker_failures,

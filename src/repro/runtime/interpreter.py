@@ -35,7 +35,7 @@ from repro.llvmir.instructions import (
     SwitchInst,
     UnreachableInst,
 )
-from repro.llvmir.module import Module
+from repro.llvmir.module import EntryPointError, Module
 from repro.llvmir.types import ArrayType, IntType, IRType
 from repro.llvmir.values import (
     ConstantArray,
@@ -162,25 +162,10 @@ class Interpreter:
         return self.call_function(fn, [])
 
     def _find_entry(self, entry: Optional[str]) -> Function:
-        if entry is not None:
-            fn = self.module.get_function(entry)
-            if fn is None or fn.is_declaration:
-                raise QirRuntimeError(f"no defined function @{entry}")
-            return fn
-        entry_points = self.module.entry_points()
-        if len(entry_points) == 1:
-            return entry_points[0]
-        if not entry_points:
-            defined = self.module.defined_functions()
-            if len(defined) == 1:
-                return defined[0]
-            raise QirRuntimeError(
-                "module has no entry_point attribute and multiple definitions; "
-                "pass entry= explicitly"
-            )
-        raise QirRuntimeError(
-            f"module has {len(entry_points)} entry points; pass entry= explicitly"
-        )
+        try:
+            return self.module.entry_function(entry)
+        except EntryPointError as error:
+            raise QirRuntimeError(str(error)) from None
 
     # -- function execution ------------------------------------------------------
     def call_function(self, fn: Function, args: List[object]) -> object:

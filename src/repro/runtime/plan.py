@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Optional, Tuple, Union
 
-from repro.llvmir.module import Module
+from repro.llvmir.module import EntryPointError, Module
 from repro.llvmir.parser import parse_assembly
 from repro.llvmir.printer import print_module
 from repro.llvmir.verifier import verify_module
@@ -336,20 +336,9 @@ def _analyze_entry(
     """Resolve the entry point and read its attributes -- tolerant: an
     unresolvable entry stays ``None`` and the interpreter raises its usual
     error at execution time, keeping compile-phase behaviour additive."""
-    fn = None
-    if entry is not None:
-        candidate = module.get_function(entry)
-        if candidate is not None and not candidate.is_declaration:
-            fn = candidate
-    else:
-        entry_points = module.entry_points()
-        if len(entry_points) == 1:
-            fn = entry_points[0]
-        elif not entry_points:
-            defined = module.defined_functions()
-            if len(defined) == 1:
-                fn = defined[0]
-    if fn is None:
+    try:
+        fn = module.entry_function(entry)
+    except EntryPointError:
         return None, None, None, None
 
     def _int_attr(key: str) -> Optional[int]:

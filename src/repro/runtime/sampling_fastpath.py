@@ -13,6 +13,8 @@ moment the program does anything whose semantics would depend on a
 measurement outcome --
 
 * a gate / reset / release touching an already-measured qubit,
+* a reset or release of a superposed qubit (its outcome is random per
+  shot, so one shared collapse would serve every shot the same one),
 * measuring the same qubit twice,
 * reading a result value (``read_result`` / ``result_equal`` feedback),
 * a dynamic (``m``-style) result.
@@ -42,7 +44,7 @@ from repro.runtime.results import ResultStore
 from repro.runtime.values import IntPtr, ResultPtr
 from repro.sim.backend import DelegatingBackend
 from repro.sim.sampling import ZERO_COLUMN, render_counts, render_outcomes
-from repro.sim.statevector import StatevectorSimulator
+from repro.sim.statevector import StatevectorSimulator, is_superposed
 
 #: Distributions with more nonzero outcomes than this are not cached --
 #: the wire payload would dwarf the module text and the warm win shrinks
@@ -58,7 +60,9 @@ class DeferredMeasurementBackend(DelegatingBackend):
     """Statevector wrapper that records measurements instead of collapsing.
 
     ``measure`` returns the measured slot: the outcome it stands for is
-    that slot's bit in each basis state sampled after the evolution."""
+    that slot's bit in each basis state sampled after the evolution.
+    Nothing here draws from the RNG: a reset that would (a superposed
+    qubit) declines instead."""
 
     def __init__(self, inner: StatevectorSimulator):
         super().__init__(inner)
@@ -72,6 +76,7 @@ class DeferredMeasurementBackend(DelegatingBackend):
         # allocated (it is never reused within this single evolution).
         if slot in self._measured_set:
             return
+        self._check_not_superposed(slot)
         self.inner.release_qubit(slot)
 
     def apply_gate(
@@ -90,7 +95,12 @@ class DeferredMeasurementBackend(DelegatingBackend):
     def reset(self, slot: int) -> None:
         if slot in self._measured_set:
             raise FastPathUnsupported("reset after measurement")
+        self._check_not_superposed(slot)
         self.inner.reset(slot)
+
+    def _check_not_superposed(self, slot: int) -> None:
+        if is_superposed(self.inner.probability_of_one(slot)):
+            raise FastPathUnsupported("reset of a superposed qubit")
 
 
 class SharedStreamResults(ResultStore):

@@ -13,7 +13,8 @@ turns "run N shots of this module" into per-shot tasks:
   program as a *serialized* :class:`~repro.runtime.plan.ExecutionPlan`
   (``to_bytes``), never re-running verify/passes/analysis.
 
-:func:`get_scheduler` is the one place their options are validated.
+:func:`get_scheduler` picks one from ``jobs`` and is the one place
+their options are validated.
 
 :func:`run_batched` is the *batch tier*, not a scheduler: one vectorised
 evolution of the plan's fused schedule for all shots
@@ -84,8 +85,6 @@ from repro.sim.fusion import FusedProgram, run_fused
 from repro.sim.noise import NoiseModel, NoisyBackend
 from repro.sim.stabilizer import StabilizerSimulator
 from repro.sim.statevector import BatchedStatevectorSimulator, StatevectorSimulator
-
-SCHEDULERS = ("serial", "process")
 
 SeedLike = Union[int, np.random.SeedSequence, None]
 
@@ -693,14 +692,15 @@ class ShotTask:
     resilient: bool
     timed: bool
     #: Serialized ExecutionPlan for process workers (set by the runtime
-    #: whenever the process scheduler is selected); workers deserialize
-    #: this instead of re-running the compile phase.
+    #: whenever the worker pool will run); workers deserialize this
+    #: instead of re-running the compile phase.
     plan_bytes: Optional[bytes] = None
     #: Run identity (repro.obs.runctx); rides the pickled _WorkerChunk into
     #: process workers so their reports join the parent's trace and ledger.
     run_id: str = ""
     #: Fused kernel schedule from the plan's specialization pass; ``None``
-    #: disables fusion for this run (not specializable, or --no-fusion).
+    #: runs every gate through the interpreter (no plan, not
+    #: specializable, or too wide).
     schedule: Optional[FusedProgram] = None
 
     def run_one(self, shot: int) -> ShotOutcome:
@@ -1019,8 +1019,8 @@ class ProcessScheduler:
     worker has *started* (first heartbeat written): a chunk waiting in
     the executor's queue is not hung, it just has not been pulled yet.
 
-    Build it through :func:`get_scheduler`, which validates the options;
-    ``jobs == 1`` runs the in-thread serial loop with no pool.
+    Build it through :func:`get_scheduler` (``jobs > 1``), which
+    validates the options.
     """
 
     name = "process"
@@ -1047,8 +1047,8 @@ class ProcessScheduler:
         self.worker_timeout = worker_timeout
         self.max_worker_failures = max_worker_failures
         self.chunk_shots = chunk_shots
-        #: What actually ran: flips to "serial" when the pool would be
-        #: pointless (one shot, or one worker).
+        #: What actually ran: flips to "serial" for a one-shot run, where
+        #: the pool would be pointless.
         self.effective = "process"
         #: :class:`SupervisionRecord` of the most recent supervised run
         #: (None until one happens); the runtime attaches it to the
@@ -1057,7 +1057,7 @@ class ProcessScheduler:
 
     def run(self, task: ShotTask) -> List[ShotOutcome]:
         self.supervision = None
-        if task.shots <= 1 or self.jobs == 1:
+        if task.shots <= 1:
             self.effective = "serial"
             return SerialScheduler().run(task)
         if task.plan_bytes is None:
@@ -1486,48 +1486,36 @@ class ProcessScheduler:
 
 
 def get_scheduler(
-    name: str,
     jobs: int = 1,
+    *,
     worker_timeout: Optional[float] = None,
     max_worker_failures: Optional[int] = None,
     chunk_shots: Optional[int] = None,
 ):
-    """Resolve and validate a scheduler request: the one option rule.
+    """Resolve and validate a placement request: the one option rule.
 
     ``qir-run``, :class:`~repro.runtime.execute.QirRuntime` and
-    ``run_shots`` all resolve their options here:
-
-    * ``name`` is one of :data:`SCHEDULERS`;
-    * ``jobs`` (``>= 1``) is the worker count.  ``jobs == 1`` runs the
-      in-thread loop on every scheduler; ``jobs > 1`` needs the process
-      scheduler, since serial has no workers;
-    * ``worker_timeout`` (``> 0`` seconds), ``max_worker_failures``
-      (``>= 1``, default 2) and ``chunk_shots`` (``>= 1``) configure the
-      process scheduler's supervisor and work queue, and are rejected for
-      the other schedulers.
+    ``run_shots`` all resolve their options here.  ``jobs`` (``>= 1``)
+    is the placement: ``jobs == 1`` is the in-thread
+    :class:`SerialScheduler`, ``jobs > 1`` a :class:`ProcessScheduler`
+    of that many workers.  ``worker_timeout`` (``> 0`` seconds),
+    ``max_worker_failures`` (``>= 1``, default 2) and ``chunk_shots``
+    (``>= 1``) configure the worker pool's supervisor and work queue, so
+    they need ``jobs > 1``.
     """
-    if name not in SCHEDULERS:
-        raise ValueError(
-            f"unknown scheduler {name!r}; choose from {', '.join(SCHEDULERS)}"
-        )
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if name != "process":
-        if jobs > 1:
-            raise ValueError(
-                "jobs > 1 requires the process scheduler (the serial "
-                "scheduler runs in one thread)"
-            )
-        if (
-            worker_timeout is not None
-            or max_worker_failures is not None
-            or chunk_shots is not None
+    if jobs == 1:
+        for option, value in (
+            ("worker_timeout", worker_timeout),
+            ("max_worker_failures", max_worker_failures),
+            ("chunk_shots", chunk_shots),
         ):
-            raise ValueError(
-                "worker_timeout, max_worker_failures and chunk_shots "
-                "require the process scheduler (no worker pool to "
-                "supervise or feed)"
-            )
+            if value is not None:
+                raise ValueError(
+                    f"{option} needs jobs > 1 (jobs == 1 runs in-thread, "
+                    "with no worker pool to supervise or feed)"
+                )
         return SerialScheduler()
     if worker_timeout is not None and worker_timeout <= 0:
         raise ValueError("worker_timeout must be > 0 seconds")

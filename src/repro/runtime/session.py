@@ -276,10 +276,11 @@ class QirSession:
             context = context.with_labels(plan_key=self._plan_key_of(plan, pipeline, entry))
         # Fill in labels the ledger needs even when no observer is
         # enabled (the runtime only refines the context it is handed).
+        jobs = kwargs.get("jobs") or self.runtime.default_jobs
         context = context.with_labels(
-            scheduler=kwargs.get("scheduler") or self.runtime.default_scheduler,
+            scheduler="process" if jobs > 1 else "serial",
             backend=self.runtime.backend_name,
-            jobs=kwargs.get("jobs") or self.runtime.default_jobs,
+            jobs=jobs,
             entry=entry if entry is not None else plan.entry,
             shots=shots,
         )

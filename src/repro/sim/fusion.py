@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.llvmir.instructions import CallInst, ReturnInst
-from repro.llvmir.module import Module
+from repro.llvmir.module import EntryPointError, Module
 from repro.llvmir.values import (
     ConstantExpr,
     ConstantFloat,
@@ -110,22 +110,6 @@ class Trace:
     columns: Tuple[int, ...]
 
 
-def _resolve_entry(module: Module, entry: Optional[str]):
-    if entry is not None:
-        fn = module.get_function(entry)
-        if fn is not None and not fn.is_declaration:
-            return fn
-        return None
-    entry_points = module.entry_points()
-    if len(entry_points) == 1:
-        return entry_points[0]
-    if not entry_points:
-        defined = module.defined_functions()
-        if len(defined) == 1:
-            return defined[0]
-    return None
-
-
 def _const_address(value) -> Optional[int]:
     """A static qubit/result address, or None when the operand is dynamic."""
     if isinstance(value, ConstantNull):
@@ -165,8 +149,11 @@ def extract_trace(module: Module, entry: Optional[str] = None) -> Optional[Trace
     to slots ``0..n-1``; any further address binds in first-touch order
     (the :class:`~repro.runtime.qubit_manager.QubitManager` contract).
     """
-    fn = _resolve_entry(module, entry)
-    if fn is None or len(fn.blocks) != 1:
+    try:
+        fn = module.entry_function(entry)
+    except EntryPointError:
+        return None
+    if len(fn.blocks) != 1:
         return None
     block = fn.blocks[0]
 

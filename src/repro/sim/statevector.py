@@ -26,6 +26,13 @@ from repro.sim.sampling import ZERO_COLUMN, render_counts, table_columns
 
 _ATOL = 1e-12
 
+
+def is_superposed(p1: float) -> bool:
+    """Does a qubit with ``P(1) = p1`` need a random draw to measure or
+    reset?  The one tolerance every reset uses."""
+    return _ATOL < p1 < 1.0 - _ATOL
+
+
 SeedLike = Union[int, np.random.SeedSequence, None]
 
 
@@ -251,7 +258,7 @@ class StatevectorSimulator:
     def reset(self, qubit: int) -> None:
         self._check_qubit(qubit)
         p1 = self.probability_of_one(qubit)
-        if p1 > _ATOL and p1 < 1.0 - _ATOL:
+        if is_superposed(p1):
             outcome = self.measure(qubit)
         else:
             outcome = int(p1 >= 0.5)
@@ -445,7 +452,7 @@ class BatchedStatevectorSimulator:
         self._check_qubit(qubit)
         for member in range(self.batch):
             p1 = self.probability_of_one(member, qubit)
-            if p1 > _ATOL and p1 < 1.0 - _ATOL:
+            if is_superposed(p1):
                 outcome = int(self._rngs[member].random() < p1)
                 self._collapse_member(member, qubit, outcome, p1)
             else:

@@ -194,6 +194,17 @@ def fastpath_arms(runtime: QirRuntime, text: str, shots: int) -> Tuple[Arm, Arm]
     )
 
 
+def _bare_then_plan(
+    runtime: QirRuntime, plan: ExecutionPlan, shots: int, sampling: str
+) -> Tuple[Arm, Arm]:
+    """The plan's bare module, which the runtime never specializes, as
+    the baseline arm; the plan itself as the candidate."""
+    return (
+        lambda: runtime.run_shots(plan.module, shots, plan.entry, sampling=sampling),
+        lambda: runtime.run_shots(plan, shots, sampling=sampling),
+    )
+
+
 def fusion_arms(plan: ExecutionPlan, shots: int) -> Tuple[Arm, Arm]:
     """Per-gate interpretation (baseline) vs the fused kernel schedule.
 
@@ -207,33 +218,24 @@ def fusion_arms(plan: ExecutionPlan, shots: int) -> Tuple[Arm, Arm]:
             "program is not specializable (dynamic control flow or qubit "
             "addressing); there is no fused schedule to measure"
         )
-    unfused = QirRuntime(seed=7, fusion=False)
-    fused = QirRuntime(seed=7, fusion=True)
-    return (
-        lambda: unfused.run_shots(plan, shots=shots, sampling="never"),
-        lambda: fused.run_shots(plan, shots=shots, sampling="never"),
-    )
+    return _bare_then_plan(QirRuntime(seed=7), plan, shots, "never")
 
 
 def dist_warm_arms(plan: ExecutionPlan, shots: int) -> Tuple[Arm, Arm]:
     """Cold fast-path re-evolution (baseline) vs warm distribution serving.
 
     One ``sampling="require"`` run memoizes the plan's distribution
-    first.  Raises ``ValueError`` when the plan never becomes warm (its
-    evolution draws from the RNG, or the support is too large to cache).
+    first.  Raises ``ValueError`` when the plan never becomes warm (the
+    outcome support is too large to cache).
     """
-    warm = QirRuntime(seed=7)
-    cold = QirRuntime(seed=7, dist_cache=False)
-    warm.run_shots(plan, shots=shots, sampling="require")
+    runtime = QirRuntime(seed=7)
+    runtime.run_shots(plan, shots=shots, sampling="require")
     if plan.distribution is None:
         raise ValueError(
-            "plan did not memoize a distribution (the evolution draws "
-            "from the RNG, or the outcome support is too large)"
+            "plan did not memoize a distribution (the outcome support is "
+            "too large)"
         )
-    return (
-        lambda: cold.run_shots(plan, shots=shots, sampling="require"),
-        lambda: warm.run_shots(plan, shots=shots, sampling="require"),
-    )
+    return _bare_then_plan(runtime, plan, shots, "require")
 
 
 def _bench_runtime(snapshot: BenchSnapshot, shots: int, repeats: int) -> None:
@@ -320,11 +322,11 @@ def _bench_schedulers(snapshot: BenchSnapshot, shots: int, repeats: int) -> None
     text = reset_chain_qir(3, rounds=3)
     jobs = max(2, min(4, os.cpu_count() or 2))
 
-    def arm(sampling: str, scheduler: str = "serial", jobs: int = 1) -> Arm:
+    def arm(sampling: str, jobs: int = 1) -> Arm:
         runtime = QirRuntime(seed=7)
         plan = QirSession(runtime=runtime).compile(text)
         return lambda: runtime.run_shots(
-            plan, shots=shots, sampling=sampling, scheduler=scheduler, jobs=jobs
+            plan, shots=shots, sampling=sampling, jobs=jobs
         )
 
     batched = measure_arms(
@@ -333,7 +335,7 @@ def _bench_schedulers(snapshot: BenchSnapshot, shots: int, repeats: int) -> None
     serial = batched.baseline
     process = ArmComparison(
         serial,
-        measure(arm("never", "process", jobs=jobs), repeats=repeats),
+        measure(arm("never", jobs=jobs), repeats=repeats),
         shots,
     )
 
@@ -384,8 +386,7 @@ def _bench_supervision(snapshot: BenchSnapshot, shots: int, repeats: int) -> Non
         plan = QirSession(runtime=runtime).compile(text)
         fault_plan = FaultPlan.parse(fault_specs, seed=0) if fault_specs else None
         return lambda: runtime.run_shots(
-            plan, shots=shots, scheduler="process", jobs=jobs,
-            fault_plan=fault_plan,
+            plan, shots=shots, jobs=jobs, fault_plan=fault_plan,
         )
 
     recovery_observer = Observer()
@@ -490,7 +491,7 @@ def _bench_trace_analytics(snapshot: BenchSnapshot, shots: int, repeats: int) ->
     observer = Observer()
     runtime = QirRuntime(seed=7, observer=observer)
     plan = QirSession(runtime=runtime).compile(text)
-    runtime.run_shots(plan, shots=shots, scheduler="process", jobs=jobs)
+    runtime.run_shots(plan, shots=shots, jobs=jobs)
     events = observer.tracer.to_trace_events()
     trace = Trace.from_events(events)
 
@@ -520,7 +521,7 @@ def _bench_trace_analytics(snapshot: BenchSnapshot, shots: int, repeats: int) ->
         arm_runtime = QirRuntime(seed=7, observer=arm_observer)
         arm_plan = QirSession(runtime=arm_runtime).compile(text)
         arm_runtime.run_shots(
-            arm_plan, shots=shots, scheduler="process", jobs=jobs,
+            arm_plan, shots=shots, jobs=jobs,
             retry=RetryPolicy(max_attempts=3),
             fault_plan=skewed, chunk_shots=chunk_shots,
         )

@@ -6,6 +6,7 @@ Examples::
     qir-run program.ll --shots 1000         # histogram over 1000 shots
     qir-run program.ll --backend stabilizer --seed 7
     qir-run program.ll --noise-1q 0.01 --noise-readout 0.02
+    qir-run program.ll --shots 1000 --jobs 4    # four worker processes
     qir-run program.ll --shots 1000 --retries 3 --fallback \\
         --inject-fault gate,p=0.01,failures=2
     qir-run program.ll --shots 1000 --profile --trace t.jsonl --metrics m.json
@@ -26,7 +27,6 @@ from repro.obs.cli import add_observability_args, emit_observability, observer_f
 from repro.resilience import FallbackChain, FaultPlan, RetryPolicy, ShotFailure
 from repro.resilience.report import render_timing_line
 from repro.runtime import (
-    SCHEDULERS,
     QirRuntime,
     QirRuntimeError,
     QirSession,
@@ -64,48 +64,37 @@ def build_parser() -> argparse.ArgumentParser:
                         help="readout flip probability")
     parser.add_argument("--no-verify", action="store_true",
                         help="skip the IR verifier")
-    parser.add_argument("--no-fusion", action="store_true",
-                        help="disable fused gate kernels (run every gate "
-                             "through the interpreter individually)")
-    parser.add_argument("--no-dist-cache", action="store_true",
-                        help="disable the cached sampling distribution "
-                             "(warm plans re-simulate instead of sampling "
-                             "the memoized output distribution)")
     parser.add_argument("--opt", default=None, metavar="PIPELINE",
                         help="run a qir-opt pipeline before executing "
                              "(same names as qir-opt --pipeline)")
     execution = parser.add_argument_group("execution")
-    execution.add_argument("--scheduler", default="serial",
-                           metavar="{" + ",".join(SCHEDULERS) + "}",
-                           help="where per-shot work runs: serial "
-                                "(default) or process (--jobs worker "
-                                "processes fed serialized plans); an "
-                                "in-thread run of a fused plan the "
-                                "sampling fast path rejects is served by "
-                                "one vectorised batch instead")
     execution.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="worker processes for --scheduler process "
-                                "(default 1: the serial loop)")
+                           help="where per-shot work runs: 1 (default) "
+                                "in-thread, N > 1 in N worker processes "
+                                "fed serialized plans; an in-thread run "
+                                "of a fused plan the sampling fast path "
+                                "rejects is served by one vectorised batch "
+                                "instead")
     execution.add_argument("--chunk-shots", type=int, default=None,
                            metavar="K",
                            help="fixed shots per work-queue chunk for "
-                                "--scheduler process (default: guided "
+                                "--jobs N > 1 (default: guided "
                                 "sizing — large chunks first, shrinking "
                                 "toward one shot; K = ceil(shots/jobs) "
                                 "reproduces the old one-chunk-per-worker "
                                 "contiguous split)")
     execution.add_argument("--worker-timeout", type=float, default=None,
                            metavar="SECONDS",
-                           help="process-scheduler watchdog: a worker that "
+                           help="worker-pool watchdog: a worker that "
                                 "stops heartbeating for SECONDS is declared "
                                 "hung, terminated, and its chunk re-dispatched "
                                 "(default: off; auto-armed for worker_hang "
                                 "fault injection)")
     execution.add_argument("--max-worker-failures", type=int, default=None,
                            metavar="N",
-                           help="failed dispatch waves before the process "
-                                "scheduler's circuit breaker finishes the "
-                                "run in the serial loop (default 2)")
+                           help="failed dispatch waves before the worker "
+                                "pool's circuit breaker finishes the run in "
+                                "the serial loop (default 2)")
     execution.add_argument("--plan-cache", default=None, metavar="DIR",
                            help="persist compiled plans under DIR so later "
                                 "processes warm-start (also honours the "
@@ -159,8 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _run(args: argparse.Namespace, observer) -> int:
     try:
-        scheduler = get_scheduler(
-            args.scheduler,
+        get_scheduler(
             args.jobs,
             worker_timeout=args.worker_timeout,
             max_worker_failures=args.max_worker_failures,
@@ -169,12 +157,6 @@ def _run(args: argparse.Namespace, observer) -> int:
     except ValueError as error:
         print(f"qir-run: error: {error}", file=sys.stderr)
         return EXIT_PARSE
-    if scheduler.name == "process" and scheduler.jobs == 1:
-        print(
-            "qir-run: note: --scheduler process with --jobs 1 runs "
-            "serially (one worker is the serial loop)",
-            file=sys.stderr,
-        )
 
     try:
         source = _read_input(args.input)
@@ -208,8 +190,6 @@ def _run(args: argparse.Namespace, observer) -> int:
         allow_on_the_fly_qubits=not args.no_on_the_fly,
         noise=noise if has_noise else None,
         observer=observer,
-        fusion=not args.no_fusion,
-        dist_cache=not args.no_dist_cache,
     )
 
     # The lli workflow, compile-once style: parse -> verify -> optional
@@ -271,7 +251,6 @@ def _run(args: argparse.Namespace, observer) -> int:
             fault_plan=fault_plan,
             fallback=fallback,
             collect_failures=resilient,
-            scheduler=args.scheduler,
             jobs=args.jobs,
             worker_timeout=args.worker_timeout,
             max_worker_failures=args.max_worker_failures,

@@ -195,3 +195,51 @@ class TestFailOpen:
 
     def test_len_of_missing_ledger_is_zero(self, tmp_path):
         assert len(RunLedger(str(tmp_path))) == 0
+
+
+class TestHostileLedgerFiles:
+    """Seeded mutations of a healthy ledger file: writes stay fail-open,
+    and every read surface raises only ``LedgerError``."""
+
+    @staticmethod
+    def _mutate(data: bytes, rng) -> bytes:
+        data = bytearray(data)
+        kind = rng.randrange(3)
+        if kind == 0:  # one bit flip
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        elif kind == 1:  # truncation
+            del data[rng.randrange(len(data)):]
+        else:  # eight random bytes
+            at = rng.randrange(len(data) - 8)
+            data[at:at + 8] = bytes(rng.randrange(256) for _ in range(8))
+        return bytes(data)
+
+    def test_seeded_mutations_fail_closed(self, tmp_path):
+        import random
+
+        healthy = RunLedger(str(tmp_path / "healthy"))
+        for i in range(5):
+            assert healthy.record(make_record(finished_at=1000.0 + i, demotions=["x"]))
+        with open(healthy.path, "rb") as handle:
+            clean = handle.read()
+        rng = random.Random(20)
+        reads = (
+            lambda ledger: [r.flaky for r in ledger.list_runs()],
+            lambda ledger: ledger.top(),
+            lambda ledger: ledger.flaky(),
+            lambda ledger: ledger.get("missing"),
+            lambda ledger: ledger.gc(1.0),
+        )
+        for trial in range(300):
+            directory = tmp_path / str(trial)
+            directory.mkdir()
+            ledger = RunLedger(str(directory))
+            with open(ledger.path, "wb") as handle:
+                handle.write(self._mutate(clean, rng))
+            for read in reads:
+                try:
+                    read(ledger)
+                except LedgerError:
+                    pass
+            assert len(ledger) >= 0
+            assert ledger.record(make_record()) in (True, False)

@@ -150,7 +150,7 @@ class TestProcessMatchesSerial:
         )
         process = QirRuntime(seed=seed).run_shots(
             text, shots=shots, sampling="never",
-            scheduler="process", jobs=jobs, chunk_shots=chunk_shots,
+            jobs=jobs, chunk_shots=chunk_shots,
         )
         assert process.scheduler == "process"
         assert process.counts == serial.counts
@@ -175,7 +175,7 @@ class TestProcessFaultsMatchSerial:
             kwargs["worker_timeout"] = 0.5
         supervised = QirRuntime(seed=seed).run_shots(
             text, shots=12, fault_plan=plan, sampling="never",
-            scheduler="process", jobs=2, chunk_shots=4, **kwargs,
+            jobs=2, chunk_shots=4, **kwargs,
         )
         # Process sites are inert in the serial path, so serial is the
         # clean reference; the transient wave loss must re-enqueue every
@@ -189,16 +189,16 @@ class TestProcessFaultsMatchSerial:
 
 class TestSchedulerKnobPlumbing:
     def test_serial_rejects_chunk_knobs(self):
-        with pytest.raises(ValueError, match="require the process scheduler"):
-            get_scheduler("serial", chunk_shots=4)
+        with pytest.raises(ValueError, match="chunk_shots needs jobs > 1"):
+            get_scheduler(1, chunk_shots=4)
 
     def test_invalid_chunk_sizes_are_rejected(self):
         with pytest.raises(ValueError, match="chunk_shots must be >= 1"):
-            get_scheduler("process", jobs=2, chunk_shots=0)
-        with pytest.raises(ValueError, match="chunk_shots must be >= 1"):
-            get_scheduler("process", jobs=1, chunk_shots=0)
+            get_scheduler(2, chunk_shots=0)
+        with pytest.raises(ValueError, match="chunk_shots needs jobs > 1"):
+            get_scheduler(1, chunk_shots=0)
 
     def test_chunked_process_scheduler_builds(self):
-        scheduler = get_scheduler("process", jobs=3, chunk_shots=5)
+        scheduler = get_scheduler(3, chunk_shots=5)
         assert scheduler.jobs == 3
         assert scheduler.chunk_shots == 5

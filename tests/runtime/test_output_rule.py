@@ -82,13 +82,13 @@ SEED = 5
 
 def per_shot_tiers(plan, shots):
     """Counts of every per-shot configuration, for one seed."""
-    def run(fusion=True, **options):
-        return QirRuntime(seed=SEED, fusion=fusion).run_shots(plan, shots, **options).counts
+    def run(program=plan, **options):
+        return QirRuntime(seed=SEED).run_shots(program, shots, **options).counts
 
     tiers = {
-        "interpreter": run(fusion=False, sampling="never"),
+        "interpreter": run(plan.module, entry=plan.entry, sampling="never"),
         "fused": run(sampling="never"),
-        "process": run(sampling="never", scheduler="process", jobs=2),
+        "process": run(sampling="never", jobs=2),
     }
     if plan.fused is not None:
         tiers["fused_batch"] = batch_counts(plan, shots)

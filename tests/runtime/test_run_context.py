@@ -39,7 +39,7 @@ class TestRuntimePropagation:
         rt = QirRuntime(seed=3, observer=observer)
         result = rt.run_shots(
             bell_qir("static"), shots=20,
-            scheduler="process", jobs=2, sampling="never",
+            jobs=2, sampling="never",
         )
         workers = [
             e for e in observer.tracer.events if e["name"] == "process.worker"
@@ -122,7 +122,7 @@ class TestWorkerClockRebase:
         rt = QirRuntime(seed=3, observer=observer)
         rt.run_shots(
             bell_qir("static"), shots=30,
-            scheduler="process", jobs=3, sampling="never",
+            jobs=3, sampling="never",
         )
         events = observer.tracer.events
         supervisor = next(

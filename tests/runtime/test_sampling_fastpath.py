@@ -56,6 +56,53 @@ class TestApplicability:
         sm.qis.mz(1, 1)
         assert not QirRuntime(seed=5).run_shots(sm.ir(), shots=20).used_fast_path
 
+    def test_reset_of_superposed_qubit_declines(self):
+        # One shared evolution cannot reset an entangled qubit: each shot's
+        # collapse is random.  Collapsing once for all shots gave
+        # {"1": 1000} where the per-shot loop gives about 50/50.
+        sm = SimpleModule("t", 2, 1)
+        sm.qis.h(0)
+        sm.qis.cnot(0, 1)
+        sm.qis.reset(0)
+        sm.qis.mz(1, 0)
+        self._assert_declines_and_matches_per_shot(sm.ir())
+
+    def test_release_of_superposed_qubit_declines(self):
+        text = """
+define void @main() #0 {
+entry:
+  %a = call ptr @__quantum__rt__qubit_allocate()
+  %b = call ptr @__quantum__rt__qubit_allocate()
+  call void @__quantum__qis__h__body(ptr %a)
+  call void @__quantum__qis__cnot__body(ptr %a, ptr %b)
+  call void @__quantum__rt__qubit_release(ptr %a)
+  call void @__quantum__qis__mz__body(ptr %b, ptr writeonly null)
+  call void @__quantum__rt__result_record_output(ptr null, ptr null)
+  ret void
+}
+
+declare ptr @__quantum__rt__qubit_allocate()
+declare void @__quantum__rt__qubit_release(ptr)
+declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__cnot__body(ptr, ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)
+
+attributes #0 = { "entry_point" "required_num_results"="1" }
+"""
+        self._assert_declines_and_matches_per_shot(text)
+
+    @staticmethod
+    def _assert_declines_and_matches_per_shot(text):
+        with pytest.raises(FastPathUnsupported, match="superposed"):
+            QirRuntime(seed=1).run_shots(text, shots=10, sampling="require")
+        for seed in (1, 2, 3):
+            auto = QirRuntime(seed=seed).run_shots(text, shots=1000)
+            never = QirRuntime(seed=seed).run_shots(text, shots=1000, sampling="never")
+            assert not auto.used_fast_path
+            assert auto.counts == never.counts
+            assert set(never.counts) == {"0", "1"}
+
     def test_noise_disables_fast_path(self):
         result = QirRuntime(
             seed=6, noise=NoiseModel(depolarizing_1q=0.05)

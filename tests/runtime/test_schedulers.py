@@ -1,4 +1,4 @@
-"""The execute phase: scheduler selection, determinism, and resilience
+"""The execute phase: placement from ``jobs``, determinism, and resilience
 semantics across placements (serial / process) and the batch tier."""
 
 import json
@@ -15,7 +15,6 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.runtime import (
-    SCHEDULERS,
     ProcessScheduler,
     QirRuntime,
     QirSession,
@@ -74,11 +73,9 @@ attributes #0 = { "entry_point" "required_num_qubits"="1" "required_num_results"
 """
 
 
-def counts_for(text, scheduler, *, seed=123, shots=200, jobs=1, **kwargs):
+def counts_for(text, *, seed=123, shots=200, jobs=1, **kwargs):
     rt = QirRuntime(seed=seed)
-    return rt.run_shots(
-        text, shots=shots, scheduler=scheduler, jobs=jobs, **kwargs
-    )
+    return rt.run_shots(text, shots=shots, jobs=jobs, **kwargs)
 
 
 def batch_counts(text, *, seed=123, shots=200):
@@ -90,25 +87,30 @@ def batch_counts(text, *, seed=123, shots=200):
 
 class TestGetScheduler:
     def test_resolves_each_name(self):
-        assert SCHEDULERS == ("serial", "process")
-        assert isinstance(get_scheduler("serial"), SerialScheduler)
-        assert isinstance(get_scheduler("process", 4), ProcessScheduler)
+        # jobs is the placement: one job in-thread, more in processes.
+        assert isinstance(get_scheduler(), SerialScheduler)
+        assert isinstance(get_scheduler(1), SerialScheduler)
+        assert isinstance(get_scheduler(4), ProcessScheduler)
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            get_scheduler("quantum")
+        # Placement comes from jobs alone: no surface takes a scheduler
+        # name any more.
+        with pytest.raises(TypeError, match="scheduler"):
+            QirRuntime(scheduler="process")
+        with pytest.raises(TypeError, match="scheduler"):
+            QirRuntime().run_shots(bell_qir("static"), shots=4, scheduler="serial")
 
-    def test_jobs_with_serial_raises(self):
-        with pytest.raises(ValueError, match="process scheduler"):
-            get_scheduler("serial", jobs=4)
+    def test_pool_option_with_one_job_raises(self):
+        with pytest.raises(ValueError, match="needs jobs > 1"):
+            get_scheduler(1, chunk_shots=4)
 
     def test_nonpositive_jobs_raises(self):
         with pytest.raises(ValueError):
-            get_scheduler("process", jobs=0)
+            get_scheduler(0)
 
     def test_runtime_validates_defaults_eagerly(self):
-        with pytest.raises(ValueError, match="process scheduler"):
-            QirRuntime(scheduler="serial", jobs=4)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            QirRuntime(jobs=0)
 
 
 class TestCrossSchedulerDeterminism:
@@ -120,8 +122,8 @@ class TestCrossSchedulerDeterminism:
         ids=["bell", "qft3", "reset_chain"],
     )
     def test_counts_are_identical_across_schedulers(self, text):
-        serial = counts_for(text, "serial", sampling="never")
-        process = counts_for(text, "process", jobs=2, sampling="never")
+        serial = counts_for(text, sampling="never")
+        process = counts_for(text, jobs=2, sampling="never")
         assert serial.counts == process.counts == batch_counts(text)
         assert sum(serial.counts.values()) == 200
 
@@ -131,22 +133,21 @@ class TestCrossSchedulerDeterminism:
         # batch runs.  The attempt must not consume from the runtime's
         # seed stream, or the tiers would diverge.
         text = reset_chain_qir(2, rounds=2)
-        auto_serial = counts_for(text, "serial")
-        never_serial = counts_for(text, "serial", sampling="never")
-        batched = counts_for(compile_plan(text), "serial")
+        auto_serial = counts_for(text)
+        never_serial = counts_for(text, sampling="never")
+        batched = counts_for(compile_plan(text))
         assert batched.scheduler == "batched"
         assert auto_serial.counts == never_serial.counts == batched.counts
 
     def test_result_reports_the_scheduler_that_ran(self):
         text = reset_chain_qir(2, rounds=2)
-        assert counts_for(text, "serial").scheduler == "serial"
-        assert counts_for(text, "process", jobs=2).scheduler == "process"
-        assert counts_for(compile_plan(text), "serial").scheduler == "batched"
+        assert counts_for(text).scheduler == "serial"
+        assert counts_for(text, jobs=2).scheduler == "process"
+        assert counts_for(compile_plan(text)).scheduler == "batched"
 
     def test_module_level_wrapper_accepts_scheduler(self):
         result = run_shots(
-            bell_qir("static"), shots=50, seed=5,
-            scheduler="process", jobs=2, sampling="never",
+            bell_qir("static"), shots=50, seed=5, jobs=2, sampling="never",
         )
         assert sum(result.counts.values()) == 50
 
@@ -156,17 +157,16 @@ class TestBatchedScheduler:
 
     def test_never_takes_the_sampling_fastpath(self):
         # The fast path serves what it can before the batch is considered.
-        sampled = counts_for(compile_plan(bell_qir("static")), "serial")
+        sampled = counts_for(compile_plan(bell_qir("static")))
         assert sampled.used_fast_path and sampled.scheduler != "batched"
-        batched = counts_for(compile_plan(reset_chain_qir(2, rounds=2)), "serial")
+        batched = counts_for(compile_plan(reset_chain_qir(2, rounds=2)))
         assert not batched.used_fast_path and batched.scheduler == "batched"
 
     def test_sampling_require_raises(self):
         # "require" means the fast path or an error, never the batch.
         with pytest.raises(FastPathUnsupported):
             counts_for(
-                compile_plan(reset_chain_qir(2, rounds=2)), "serial",
-                sampling="require",
+                compile_plan(reset_chain_qir(2, rounds=2)), sampling="require",
             )
 
     def test_chunk_size_respects_the_amplitude_budget(self):
@@ -217,16 +217,17 @@ class TestBatchedScheduler:
 # The batch selection rule, row by row: (program, QirRuntime options,
 # run_shots options) -> the tier or placement that serves the run, and
 # whether the run is clean (statevector, no noise), so its counts must
-# equal the serial one-shot-at-a-time run of the same seed.
+# equal the serial one-shot-at-a-time run of the same seed.  A bare
+# module ("no_fusion") carries no fused schedule, so it runs per shot.
 CHAIN = reset_chain_qir(2, rounds=2)
 SELECTION = {
     "plan": ("plan", {}, {}, "batched", True),
     "raw_text": ("text", {}, {}, "serial", True),
-    "no_fusion": ("plan", {"fusion": False}, {}, "serial", True),
+    "no_fusion": ("module", {}, {}, "serial", True),
     "feedback": ("feedback", {}, {}, "serial", True),
     "sampling_never": ("plan", {}, {"sampling": "never"}, "serial", True),
-    "process_jobs2": ("plan", {}, {"scheduler": "process", "jobs": 2}, "process", True),
-    "process_jobs1": ("plan", {}, {"scheduler": "process", "jobs": 1}, "batched", True),
+    "process_jobs2": ("plan", {}, {"jobs": 2}, "process", True),
+    "jobs1": ("plan", {}, {"jobs": 1}, "batched", True),
     "keep_stats": ("plan", {}, {"keep_stats": True}, "serial", True),
     "retry": ("plan", {}, {"retry": RetryPolicy(max_attempts=2)}, "serial", True),
     "noise": ("plan", {"noise": NoiseModel(depolarizing_1q=0.05)}, {}, "serial", False),
@@ -241,7 +242,9 @@ def test_batch_selection_rule(row):
     text = {
         "feedback": FEEDBACK_PROGRAM, "clifford": CLIFFORD_RESET_PROGRAM,
     }.get(source, CHAIN)
-    program = text if source == "text" else compile_plan(text)
+    program = {
+        "text": text, "module": compile_plan(text).module,
+    }.get(source) or compile_plan(text)
     run_options = {"shots": 60, **run_options}
     result = QirRuntime(seed=4, **runtime_options).run_shots(program, **run_options)
     assert result.scheduler == label
@@ -258,7 +261,7 @@ class TestProcessScheduler:
     serial for a fixed seed."""
 
     def test_get_scheduler_resolves_process(self):
-        sched = get_scheduler("process", 4)
+        sched = get_scheduler(4)
         assert isinstance(sched, ProcessScheduler)
         assert sched.jobs == 4
 
@@ -268,8 +271,8 @@ class TestProcessScheduler:
         ids=["bell", "qft3", "reset_chain"],
     )
     def test_counts_are_identical_to_serial(self, text):
-        serial = counts_for(text, "serial", shots=60, sampling="never")
-        process = counts_for(text, "process", shots=60, jobs=3, sampling="never")
+        serial = counts_for(text, shots=60, sampling="never")
+        process = counts_for(text, shots=60, jobs=3, sampling="never")
         assert serial.counts == process.counts
         assert sum(process.counts.values()) == 60
         assert process.scheduler == "process"
@@ -277,31 +280,43 @@ class TestProcessScheduler:
     def test_fastpath_still_wins_under_auto_sampling(self):
         # The fast path is per-run, not per-shot: when it applies, no pool
         # is spawned and every scheduler produces the same counts.
-        auto = counts_for(bell_qir("static"), "process", shots=60, jobs=3)
-        serial = counts_for(bell_qir("static"), "serial", shots=60)
+        auto = counts_for(bell_qir("static"), shots=60, jobs=3)
+        serial = counts_for(bell_qir("static"), shots=60)
         assert auto.used_fast_path
         assert auto.counts == serial.counts
 
     def test_one_job_degrades_to_serial_loop(self):
-        # jobs=1 is the in-thread loop on every scheduler: no pool starts,
-        # and the result reports the serial loop it actually ran.
-        one = counts_for(
-            bell_qir("static"), "process", shots=30, jobs=1, sampling="never"
-        )
-        many = counts_for(
-            bell_qir("static"), "process", shots=30, jobs=2, sampling="never"
-        )
+        # jobs=1 is the in-thread loop: no pool starts, and the result
+        # reports the serial loop it actually ran.
+        one = counts_for(bell_qir("static"), shots=30, jobs=1, sampling="never")
+        many = counts_for(bell_qir("static"), shots=30, jobs=2, sampling="never")
         assert one.counts == many.counts
         assert one.scheduler == "serial"
         assert one.supervision is None
         assert many.scheduler == "process"
-        assert get_scheduler("process", 1).jobs == 1
-        sched = ProcessScheduler(jobs=1)
+        assert get_scheduler(1).jobs == 1
+        sched = ProcessScheduler(jobs=2)
         assert sched.effective == "process"  # until it runs
+
+    def test_plan_bytes_are_built_only_for_a_pool_run(self, monkeypatch):
+        from repro.runtime.plan import ExecutionPlan
+
+        encodes = []
+        original = ExecutionPlan.to_bytes
+        monkeypatch.setattr(
+            ExecutionPlan, "to_bytes",
+            lambda plan: encodes.append(plan) or original(plan),
+        )
+        plan = compile_plan(reset_chain_qir(2, rounds=2))
+        counts_for(plan, shots=1, jobs=2, sampling="never")
+        counts_for(plan, shots=8, jobs=1, sampling="never")
+        assert encodes == []
+        assert counts_for(plan, shots=8, jobs=2, sampling="never").scheduler == "process"
+        assert len(encodes) == 1
 
     def test_single_shot_degrades_to_serial(self):
         result = counts_for(
-            bell_qir("static"), "process", shots=1, jobs=4, sampling="never"
+            bell_qir("static"), shots=1, jobs=4, sampling="never"
         )
         assert result.scheduler == "serial"
         assert sum(result.counts.values()) == 1
@@ -369,7 +384,7 @@ class TestProcessScheduler:
         rt = QirRuntime(seed=3, observer=observer)
         rt.run_shots(
             bell_qir("static"), shots=20,
-            scheduler="process", jobs=2, sampling="never",
+            jobs=2, sampling="never",
         )
         expected_chunks = len(guided_chunks(20, 2))
         assert observer.metrics.value(
@@ -404,7 +419,7 @@ class TestProcessScheduler:
         with pytest.raises(StepLimitExceeded):
             rt.run_shots(
                 bell_qir("static"), shots=20,
-                scheduler="process", jobs=3, sampling="never",
+                jobs=3, sampling="never",
             )
 
 
@@ -417,7 +432,7 @@ class TestProcessResilience:
             shots=40, fault_plan=plan, retry=RetryPolicy(max_attempts=1),
         )
         process = QirRuntime(seed=1).run_shots(
-            bell_qir("static"), scheduler="process", jobs=4, **kwargs
+            bell_qir("static"), jobs=4, **kwargs
         )
         serial = QirRuntime(seed=1).run_shots(bell_qir("static"), **kwargs)
 
@@ -432,7 +447,7 @@ class TestProcessResilience:
         plan = FaultPlan.poison([2, 11, 23], site="gate", failures=1)
         result = QirRuntime(seed=1).run_shots(
             bell_qir("static"), shots=40,
-            scheduler="process", jobs=4,
+            jobs=4,
             fault_plan=plan, retry=RetryPolicy(max_attempts=3),
         )
         assert result.successful_shots == 40
@@ -445,7 +460,7 @@ class TestProcessResilience:
             shots=100, fault_plan=plan, retry=RetryPolicy(max_attempts=1),
         )
         result = QirRuntime(seed=7).run_shots(
-            bell_qir("static"), scheduler="process", jobs=3, **kwargs
+            bell_qir("static"), jobs=3, **kwargs
         )
         serial = QirRuntime(seed=7).run_shots(bell_qir("static"), **kwargs)
         assert result.successful_shots + len(result.failed_shots) == 100
@@ -455,7 +470,7 @@ class TestProcessResilience:
 
     def test_counts_keys_stay_sorted(self):
         result = QirRuntime(seed=4).run_shots(
-            qft_qir(3), shots=150, scheduler="process", jobs=3, sampling="never"
+            qft_qir(3), shots=150, jobs=3, sampling="never"
         )
         assert list(result.counts) == sorted(result.counts)
 
@@ -465,7 +480,7 @@ class TestProcessResilience:
         rt = QirRuntime(seed=1, observer=observer)
         rt.run_shots(
             bell_qir("static"), shots=40,
-            scheduler="process", jobs=4,
+            jobs=4,
             fault_plan=plan, retry=RetryPolicy(max_attempts=3),
         )
         assert observer.metrics.value("resilience.faults_injected") == 3
@@ -483,7 +498,7 @@ class TestProcessResilience:
         chain = FallbackChain(["statevector", "stabilizer"], demote_after=1)
         result = QirRuntime(seed=2).run_shots(
             ghz_qir(3), shots=30,
-            scheduler="process", jobs=3,
+            jobs=3,
             fault_plan=plan, fallback=chain, retry=RetryPolicy(max_attempts=2),
         )
         assert result.degraded
@@ -579,40 +594,32 @@ class TestMergeStability:
         assert [f.shot for f in result.failed_shots] == [2, 5, 9]
 
 
-# The one option rule, row by row: (scheduler, jobs, worker_timeout,
+# The one option rule, row by row: (jobs, worker_timeout,
 # max_worker_failures, chunk_shots) -> an error substring, or the
 # placement that runs and its worker count.  Every row goes through the
 # library (get_scheduler, then run_shots) and through qir-run, on a
-# feedback program so no tier serves it ahead of the placement.  The
-# batch is a tier, not a scheduler: naming it is an unknown scheduler.
-NOT_POOLED = "require the process scheduler"
-NO_BATCHED = "unknown scheduler 'batched'; choose from serial, process"
+# feedback program so no tier serves it ahead of the placement.  A row's
+# id leads with the placement its jobs implies.
+NOT_POOLED = "needs jobs > 1"
 OPTION_RULE = [
-    (("threaded", 1, None, None, None),
-     "unknown scheduler 'threaded'; choose from serial, process"),
-    (("serial", 0, None, None, None), "jobs must be >= 1"),
-    (("process", 0, None, None, None), "jobs must be >= 1"),
-    (("serial", 2, None, None, None), "jobs > 1 requires the process scheduler"),
-    (("batched", 4, None, None, None), NO_BATCHED),
-    (("serial", 1, 1.0, None, None), NOT_POOLED),
-    (("batched", 1, None, 3, None), NO_BATCHED),
-    (("serial", 1, None, None, 4), NOT_POOLED),
-    (("batched", 1, None, None, 2), NO_BATCHED),
-    (("process", 2, 0.0, None, None), "worker_timeout must be > 0"),
-    (("process", 1, -1.0, None, None), "worker_timeout must be > 0"),
-    (("process", 2, None, 0, None), "max_worker_failures must be >= 1"),
-    (("process", 2, None, None, 0), "chunk_shots must be >= 1"),
-    (("serial", 1, None, None, None), ("serial", 1)),
-    (("batched", 1, None, None, None), NO_BATCHED),
-    (("process", 1, None, None, None), ("serial", 1)),
-    (("process", 1, 2.5, 5, 4), ("serial", 1)),
-    (("process", 2, None, None, None), ("process", 2)),
-    (("process", 2, 30.0, 4, 3), ("process", 2)),
+    ((0, None, None, None), "jobs must be >= 1"),
+    ((1, 1.0, None, None), "worker_timeout " + NOT_POOLED),
+    ((1, None, 3, None), "max_worker_failures " + NOT_POOLED),
+    ((1, None, None, 4), "chunk_shots " + NOT_POOLED),
+    ((1, -1.0, None, None), "worker_timeout " + NOT_POOLED),
+    ((1, 2.5, 5, 4), "worker_timeout " + NOT_POOLED),
+    ((2, 0.0, None, None), "worker_timeout must be > 0"),
+    ((2, None, 0, None), "max_worker_failures must be >= 1"),
+    ((2, None, None, 0), "chunk_shots must be >= 1"),
+    ((1, None, None, None), ("serial", 1)),
+    ((2, None, None, None), ("process", 2)),
+    ((4, None, None, None), ("process", 4)),
+    ((2, 30.0, 4, 3), ("process", 2)),
 ]
 
 
-def _cli_flags(scheduler, jobs, worker_timeout, max_worker_failures, chunk_shots):
-    flags = ["--scheduler", scheduler, "--jobs", str(jobs)]
+def _cli_flags(jobs, worker_timeout, max_worker_failures, chunk_shots):
+    flags = ["--jobs", str(jobs)]
     for flag, value in (
         ("--worker-timeout", worker_timeout),
         ("--max-worker-failures", max_worker_failures),
@@ -623,14 +630,19 @@ def _cli_flags(scheduler, jobs, worker_timeout, max_worker_failures, chunk_shots
     return flags
 
 
+def _option_id(row):
+    placement = "process" if row[0] > 1 else "serial"
+    return "-".join([placement] + [str(v) for v in row])
+
+
 @pytest.mark.parametrize(
     "options, expected", OPTION_RULE,
-    ids=["-".join(str(v) for v in row) for row, _ in OPTION_RULE],
+    ids=[_option_id(row) for row, _ in OPTION_RULE],
 )
 def test_option_rule_is_shared_by_library_and_cli(
     options, expected, tmp_path, capsys
 ):
-    name, jobs, worker_timeout, max_worker_failures, chunk_shots = options
+    jobs, worker_timeout, max_worker_failures, chunk_shots = options
     knobs = dict(
         worker_timeout=worker_timeout,
         max_worker_failures=max_worker_failures,
@@ -641,30 +653,37 @@ def test_option_rule_is_shared_by_library_and_cli(
     metrics = tmp_path / "m.json"
     code = run_main([
         str(program), "--shots", "8", "--seed", "3", "--metrics", str(metrics),
-        *_cli_flags(name, jobs, worker_timeout, max_worker_failures, chunk_shots),
+        *_cli_flags(*options),
     ])
     err = capsys.readouterr().err
 
     if isinstance(expected, str):
         with pytest.raises(ValueError, match=re.escape(expected)):
-            get_scheduler(name, jobs, **knobs)
+            get_scheduler(jobs, **knobs)
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            run_shots(FEEDBACK_PROGRAM, shots=8, seed=3, jobs=jobs, **knobs)
         assert code == 2
         assert err.startswith("qir-run: error: ") and expected in err
         return
 
     placement, workers = expected
-    assert get_scheduler(name, jobs, **knobs).jobs == workers
-    result = run_shots(
-        FEEDBACK_PROGRAM, shots=8, seed=3,
-        scheduler=name, jobs=jobs, **knobs,
-    )
+    assert get_scheduler(jobs, **knobs).jobs == workers
+    result = run_shots(FEEDBACK_PROGRAM, shots=8, seed=3, jobs=jobs, **knobs)
     assert result.scheduler == placement
     assert code == 0
     written = json.loads(metrics.read_text())
     assert written["counters"][f"runtime.scheduler.runs{{scheduler={placement}}}"] == 1
     (info,) = [k for k in written["gauges"] if k.startswith("run.info{")]
     assert f"jobs={workers}," in info
-    assert ("runs serially" in err) == (name == "process" and workers == 1)
+    assert f"scheduler={placement}" in info
+
+
+@pytest.mark.parametrize("flag", ["--scheduler", "--no-fusion", "--no-dist-cache"])
+def test_deleted_path_flags_are_unknown_arguments(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_main(["program.ll", flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("placement, jobs", [
@@ -680,19 +699,17 @@ def test_program_wider_than_max_qubits_raises_coded_error(
     # "batched" runs a compiled plan in-thread, where the batch tier is
     # considered and must step aside for the too-wide schedule.
     text = ghz_qir(9, addressing=addressing)
-    scheduler = "process" if placement == "process" else "serial"
     if placement == "batched":
         text = compile_plan(text)
     runtime = QirRuntime(max_qubits=8, seed=1)
     with pytest.raises(QubitAllocationError, match="max_qubits=8"):
         runtime.run_shots(
-            text, shots=4, sampling=sampling, scheduler=scheduler, jobs=jobs
+            text, shots=4, sampling=sampling, jobs=jobs
         )
     if sampling == "never":
         # A resilient run records one structured failure per shot.
         result = runtime.run_shots(
-            text, shots=4, sampling=sampling, scheduler=scheduler, jobs=jobs,
-            collect_failures=True,
+            text, shots=4, sampling=sampling, jobs=jobs, collect_failures=True,
         )
         assert result.per_error_counts == {QubitAllocationError.code: 4}
         assert result.successful_shots == 0

@@ -39,13 +39,12 @@ from repro.workloads.qir_programs import bell_qir, reset_chain_qir
 PROGRAM = reset_chain_qir(2, rounds=2)
 
 
-def run(scheduler, specs=None, *, seed=7, shots=12, jobs=4, **kwargs):
+def run(placement, specs=None, *, seed=7, shots=12, jobs=4, **kwargs):
     """One run on a fresh runtime (fresh root, so seeds are comparable)."""
     rt = QirRuntime(seed=seed)
     fault_plan = FaultPlan.parse(specs, seed=0) if specs else None
     return rt.run_shots(
-        PROGRAM, shots=shots, scheduler=scheduler,
-        jobs=(jobs if scheduler == "process" else 1),
+        PROGRAM, shots=shots, jobs=(jobs if placement == "process" else 1),
         fault_plan=fault_plan, **kwargs,
     )
 
@@ -111,7 +110,7 @@ class TestWorkerCrash:
         rt = QirRuntime(seed=7, observer=observer)
         plan = FaultPlan.parse(["worker_crash,p=1.0,failures=1"], seed=0)
         result = rt.run_shots(
-            PROGRAM, shots=12, scheduler="process", jobs=4, fault_plan=plan
+            PROGRAM, shots=12, jobs=4, fault_plan=plan
         )
         reference = run("serial", ["worker_crash,p=1.0,failures=1"])
 
@@ -133,7 +132,7 @@ class TestWorkerCrash:
         rt = QirRuntime(seed=7, observer=observer)
         plan = FaultPlan.parse(["worker_crash,p=1.0"], seed=0)
         result = rt.run_shots(
-            PROGRAM, shots=12, scheduler="process", jobs=4, fault_plan=plan
+            PROGRAM, shots=12, jobs=4, fault_plan=plan
         )
         reference = run("serial", ["worker_crash,p=1.0"])
 
@@ -156,7 +155,7 @@ class TestWorkerCrash:
         rt = QirRuntime(seed=7, observer=observer)
         plan = FaultPlan.parse(["worker_crash,p=1.0,failures=1"], seed=0)
         rt.run_shots(
-            PROGRAM, shots=8, scheduler="process", jobs=2, fault_plan=plan
+            PROGRAM, shots=8, jobs=2, fault_plan=plan
         )
         events = [
             e for e in observer.tracer.events
@@ -217,7 +216,7 @@ class TestIpcCorruption:
         rt = QirRuntime(seed=7, observer=observer)
         plan = FaultPlan.parse(["ipc_corrupt,p=1.0,failures=1"], seed=0)
         result = rt.run_shots(
-            PROGRAM, shots=12, scheduler="process", jobs=4, fault_plan=plan
+            PROGRAM, shots=12, jobs=4, fault_plan=plan
         )
         reference = run("serial", ["ipc_corrupt,p=1.0,failures=1"])
 
@@ -248,34 +247,32 @@ class TestPoolStartup:
         monkeypatch.setattr(ProcessScheduler, "_new_pool", broken_pool)
         with pytest.raises(PoolStartupError):
             rt.run_shots(
-                PROGRAM, shots=8, scheduler="process", jobs=2, sampling="never"
+                PROGRAM, shots=8, jobs=2, sampling="never"
             )
 
 
 class TestSupervisionConfiguration:
     def test_get_scheduler_threads_supervision_options(self):
-        scheduler = get_scheduler(
-            "process", jobs=4, worker_timeout=2.5, max_worker_failures=5
-        )
+        scheduler = get_scheduler(4, worker_timeout=2.5, max_worker_failures=5)
         assert scheduler.worker_timeout == 2.5
         assert scheduler.max_worker_failures == 5
 
     def test_supervision_options_rejected_off_process(self):
-        with pytest.raises(ValueError, match="process scheduler"):
-            get_scheduler("serial", jobs=1, worker_timeout=1.0)
-        with pytest.raises(ValueError, match="process scheduler"):
-            get_scheduler("serial", jobs=1, max_worker_failures=3)
+        with pytest.raises(ValueError, match="worker_timeout needs jobs > 1"):
+            get_scheduler(1, worker_timeout=1.0)
+        with pytest.raises(ValueError, match="max_worker_failures needs jobs > 1"):
+            get_scheduler(1, max_worker_failures=3)
 
     def test_invalid_supervision_values_rejected(self):
         with pytest.raises(ValueError, match="worker_timeout"):
-            get_scheduler("process", jobs=2, worker_timeout=0.0)
+            get_scheduler(2, worker_timeout=0.0)
         with pytest.raises(ValueError, match="max_worker_failures"):
-            get_scheduler("process", jobs=2, max_worker_failures=0)
+            get_scheduler(2, max_worker_failures=0)
 
     def test_run_shots_accepts_supervision_kwargs(self):
         rt = QirRuntime(seed=7)
         result = rt.run_shots(
-            PROGRAM, shots=8, scheduler="process", jobs=2,
+            PROGRAM, shots=8, jobs=2,
             worker_timeout=30.0, max_worker_failures=4, sampling="never",
         )
         assert result.supervision is not None
@@ -284,7 +281,7 @@ class TestSupervisionConfiguration:
     def test_serial_normalized_runs_have_no_supervision(self):
         rt = QirRuntime(seed=7)
         result = rt.run_shots(
-            bell_qir("static"), shots=1, scheduler="process", jobs=4,
+            bell_qir("static"), shots=1, jobs=4,
             sampling="never",
         )
         assert result.supervision is None

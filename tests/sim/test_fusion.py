@@ -155,22 +155,23 @@ def test_rotation_ladder_coalesces_into_few_kernels():
         "reset_chain"])
 def test_fused_counts_match_unfused_serial_across_schedulers(text):
     shots = 24
-    reference = QirRuntime(seed=SEED, fusion=False).run_shots(
+    # Raw text runs unspecialized: the unfused per-gate reference.
+    reference = QirRuntime(seed=SEED).run_shots(
         text, shots=shots, sampling="never"
     )
-    for scheduler, jobs in [("serial", 1), ("process", 2)]:
-        result = QirRuntime(seed=SEED, fusion=True).run_shots(
-            text, shots=shots, sampling="never",
-            scheduler=scheduler, jobs=jobs,
+    plan = compile_plan(text)
+    for jobs in (1, 2):
+        result = QirRuntime(seed=SEED).run_shots(
+            plan, shots=shots, sampling="never", jobs=jobs
         )
         assert result.counts == reference.counts, (
-            f"{scheduler}: fused counts diverged from the serial "
+            f"jobs={jobs}: fused counts diverged from the serial "
             f"unfused reference"
         )
     # The batch, called directly: the fast path would serve the terminal-
     # measurement programs before the runtime reached it.
     root = np.random.SeedSequence(int(np.random.default_rng(SEED).integers(2**63)))
-    batched = run_batched(compile_plan(text).fused, shots, root)
+    batched = run_batched(plan.fused, shots, root)
     assert batched == reference.counts
 
 
@@ -196,11 +197,9 @@ def test_clifford_prefix_routing_keeps_counts_bit_identical():
     # the compiled plan routes the preamble through the tableau.
     assert plan.fused is not None
     assert plan.fused.prefix_gates == 18
-    fused = QirRuntime(seed=SEED, fusion=True).run_shots(
-        plan, shots=64, sampling="never"
-    )
-    unfused = QirRuntime(seed=SEED, fusion=False).run_shots(
-        plan, shots=64, sampling="never"
+    fused = QirRuntime(seed=SEED).run_shots(plan, shots=64, sampling="never")
+    unfused = QirRuntime(seed=SEED).run_shots(
+        plan.module, shots=64, entry=plan.entry, sampling="never"
     )
     assert fused.counts == unfused.counts
 
@@ -356,9 +355,10 @@ def test_warm_serve_is_bit_identical_to_cold_fastpath():
     assert warm.distribution_served
     assert warm.used_fast_path
     assert warm.counts == cold.counts
-    # Opting out re-runs the evolution, still bit-identically.
-    opted_out = QirRuntime(seed=SEED, dist_cache=False).run_shots(
-        plan, shots=128, sampling="require"
+    # The bare module carries no distribution: it re-runs the
+    # evolution, still bit-identically.
+    opted_out = QirRuntime(seed=SEED).run_shots(
+        plan.module, shots=128, entry=plan.entry, sampling="require"
     )
     assert not opted_out.distribution_served
     assert opted_out.counts == cold.counts

@@ -176,7 +176,7 @@ def golden_records():
             table = None if captured is None else [[b, repr(p)] for b, p in captured.entries]
             warm = QirRuntime(seed=seed).run_shots(plan, shots=SHOTS, sampling="require")
             assert warm.distribution_served == (captured is not None)
-            raw = QirRuntime(seed=seed, dist_cache=False).run_shots(
+            raw = QirRuntime(seed=seed).run_shots(
                 text, shots=SHOTS, sampling="require"
             )
             records.append(

@@ -177,14 +177,14 @@ class TestQirRunResilience:
 class TestQirRunSchedulers:
     def test_schedulers_agree_on_counts(self, tmp_path, capsys):
         # reset_chain is fastpath-ineligible: by default the batch serves
-        # it, without fusion the serial loop runs it per shot, and process
-        # workers run it per shot.  Counts must agree.
+        # it, a resilient run (--retries) takes the in-thread per-shot
+        # loop, and process workers run it per shot.  Counts must agree.
         path = tmp_path / "chain.ll"
         path.write_text(reset_chain_qir(2, rounds=2))
         outputs = []
         for flags in ([],
-                      ["--no-fusion"],
-                      ["--scheduler", "process", "--jobs", "2"]):
+                      ["--retries", "2"],
+                      ["--jobs", "2"]):
             assert run_main([str(path), "--shots", "80", "--seed", "5",
                              *flags]) == 0
             outputs.append(capsys.readouterr().out)
@@ -194,13 +194,13 @@ class TestQirRunSchedulers:
         "flags",
         [
             [],  # the default: sampling fast path
-            ["--scheduler", "serial"],
-            ["--scheduler", "serial", "--retries", "2"],  # per-shot loop
-            ["--scheduler", "process", "--jobs", "1"],
-            ["--scheduler", "process", "--jobs", "2"],
-            ["--scheduler", "process", "--jobs", "2", "--retries", "2"],
-            ["--no-fusion"],
-            ["--no-fusion", "--retries", "2"],
+            ["--jobs", "1"],
+            ["--retries", "2"],  # in-thread per-shot loop
+            ["--jobs", "1", "--retries", "2"],
+            ["--jobs", "2"],
+            ["--jobs", "2", "--retries", "2"],  # worker processes, per shot
+            ["--backend", "stabilizer"],  # per shot on the tableau
+            ["--backend", "stabilizer", "--jobs", "2"],
         ],
     )
     def test_histogram_keys_are_the_single_shot_records(self, flags, capsys):
@@ -221,9 +221,17 @@ class TestQirRunSchedulers:
         ]
         assert histogram == ["".join(reversed(records)) + "\t50"]
 
-    def test_jobs_with_serial_is_usage_error(self, bell_file, capsys):
-        assert run_main([bell_file, "--shots", "10", "--jobs", "4"]) == 2
-        assert "requires the process scheduler" in capsys.readouterr().err
+    def test_jobs_alone_selects_worker_processes(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "chain.ll"
+        path.write_text(reset_chain_qir(2, rounds=2))
+        metrics = tmp_path / "m.json"
+        assert run_main([str(path), "--shots", "10", "--jobs", "4",
+                         "--metrics", str(metrics)]) == 0
+        capsys.readouterr()
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["runtime.scheduler.runs{scheduler=process}"] == 1
 
     def test_nonpositive_jobs_is_usage_error(self, bell_file, capsys):
         assert run_main([bell_file, "--jobs", "0"]) == 2
@@ -245,8 +253,7 @@ class TestQirRunSchedulers:
         path.write_text(reset_chain_qir(2, rounds=2))
         outputs = []
         for flags in ([],
-                      ["--scheduler", "process", "--jobs", "2",
-                       "--chunk-shots", "7"]):
+                      ["--jobs", "2", "--chunk-shots", "7"]):
             assert run_main([str(path), "--shots", "40", "--seed", "5",
                              *flags]) == 0
             outputs.append(capsys.readouterr().out)
@@ -255,20 +262,17 @@ class TestQirRunSchedulers:
     def test_chunk_knobs_require_a_queue_scheduler(self, bell_file, capsys):
         assert run_main([bell_file, "--shots", "10",
                          "--chunk-shots", "4"]) == 2
-        assert "require the process scheduler" in capsys.readouterr().err
+        assert "chunk_shots needs jobs > 1" in capsys.readouterr().err
 
     def test_nonpositive_chunk_sizes_are_usage_errors(self, bell_file, capsys):
-        assert run_main([bell_file, "--scheduler", "process",
-                         "--jobs", "2", "--chunk-shots", "0"]) == 2
+        assert run_main([bell_file, "--jobs", "2", "--chunk-shots", "0"]) == 2
         assert "chunk_shots must be >= 1" in capsys.readouterr().err
 
-    def test_jobs_one_normalizes_away_chunk_knobs(self, bell_file, capsys):
-        # One worker is the in-thread loop: the process scheduler's queue
-        # knobs are accepted and have nothing to size.
+    def test_jobs_one_rejects_chunk_knobs(self, bell_file, capsys):
+        # One job is the in-thread loop: there is no queue to size.
         assert run_main([bell_file, "--shots", "10", "--seed", "2",
-                         "--scheduler", "process", "--jobs", "1",
-                         "--chunk-shots", "4"]) == 0
-        assert "runs serially" in capsys.readouterr().err
+                         "--jobs", "1", "--chunk-shots", "4"]) == 2
+        assert "chunk_shots needs jobs > 1" in capsys.readouterr().err
 
 
 class TestQirRunObservability:
@@ -583,7 +587,7 @@ class TestReuseLoweringPipeline:
 class TestQirRunProcessScheduler:
     def test_process_scheduler_histogram(self, bell_file, capsys):
         assert run_main([bell_file, "--shots", "60", "--seed", "2",
-                         "--scheduler", "process", "--jobs", "2"]) == 0
+                         "--jobs", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         counts = {k: int(v) for k, v in (line.split("\t") for line in lines)}
         assert set(counts) == {"00", "11"}
@@ -593,30 +597,27 @@ class TestQirRunProcessScheduler:
         path = tmp_path / "chain.ll"
         path.write_text(reset_chain_qir(2, rounds=2))
         outputs = []
-        for flags in (["--scheduler", "serial"],
-                      ["--scheduler", "process", "--jobs", "3"]):
+        for flags in ([],
+                      ["--jobs", "3"]):
             assert run_main([str(path), "--shots", "45", "--seed", "5",
                              *flags]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("scheduler", ["process"])
-    def test_one_job_normalizes_to_serial_with_note(
-        self, scheduler, bell_file, capsys
-    ):
-        # --jobs 1 runs the in-thread loop and says so, instead of
-        # spinning up a one-worker pool.
+    def test_one_job_runs_in_thread(self, bell_file, capsys):
+        # --jobs 1 is the in-thread loop, the default placement: no pool,
+        # and nothing to note about it.
         assert run_main([bell_file, "--shots", "30", "--seed", "2",
-                         "--scheduler", scheduler, "--jobs", "1"]) == 0
+                         "--jobs", "1"]) == 0
         captured = capsys.readouterr()
-        assert "runs serially" in captured.err
+        assert "note:" not in captured.err
         lines = captured.out.strip().splitlines()
         counts = {k: int(v) for k, v in (line.split("\t") for line in lines)}
         assert sum(counts.values()) == 30
 
     def test_one_job_serial_counts_match_plain_serial(self, bell_file, capsys):
         assert run_main([bell_file, "--shots", "30", "--seed", "9",
-                         "--scheduler", "process", "--jobs", "1"]) == 0
+                         "--jobs", "1"]) == 0
         degraded = capsys.readouterr().out
         assert run_main([bell_file, "--shots", "30", "--seed", "9"]) == 0
         assert capsys.readouterr().out == degraded
@@ -634,12 +635,10 @@ class TestQirRunSupervision:
         path.write_text(reset_chain_qir(2, rounds=2))
         fault = "worker_crash,p=1.0,failures=1"
         assert run_main([str(path), "--shots", "24", "--seed", "5",
-                         "--scheduler", "serial",
                          "--inject-fault", fault]) == 0
         serial = capsys.readouterr().out
         assert run_main([str(path), "--shots", "24", "--seed", "5",
-                         "--scheduler", "process", "--jobs", "4",
-                         "--inject-fault", fault]) == 0
+                         "--jobs", "4", "--inject-fault", fault]) == 0
         captured = capsys.readouterr()
         assert captured.out == serial
         assert "SUPERVISOR\tstate=degraded" in captured.err
@@ -651,7 +650,7 @@ class TestQirRunSupervision:
         path.write_text(reset_chain_qir(2, rounds=2))
         metrics = tmp_path / "m.json"
         assert run_main([str(path), "--shots", "16", "--seed", "3",
-                         "--scheduler", "process", "--jobs", "4",
+                         "--jobs", "4",
                          "--inject-fault", "worker_crash,p=1.0,failures=1",
                          "--metrics", str(metrics)]) == 0
         capsys.readouterr()
@@ -664,18 +663,18 @@ class TestQirRunSupervision:
     ):
         assert run_main([bell_file, "--shots", "10",
                          "--worker-timeout", "2.0"]) == 2
-        assert "require the process scheduler" in capsys.readouterr().err
-        assert run_main([bell_file, "--shots", "10", "--scheduler", "serial",
+        assert "worker_timeout needs jobs > 1" in capsys.readouterr().err
+        assert run_main([bell_file, "--shots", "10", "--jobs", "1",
                          "--max-worker-failures", "3"]) == 2
-        assert "require the process scheduler" in capsys.readouterr().err
+        assert "max_worker_failures needs jobs > 1" in capsys.readouterr().err
 
     def test_invalid_supervision_values_are_usage_errors(
         self, bell_file, capsys
     ):
-        assert run_main([bell_file, "--shots", "10", "--scheduler", "process",
+        assert run_main([bell_file, "--shots", "10",
                          "--jobs", "2", "--worker-timeout", "0"]) == 2
         assert "worker_timeout must be > 0" in capsys.readouterr().err
-        assert run_main([bell_file, "--shots", "10", "--scheduler", "process",
+        assert run_main([bell_file, "--shots", "10",
                          "--jobs", "2", "--max-worker-failures", "0"]) == 2
         assert "max_worker_failures must be >= 1" in capsys.readouterr().err
 
@@ -683,7 +682,7 @@ class TestQirRunSupervision:
         path = tmp_path / "chain.ll"
         path.write_text(reset_chain_qir(2, rounds=2))
         assert run_main([str(path), "--shots", "12", "--seed", "1",
-                         "--scheduler", "process", "--jobs", "2",
+                         "--jobs", "2",
                          "--worker-timeout", "30", "--max-worker-failures",
                          "4"]) == 0
         captured = capsys.readouterr()

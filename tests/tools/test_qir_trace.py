@@ -235,7 +235,7 @@ class TestEndToEnd:
         trace = tmp_path / "run.jsonl"
         assert run_main(
             [str(program), "--shots", "16", "--seed", "7",
-             "--scheduler", "process", "--jobs", "2",
+             "--jobs", "2",
              "--trace", str(trace)]
         ) == 0
         capsys.readouterr()
