@@ -595,26 +595,28 @@ class TestMergeStability:
 
 
 # The one option rule, row by row: (jobs, worker_timeout,
-# max_worker_failures, chunk_shots) -> an error substring, or the
+# max_worker_failures, chunk_shots), shots -> an error substring, or the
 # placement that runs and its worker count.  Every row goes through the
 # library (get_scheduler, then run_shots) and through qir-run, on a
 # feedback program so no tier serves it ahead of the placement.  A row's
-# id leads with the placement its jobs implies.
+# id leads with the placement that runs (for an error row, the one its
+# jobs implies): a one-shot run asks for a pool and runs in-thread.
 NOT_POOLED = "needs jobs > 1"
 OPTION_RULE = [
-    ((0, None, None, None), "jobs must be >= 1"),
-    ((1, 1.0, None, None), "worker_timeout " + NOT_POOLED),
-    ((1, None, 3, None), "max_worker_failures " + NOT_POOLED),
-    ((1, None, None, 4), "chunk_shots " + NOT_POOLED),
-    ((1, -1.0, None, None), "worker_timeout " + NOT_POOLED),
-    ((1, 2.5, 5, 4), "worker_timeout " + NOT_POOLED),
-    ((2, 0.0, None, None), "worker_timeout must be > 0"),
-    ((2, None, 0, None), "max_worker_failures must be >= 1"),
-    ((2, None, None, 0), "chunk_shots must be >= 1"),
-    ((1, None, None, None), ("serial", 1)),
-    ((2, None, None, None), ("process", 2)),
-    ((4, None, None, None), ("process", 4)),
-    ((2, 30.0, 4, 3), ("process", 2)),
+    ((0, None, None, None), 8, "jobs must be >= 1"),
+    ((1, 1.0, None, None), 8, "worker_timeout " + NOT_POOLED),
+    ((1, None, 3, None), 8, "max_worker_failures " + NOT_POOLED),
+    ((1, None, None, 4), 8, "chunk_shots " + NOT_POOLED),
+    ((1, -1.0, None, None), 8, "worker_timeout " + NOT_POOLED),
+    ((1, 2.5, 5, 4), 8, "worker_timeout " + NOT_POOLED),
+    ((2, 0.0, None, None), 8, "worker_timeout must be > 0"),
+    ((2, None, 0, None), 8, "max_worker_failures must be >= 1"),
+    ((2, None, None, 0), 8, "chunk_shots must be >= 1"),
+    ((1, None, None, None), 8, ("serial", 1)),
+    ((2, None, None, None), 8, ("process", 2)),
+    ((2, None, None, None), 1, ("serial", 2)),
+    ((4, None, None, None), 8, ("process", 4)),
+    ((2, 30.0, 4, 3), 8, ("process", 2)),
 ]
 
 
@@ -630,17 +632,20 @@ def _cli_flags(jobs, worker_timeout, max_worker_failures, chunk_shots):
     return flags
 
 
-def _option_id(row):
-    placement = "process" if row[0] > 1 else "serial"
+def _option_id(row, expected):
+    if isinstance(expected, str):
+        placement = "process" if row[0] > 1 else "serial"
+    else:
+        placement = expected[0]
     return "-".join([placement] + [str(v) for v in row])
 
 
 @pytest.mark.parametrize(
-    "options, expected", OPTION_RULE,
-    ids=[_option_id(row) for row, _ in OPTION_RULE],
+    "options, shots, expected", OPTION_RULE,
+    ids=[_option_id(row, expected) for row, _, expected in OPTION_RULE],
 )
 def test_option_rule_is_shared_by_library_and_cli(
-    options, expected, tmp_path, capsys
+    options, shots, expected, tmp_path, capsys
 ):
     jobs, worker_timeout, max_worker_failures, chunk_shots = options
     knobs = dict(
@@ -652,8 +657,8 @@ def test_option_rule_is_shared_by_library_and_cli(
     program.write_text(FEEDBACK_PROGRAM)
     metrics = tmp_path / "m.json"
     code = run_main([
-        str(program), "--shots", "8", "--seed", "3", "--metrics", str(metrics),
-        *_cli_flags(*options),
+        str(program), "--shots", str(shots), "--seed", "3",
+        "--metrics", str(metrics), *_cli_flags(*options),
     ])
     err = capsys.readouterr().err
 
@@ -661,17 +666,27 @@ def test_option_rule_is_shared_by_library_and_cli(
         with pytest.raises(ValueError, match=re.escape(expected)):
             get_scheduler(jobs, **knobs)
         with pytest.raises(ValueError, match=re.escape(expected)):
-            run_shots(FEEDBACK_PROGRAM, shots=8, seed=3, jobs=jobs, **knobs)
+            run_shots(FEEDBACK_PROGRAM, shots=shots, seed=3, jobs=jobs, **knobs)
         assert code == 2
         assert err.startswith("qir-run: error: ") and expected in err
         return
 
     placement, workers = expected
     assert get_scheduler(jobs, **knobs).jobs == workers
-    result = run_shots(FEEDBACK_PROGRAM, shots=8, seed=3, jobs=jobs, **knobs)
+    result = run_shots(
+        FEEDBACK_PROGRAM, shots=shots, seed=3, jobs=jobs, **knobs
+    )
     assert result.scheduler == placement
     assert code == 0
     written = json.loads(metrics.read_text())
+    if shots == 1:
+        # qir-run runs a lone shot as one in-thread execute: no shot
+        # loop to count and no pool started.
+        assert not any(
+            k.startswith(("runtime.scheduler.", "runtime.shots."))
+            for k in written["counters"]
+        )
+        return
     assert written["counters"][f"runtime.scheduler.runs{{scheduler={placement}}}"] == 1
     (info,) = [k for k in written["gauges"] if k.startswith("run.info{")]
     assert f"jobs={workers}," in info
