@@ -7,15 +7,13 @@ carrying a ULID-style ``run_id`` plus the labels that identify *what*
 ran: plan key, scheduler, backend, jobs.  The context is:
 
 * stamped on the :class:`~repro.obs.tracer.Tracer` so every span emitted
-  during the run (including the ``process.worker`` spans folded back
-  from worker processes) carries the same ``run_id`` tag and merges into
-  one coherent trace;
+  during the run carries the same ``run_id`` tag and merges into one
+  coherent trace -- including the ``process.worker`` spans, which the
+  parent records when it merges the worker reports (workers themselves
+  never see the context);
 * recorded in the :class:`~repro.obs.metrics.MetricsRegistry` as a
   ``run.info`` gauge (the Prometheus ``*_info`` idiom: value 1, identity
   in the labels);
-* shipped to :class:`~repro.runtime.schedulers.ProcessScheduler` workers
-  inside the pickled ``_WorkerChunk`` (the dataclass is plain data, so
-  it pickles);
 * written to the :class:`~repro.obs.ledger.RunLedger` as the primary key
   of the run's durable row.
 
@@ -72,9 +70,8 @@ def is_run_id(value: str) -> bool:
 class RunContext:
     """Identity and labels of one ``run_shots`` invocation.
 
-    Frozen and made of plain data so it can ride a pickled
-    ``_WorkerChunk`` into worker processes unchanged; ``with_labels``
-    derives an updated copy (e.g. once the effective scheduler is known).
+    Frozen and made of plain data; ``with_labels`` derives an updated
+    copy (e.g. once the placement is known).
     """
 
     run_id: str = field(default_factory=new_run_id)

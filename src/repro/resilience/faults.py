@@ -28,7 +28,7 @@ or other rules -- so failure sets are exactly reproducible.
 The three ``worker_*``/``ipc_*`` sites are **process-level**: they model
 the machinery around the interpreter failing, not the shot itself, so
 they are consulted only by the process scheduler's worker loop (see
-:mod:`repro.runtime.schedulers`) and are inert under the serial
+:mod:`repro.runtime.pool`) and are inert under the serial
 scheduler.  Their ``failures`` field counts
 *chunk dispatch attempts* instead of shot attempts: ``failures=1``
 crashes the first dispatch of a poisoned chunk and lets the re-queued
@@ -318,12 +318,17 @@ class FaultInjector:
     """Turns a :class:`FaultPlan` into per-shot contexts and keeps stats.
 
     Stats mutation goes through the ``note_*`` methods under a lock, so
-    the tallies stay exact if contexts fire from more than one thread."""
+    the tallies stay exact if contexts fire from more than one thread.
+    It pickles as its plan alone: a worker process's injector starts
+    with fresh stats, which the parent folds back in at the merge."""
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
         self.stats = InjectorStats()
         self._lock = threading.Lock()
+
+    def __reduce__(self):
+        return (FaultInjector, (self.plan,))
 
     def note_fault_raised(self, count: int = 1) -> None:
         """Count raised faults (``count`` lets a scheduler merge a whole

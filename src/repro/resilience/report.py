@@ -73,7 +73,7 @@ def render_failure_report(
     When timing is known (``wall_seconds > 0``) a ``TIMING`` line closes
     the report so a partial-failure run still answers "how fast was it?".
     ``supervision`` is the process scheduler's worker-failure summary
-    (:meth:`~repro.runtime.schedulers.SupervisionRecord.summary`); a run
+    (:meth:`~repro.runtime.pool.SupervisionRecord.summary`); a run
     that recovered from worker loss reports it even when every shot
     ultimately succeeded.  A known ``run_id`` opens the report with a
     ``RUN`` line so the failure text joins against the run ledger.

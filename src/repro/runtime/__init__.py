@@ -59,13 +59,9 @@ from repro.runtime.dispatch import (
     QueueStats,
     guided_chunks,
 )
-from repro.runtime.schedulers import (
-    ProcessScheduler,
-    SerialScheduler,
-    ShotOutcome,
-    SupervisionRecord,
-    get_scheduler,
-)
+from repro.runtime.shots import ShotOutcome
+from repro.runtime.pool import ProcessScheduler, SupervisionRecord
+from repro.runtime.schedulers import SerialScheduler, get_scheduler
 from repro.runtime.execute import (
     ExecutionResult,
     QirRuntime,

@@ -6,14 +6,15 @@ restarted pool) caps the whole run, and `qir-trace workers` showed it as
 an imbalance ratio drifting above 1.  This module replaces that model
 with *self-scheduling*: :func:`guided_chunks` splits the shot range into
 many small chunks (large first, shrinking toward single shots --
-classic guided scheduling), a :class:`ChunkQueue` hands them out, and
-idle workers keep pulling until the queue drains.  A fast worker simply
-runs more chunks; a slow one runs fewer; nobody waits on a pre-assigned
-range.
+classic guided scheduling), and a :class:`ChunkQueue` holds them.  The
+supervisor drains the queue into pool waves; within a wave, the pool's
+idle processes take the next chunk as they free up.  A fast worker
+simply runs more chunks; a slow one runs fewer; nobody waits on a
+pre-assigned range.
 
 Determinism is untouched by any of this: per-shot seeds are pure
 functions of ``(root, shot, attempt)`` (see
-:func:`repro.runtime.schedulers.shot_sequence`), and the merge re-sorts
+:func:`repro.runtime.shots.shot_sequence`), and the merge re-sorts
 outcomes by shot index -- so *which* worker runs a chunk, and in what
 order, cannot change ``counts``.
 
@@ -103,18 +104,18 @@ class QueueStats:
 
     #: Distinct chunks the shot range was split into.
     chunks: int = 0
-    #: Chunk dispatches (pops), including re-dispatches of requeued chunks.
+    #: Chunk dispatches, including re-dispatches of requeued chunks.
     dispatched: int = 0
     #: Lost chunks returned to the queue (one per requeue).
     refills: int = 0
 
 
 class ChunkQueue:
-    """A thread-safe queue of shot chunks that idle workers pull dry.
+    """A thread-safe queue of the shot chunks still to run.
 
-    The dispatch core of :class:`ProcessScheduler`: the supervisor
-    drains the queue into pool waves via :meth:`take_all` and returns
-    lost chunks with :meth:`requeue`.  Completeness invariant: every
+    The dispatch core of :class:`~repro.runtime.pool.ProcessScheduler`:
+    the supervisor drains the queue into pool waves via :meth:`take_all`
+    and returns lost chunks with :meth:`requeue`.  Completeness invariant: every
     shot of the original range is in exactly one live chunk until that
     chunk's outcomes are merged -- requeueing replaces a lost chunk with
     the *same* range at the next attempt, so nothing is lost or
@@ -137,14 +138,6 @@ class ChunkQueue:
         return cls(
             [Chunk(id=i, start=a, stop=b) for i, (a, b) in enumerate(ranges)]
         )
-
-    def pop(self) -> Optional[Chunk]:
-        """Next chunk to run, or ``None`` when the queue is drained."""
-        with self._lock:
-            if not self._pending:
-                return None
-            self.stats.dispatched += 1
-            return self._pending.popleft()
 
     def take_all(self) -> List[Chunk]:
         """Drain every pending chunk at once (one dispatch wave)."""
@@ -172,11 +165,3 @@ class ChunkQueue:
     def pending(self) -> int:
         with self._lock:
             return len(self._pending)
-
-    @property
-    def pending_shots(self) -> int:
-        with self._lock:
-            return sum(c.shots for c in self._pending)
-
-    def __len__(self) -> int:
-        return self.pending

@@ -10,12 +10,13 @@ Architecturally this module is now a thin front over the two-phase stack:
 * the **compile phase** (:mod:`repro.runtime.plan`) turns source into a
   frozen :class:`~repro.runtime.plan.ExecutionPlan` (``run_shots`` accepts
   one anywhere it accepts source, skipping the frontend entirely);
-* the **execute phase** (:mod:`repro.runtime.schedulers`) serves the
-  shots from the first tier that applies: the plan's cached distribution,
+* the **execute phase** serves the shots from the first tier that
+  applies: the plan's cached distribution,
   the sampling fast path (one evolution, then joint sampling), the batch
   (one vectorised evolution of the plan's fused schedule), or the
-  per-shot loop, in-thread (``jobs=1``, the default) or in ``jobs=N``
-  worker processes fed serialized plans.  Every tier reproduces
+  per-shot loop (:mod:`repro.runtime.shots`), in-thread (``jobs=1``, the
+  default, and every one-shot run) or in ``jobs=N`` worker processes fed
+  serialized plans (:mod:`repro.runtime.pool`).  Every tier reproduces
   identical ``counts`` for the same ``seed=`` thanks to spawned per-shot
   seeding.
 
@@ -58,16 +59,20 @@ from repro.runtime.sampling_fastpath import (
     sample_counts_from,
 )
 from repro.runtime.schedulers import (
+    SerialScheduler,
+    ShotsResult,
+    build_shots_result,
+    fold_intrinsic_stats,
+    get_scheduler,
+    placement,
+)
+from repro.runtime.shots import (
     ChainGuard,
     ExecutionResult,
     ShotExecutor,
     ShotTask,
-    ShotsResult,
     batch_chunk_size,
-    build_shots_result,
     fastpath_sequence,
-    fold_intrinsic_stats,
-    get_scheduler,
     run_batched,
     sorted_counts as _sorted_counts,
 )
@@ -187,7 +192,7 @@ class QirRuntime:
         * ``"never"`` -- always run one shot at a time (the qir-runner model);
         * ``"require"`` -- fast path or raise :class:`FastPathUnsupported`.
 
-        The batch (:func:`~repro.runtime.schedulers.run_batched`) is picked
+        The batch (:func:`~repro.runtime.shots.run_batched`) is picked
         from the plan, not by an option: it serves an ``"auto"`` run the
         fast path declined when the program is an :class:`ExecutionPlan`
         with a fused schedule (within ``max_qubits``) on the
@@ -197,10 +202,11 @@ class QirRuntime:
 
         ``jobs`` overrides the runtime's default placement of the
         per-shot loop for this call; :func:`get_scheduler` validates it
-        together with the pool options below.  With ``jobs > 1`` (and more
-        than one shot) the compiled plan travels to worker processes as
-        :meth:`ExecutionPlan.to_bytes` payloads; raw text/``Module``
-        programs are compiled (without re-verification) to make one.
+        together with the pool options below.  A one-shot run always runs
+        in-thread.  With ``jobs > 1`` the compiled plan travels to worker
+        processes as :meth:`ExecutionPlan.to_bytes` payloads; raw
+        text/``Module`` programs are compiled (without re-verification)
+        to make one.
 
         A raw text/``Module`` program runs unspecialized: no fused
         schedule, no batch, and no memoized distribution to serve or
@@ -218,7 +224,7 @@ class QirRuntime:
         pool's supervisor (heartbeat deadline in seconds, and failed
         rounds before the circuit breaker finishes the run in the serial
         loop).  The resulting
-        :class:`~repro.runtime.schedulers.SupervisionRecord` rides on
+        :class:`~repro.runtime.pool.SupervisionRecord` rides on
         ``result.supervision``.  ``chunk_shots`` fixes the size of the
         pool's work-queue chunks (default: guided sizing; see
         :func:`repro.runtime.dispatch.guided_chunks`).  All three need
@@ -227,8 +233,8 @@ class QirRuntime:
         ``run_context`` is the run's durable identity (see
         :mod:`repro.obs.runctx`): pass one (``QirSession`` does, with the
         plan key filled in) or let an observed run mint its own.  Its
-        ``run_id`` is stamped on every span, published as a ``run.info``
-        gauge, shipped to process workers, and returned on
+        ``run_id`` is stamped on every span (worker spans included, at the
+        merge), published as a ``run.info`` gauge, and returned on
         ``result.run_id`` so callers can join traces, metrics, and ledger
         rows.
         """
@@ -241,6 +247,8 @@ class QirRuntime:
             max_worker_failures=max_worker_failures,
             chunk_shots=chunk_shots,
         )
+        if placement(jobs_n, shots) == SerialScheduler.name:
+            sched = SerialScheduler()
         obs = self.observer
         ctx: Optional[RunContext] = None
         if run_context is not None or obs.enabled:
@@ -263,13 +271,13 @@ class QirRuntime:
             ) as span:
                 result = self._run_shots_impl(
                     program, shots, entry, keep_stats, sampling,
-                    retry, fault_plan, fallback, collect_failures, sched, run_id,
+                    retry, fault_plan, fallback, collect_failures, sched,
                 )
                 span.tag("fast_path", result.used_fast_path)
         else:
             result = self._run_shots_impl(
                 program, shots, entry, keep_stats, sampling,
-                retry, fault_plan, fallback, collect_failures, sched, run_id,
+                retry, fault_plan, fallback, collect_failures, sched,
             )
         result.wall_seconds = perf_counter() - t0
         result.run_id = run_id
@@ -300,7 +308,6 @@ class QirRuntime:
         fallback: Optional[FallbackChain],
         collect_failures: bool,
         sched,
-        run_id: str = "",
     ) -> ShotsResult:
         plan = program if isinstance(program, ExecutionPlan) else None
         if plan is not None and entry is None:
@@ -406,12 +413,11 @@ class QirRuntime:
             chain = FallbackChain([BackendLevel(self.backend_name, noisy=True)])
 
         # Process workers need the program as bytes -- only when the pool
-        # will run (a one-shot run takes the serial loop).  A compiled plan
-        # serializes directly; raw programs get a lightweight plan (no
-        # re-verify -- the parent already ran its own checks, and workers
-        # re-validate integrity via the wire seal).
+        # will run.  A compiled plan serializes directly; raw programs get
+        # a lightweight plan (no re-verify -- the parent already ran its
+        # own checks, and workers re-validate integrity via the wire seal).
         plan_bytes = None
-        if sched.jobs > 1 and shots > 1:
+        if sched.jobs > 1:
             worker_plan = plan if plan is not None else compile_plan(
                 module, backend=self.backend_name, entry=entry, verify=False
             )
@@ -430,12 +436,9 @@ class QirRuntime:
             resilient=resilient,
             timed=self.observer.enabled,
             plan_bytes=plan_bytes,
-            run_id=run_id,
             schedule=schedule,
         )
-        outcomes = sched.run(task)
-        effective = getattr(sched, "effective", sched.name)
-        result = build_shots_result(task, outcomes, effective)
+        result = build_shots_result(task, sched.run(task), sched.name)
         result.supervision = getattr(sched, "supervision", None)
         return result
 

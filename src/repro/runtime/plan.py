@@ -17,7 +17,7 @@ An :class:`ExecutionPlan` is the frozen output of one compilation:
   (:class:`~repro.runtime.session.QirSession`) can answer "have I
   compiled exactly this configuration before?" without re-parsing,
 * precomputed entry-point / profile / Clifford analysis so the execute
-  phase (:mod:`repro.runtime.schedulers`) never re-derives them per shot.
+  phase (:mod:`repro.runtime.shots`) never re-derives them per shot.
 
 Plans are immutable by convention: the execute phase treats the module as
 read-only, which is what makes one plan safely shareable across repeated

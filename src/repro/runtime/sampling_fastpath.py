@@ -20,7 +20,7 @@ measurement outcome --
 * a dynamic (``m``-style) result.
 
 On abort the caller falls back -- to the batch tier
-(:func:`~repro.runtime.schedulers.run_batched`) when the plan has a fused
+(:func:`~repro.runtime.shots.run_batched`) when the plan has a fused
 schedule, else to per-shot interpretation -- so the fast path is sound by
 construction rather than by up-front program analysis.
 
@@ -190,7 +190,7 @@ class SampledDistribution:
         """Serve a shot histogram with zero simulation.
 
         ``seed`` must be the run's reserved fast-path sequence
-        (:func:`~repro.runtime.schedulers.fastpath_sequence`) so warm
+        (:func:`~repro.runtime.shots.fastpath_sequence`) so warm
         counts reproduce what the cold path would have drawn.
         """
         if not self.entries:

@@ -48,6 +48,7 @@ from repro.runtime.plan import (
     plan_key,
 )
 from repro.runtime.plancache import CACHE_ENV, PlanCache, VerifyReport
+from repro.runtime.schedulers import placement
 
 ProgramLike = Union[str, Module, ExecutionPlan]
 
@@ -278,7 +279,7 @@ class QirSession:
         # enabled (the runtime only refines the context it is handed).
         jobs = kwargs.get("jobs") or self.runtime.default_jobs
         context = context.with_labels(
-            scheduler="process" if jobs > 1 else "serial",
+            scheduler=placement(jobs, shots),
             backend=self.runtime.backend_name,
             jobs=jobs,
             entry=entry if entry is not None else plan.entry,

@@ -295,7 +295,7 @@ class StatevectorSimulator:
 class BatchedStatevectorSimulator:
     """``batch`` independent ``num_qubits``-wide statevectors evolving
     under one fused kernel schedule (the batch tier,
-    :func:`repro.runtime.schedulers.run_batched`, via
+    :func:`repro.runtime.shots.run_batched`, via
     :func:`repro.sim.fusion.run_fused`).
 
     The state is a single ``(batch, 2**n)`` array; every kernel applies to

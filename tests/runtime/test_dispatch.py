@@ -88,28 +88,31 @@ class TestChunkQueueInvariants:
     def test_loss_and_requeue_never_lose_or_duplicate_a_shot(
         self, shots, workers, seed, loss_p
     ):
-        # Simulate the supervisor: pop chunks, "lose" some (requeue with
-        # a bumped attempt), complete the rest.  Whatever the
-        # interleaving, every shot completes exactly once, and a chunk's
-        # attempt counts its losses.
+        # Simulate the supervisor: drain the queue in waves, "lose" some
+        # chunks (requeue with a bumped attempt), complete the rest.
+        # Whatever the interleaving, every shot completes exactly once,
+        # and a chunk's attempt counts its losses.
         rng = random.Random(seed)
         queue = ChunkQueue.for_shots(shots, workers)
         completed = []
         losses = 0
+        lost_by_id = {}
         while queue.pending:
-            chunk = queue.pop()
-            assert chunk is not None
-            # Cap per-chunk losses so the walk terminates even at high p.
-            if chunk.attempt < 5 and rng.random() < loss_p:
-                queue.requeue(chunk)
-                losses += 1
-                continue
-            completed.extend(range(chunk.start, chunk.stop))
+            for chunk in queue.take_all():
+                assert chunk.attempt == lost_by_id.get(chunk.id, 0)
+                # Cap per-chunk losses so the walk terminates even at high p.
+                if chunk.attempt < 5 and rng.random() < loss_p:
+                    queue.requeue(chunk)
+                    losses += 1
+                    lost_by_id[chunk.id] = chunk.attempt + 1
+                    continue
+                completed.extend(range(chunk.start, chunk.stop))
         assert sorted(completed) == list(range(shots))
         assert len(completed) == shots  # no duplicates
-        assert queue.pop() is None
+        assert queue.take_all() == []
         assert queue.stats.refills == losses
-        # Every pop counts: the initial chunks plus one re-dispatch per loss.
+        # Every dispatch counts: the initial chunks plus one re-dispatch
+        # per loss.
         assert queue.stats.dispatched == queue.stats.chunks + losses
 
     @given(
@@ -122,12 +125,11 @@ class TestChunkQueueInvariants:
         wave = queue.take_all()
         assert len(wave) == total
         assert not queue.pending
-        assert queue.pending_shots == 0
         assert queue.stats.dispatched == total
         # A lost chunk comes back with its attempt bumped and is counted.
         queue.requeue(wave[0])
         assert queue.pending
-        again = queue.pop()
+        (again,) = queue.take_all()
         assert (again.start, again.stop) == (wave[0].start, wave[0].stop)
         assert again.attempt == wave[0].attempt + 1
         assert queue.stats.refills == 1

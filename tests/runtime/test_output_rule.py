@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import QirRuntime, compile_plan
-from repro.runtime.schedulers import run_batched
+from repro.runtime.shots import run_batched
 
 # Deterministic variants prepare q0 = 1, q1 = 0; stochastic ones rotate
 # q0 and q1 by these angles (P(1) = 0.32 and 0.71), so every program has

@@ -320,7 +320,7 @@ class TestRetryPolicy:
         """Regression: the jitter stream is one per *shot*, not one per
         ``attempt_shot`` invocation.
 
-        The executor re-invokes ``attempt_shot`` after every fallback
+        The task re-invokes ``attempt_shot`` after every fallback
         demotion; the old code built a fresh generator from the same
         reserved seed on each invocation, so post-demotion delays
         replayed the pre-demotion draws.  The delay sequence must be the
@@ -329,10 +329,11 @@ class TestRetryPolicy:
         """
         from repro.llvmir import parse_assembly as parse
         from repro.obs.observer import NULL_OBSERVER
-        from repro.runtime.schedulers import (
+        from repro.runtime.shots import (
             _BACKOFF_KEY,
             ChainGuard,
             ShotExecutor,
+            ShotTask,
             shot_sequence,
         )
 
@@ -350,13 +351,15 @@ class TestRetryPolicy:
         )
         chain = FallbackChain(["statevector", "stabilizer"], demote_after=1)
         chain.set_program_is_clifford(True)
-        executor = ShotExecutor(
-            "statevector", None, 1_000_000, 26, True, NULL_OBSERVER
+        task = ShotTask(
+            executor=ShotExecutor(
+                "statevector", None, 1_000_000, 26, True, NULL_OBSERVER
+            ),
+            module=parse(ghz_qir(3)), entry=None, shots=1, root=root,
+            policy=policy, injector=injector, chain=ChainGuard(chain),
+            keep_stats=False, resilient=True, timed=False,
         )
-        outcome = executor.run_shot(
-            parse(ghz_qir(3)), None, 0, root, ChainGuard(chain), injector,
-            policy, False, collect=True, timed=False,
-        )
+        outcome = task.run_one(0)
 
         assert outcome.succeeded
         assert outcome.backend_label == "stabilizer"

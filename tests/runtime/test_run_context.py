@@ -8,7 +8,8 @@ from repro.obs.observer import Observer
 from repro.obs.runctx import RunContext, is_run_id
 from repro.resilience import FaultPlan
 from repro.runtime import QirRuntime, QirSession, guided_chunks
-from repro.runtime.schedulers import ProcessScheduler, ShotOutcome, _WorkerReport
+from repro.runtime.pool import ProcessScheduler, _WorkerReport
+from repro.runtime.shots import ShotOutcome
 from repro.workloads.qir_programs import bell_qir
 
 
@@ -79,43 +80,38 @@ class TestRuntimePropagation:
         assert report.splitlines()[0] == f"RUN\trun_id={result.run_id}"
 
 
-def make_report(seconds=0.01, dispatch_clock=0.0, start_offset=-1.0):
-    return _WorkerReport(
-        index=0,
+def rebase(pool_start, seconds=0.01, dispatch_clock=0.0, start_offset=-1.0):
+    report = _WorkerReport(
         outcomes=[ShotOutcome(shot=0, bitstring="0")],
         degraded=False,
         history=[],
         faults_raised=0,
         seconds=seconds,
-        dispatch_clock=dispatch_clock,
-        start_offset=start_offset,
+        started=dispatch_clock + start_offset,
     )
+    return ProcessScheduler._rebase_start(report, dispatch_clock, pool_start)
 
 
 class TestWorkerClockRebase:
     def test_legacy_report_falls_back_to_pool_start(self):
-        report = make_report()  # dispatch_clock unset
-        assert ProcessScheduler._rebase_start(report, pool_start=123.0) == 123.0
+        assert rebase(pool_start=123.0) == 123.0  # dispatch_clock unset
 
     def test_plausible_offset_rebases_onto_dispatch_latency(self):
         dispatch = perf_counter() - 1.0
-        report = make_report(
-            seconds=0.01, dispatch_clock=dispatch, start_offset=0.25
-        )
-        assert ProcessScheduler._rebase_start(report, 0.0) == dispatch + 0.25
+        assert rebase(
+            0.0, seconds=0.01, dispatch_clock=dispatch, start_offset=0.25
+        ) == dispatch + 0.25
 
     def test_negative_offset_clamps_to_dispatch_time(self):
         # spawn start method: worker clock shares no origin with ours.
         dispatch = perf_counter() - 1.0
-        report = make_report(dispatch_clock=dispatch, start_offset=-5.0)
-        assert ProcessScheduler._rebase_start(report, 0.0) == dispatch
+        assert rebase(0.0, dispatch_clock=dispatch, start_offset=-5.0) == dispatch
 
     def test_future_ending_span_clamps_to_dispatch_time(self):
         dispatch = perf_counter()
-        report = make_report(
-            seconds=0.5, dispatch_clock=dispatch, start_offset=3600.0
-        )
-        assert ProcessScheduler._rebase_start(report, 0.0) == dispatch
+        assert rebase(
+            0.0, seconds=0.5, dispatch_clock=dispatch, start_offset=3600.0
+        ) == dispatch
 
     def test_worker_spans_start_at_or_after_dispatch(self):
         observer = Observer()
@@ -182,6 +178,24 @@ class TestSessionLedgerIntegration:
         assert rows[0].error_code == "RuntimeError"
         assert rows[0].shots == 10
         assert rows[0].successful_shots == 0
+
+    @pytest.mark.parametrize("shots, scheduler", [(1, "serial"), (4, "process")])
+    def test_error_row_names_the_placement_that_runs(
+        self, tmp_path, monkeypatch, shots, scheduler
+    ):
+        # A lone shot runs in-thread whatever jobs asks for; the error
+        # row says so, as the trace and the run.info gauge do.
+        session = QirSession(seed=7, ledger_dir=str(tmp_path))
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("scheduler exploded")
+
+        monkeypatch.setattr(session.runtime, "run_shots", boom)
+        with pytest.raises(RuntimeError):
+            session.run_shots(bell_qir("static"), shots=shots, jobs=2)
+        (row,) = session.ledger.list_runs()
+        assert row.scheduler == scheduler
+        assert row.jobs == 2
 
     def test_no_ledger_session_still_mints_identity(self):
         session = QirSession(seed=7)

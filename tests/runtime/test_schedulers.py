@@ -26,7 +26,7 @@ from repro.runtime import (
 )
 from repro.runtime.errors import BackendFaultError
 from repro.runtime.sampling_fastpath import FastPathUnsupported
-from repro.runtime.schedulers import batch_chunk_size, run_batched
+from repro.runtime.shots import batch_chunk_size, run_batched
 from repro.sim import NoiseModel
 from repro.tools.qir_run import main as run_main
 from repro.workloads.qir_programs import bell_qir, ghz_qir, qft_qir, reset_chain_qir
@@ -175,9 +175,9 @@ class TestBatchedScheduler:
         assert batch_chunk_size(10, 24) == 1      # wide register: tiny chunks
 
     def test_chunked_execution_matches_serial(self, monkeypatch):
-        import repro.runtime.schedulers as schedulers
+        import repro.runtime.shots as shots_module
 
-        monkeypatch.setattr(schedulers, "_BATCH_CHUNK_CAP", 8)
+        monkeypatch.setattr(shots_module, "_BATCH_CHUNK_CAP", 8)
         text = reset_chain_qir(2, rounds=2)
         observer = Observer()
         rt = QirRuntime(seed=123, observer=observer)
@@ -295,8 +295,6 @@ class TestProcessScheduler:
         assert one.supervision is None
         assert many.scheduler == "process"
         assert get_scheduler(1).jobs == 1
-        sched = ProcessScheduler(jobs=2)
-        assert sched.effective == "process"  # until it runs
 
     def test_plan_bytes_are_built_only_for_a_pool_run(self, monkeypatch):
         from repro.runtime.plan import ExecutionPlan
@@ -327,7 +325,7 @@ class TestProcessScheduler:
         from repro.obs.observer import NULL_OBSERVER
         from repro.resilience.fallback import BackendLevel
         from repro.runtime import ProcessScheduler
-        from repro.runtime.schedulers import ChainGuard, ShotExecutor, ShotTask
+        from repro.runtime.shots import ChainGuard, ShotExecutor, ShotTask
 
         task = ShotTask(
             executor=ShotExecutor(
@@ -346,36 +344,100 @@ class TestProcessScheduler:
 
     def test_spawn_start_method_matches_fork_counts(self):
         # Drive the scheduler directly so the test controls start_method
-        # (the public API always uses the platform default).
-        import numpy as np
-
+        # (the public API always uses the platform default).  Two rows: a
+        # clean task, and a resilient one whose pickled retry policy,
+        # fault plan and fallback chain must rebuild the same per-shot
+        # faults, retries and demotion in every worker.
         from repro.obs.observer import NULL_OBSERVER
+        from repro.resilience import FaultInjector
         from repro.resilience.fallback import BackendLevel
         from repro.runtime import ProcessScheduler, compile_plan
-        from repro.runtime.schedulers import ChainGuard, ShotExecutor, ShotTask
+        from repro.runtime.schedulers import build_shots_result
+        from repro.runtime.shots import ChainGuard, ShotExecutor, ShotTask
 
         plan = compile_plan(bell_qir("static"))
+        shots = 24
 
-        def counts_with(start_method):
-            from collections import Counter
-
-            task = ShotTask(
+        def task_for(resilient):
+            if resilient:
+                policy = RetryPolicy(max_attempts=3)
+                injector = FaultInjector(FaultPlan(rules=(
+                    # Transient: a poisoned shot succeeds on its third try.
+                    FaultRule(site="gate", probability=0.3, failures=2),
+                    # The last shot exhausts its retries on the statevector
+                    # and demotes its chain; being last, it shifts no other
+                    # shot's rung, so counts stay comparable to serial.
+                    FaultRule(
+                        site="gate", shots=frozenset({shots - 1}),
+                        backend="statevector",
+                    ),
+                ), seed=5))
+                chain = FallbackChain(["statevector", "stabilizer"], demote_after=1)
+                chain.set_program_is_clifford(True)
+            else:
+                policy = RetryPolicy(max_attempts=1)
+                injector = None
+                chain = FallbackChain([BackendLevel("statevector", noisy=True)])
+            return ShotTask(
                 executor=ShotExecutor(
                     "statevector", None, 1_000_000, 4, True, NULL_OBSERVER
                 ),
-                module=plan.module, entry=plan.entry, shots=24,
+                module=plan.module, entry=plan.entry, shots=shots,
                 root=np.random.SeedSequence(11),
-                policy=RetryPolicy(max_attempts=1), injector=None,
-                chain=ChainGuard(
-                    FallbackChain([BackendLevel("statevector", noisy=True)])
-                ),
-                keep_stats=False, resilient=False, timed=False,
+                policy=policy, injector=injector, chain=ChainGuard(chain),
+                keep_stats=False, resilient=resilient, timed=False,
                 plan_bytes=plan.to_bytes(),
             )
-            sched = ProcessScheduler(jobs=2, start_method=start_method)
-            return Counter(o.bitstring for o in sched.run(task))
 
-        assert counts_with("spawn") == counts_with("fork")
+        def run_on(sched, resilient):
+            task = task_for(resilient)
+            return build_shots_result(task, sched.run(task), sched.name)
+
+        for resilient in (False, True):
+            spawn = run_on(ProcessScheduler(jobs=2, start_method="spawn"), resilient)
+            fork = run_on(ProcessScheduler(jobs=2, start_method="fork"), resilient)
+            serial = run_on(SerialScheduler(), resilient)
+            assert spawn.counts == fork.counts == serial.counts
+            assert sum(spawn.counts.values()) == shots
+            assert spawn.fallback_history == fork.fallback_history
+            assert spawn.degraded == fork.degraded == resilient
+            assert bool(spawn.fallback_history) == resilient
+            assert (spawn.retried_shots > 0) == resilient
+
+    def test_pool_that_breaks_during_submission_requeues_the_wave(
+        self, monkeypatch
+    ):
+        # A worker dying while the supervisor is still submitting a wave
+        # makes submit() raise BrokenProcessPool.  That loses the wave --
+        # every chunk of it is requeued -- it is not a failed pool start.
+        from concurrent.futures.process import BrokenProcessPool
+
+        submits = []
+        new_pool = ProcessScheduler._new_pool
+
+        def flaky_pool(self, workers):
+            pool = new_pool(self, workers)
+            submit = pool.submit
+
+            def flaky_submit(*args, **kwargs):
+                submits.append(1)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("A child process terminated abruptly")
+                return submit(*args, **kwargs)
+
+            pool.submit = flaky_submit
+            return pool
+
+        monkeypatch.setattr(ProcessScheduler, "_new_pool", flaky_pool)
+        program = reset_chain_qir(2, rounds=2)
+        result = counts_for(program, shots=24, jobs=2, sampling="never")
+        serial = counts_for(program, shots=24, sampling="never")
+        assert result.counts == serial.counts
+        assert result.scheduler == "process"
+        supervision = result.supervision
+        assert supervision.redispatches >= 1
+        assert supervision.failed_rounds == 1
+        assert supervision.state == "degraded"
 
     def test_process_chunk_metrics_and_worker_spans(self):
         from repro.runtime import guided_chunks
@@ -519,7 +581,7 @@ class TestMergeStability:
         from repro.resilience.fallback import BackendLevel
         from repro.resilience.report import ShotFailure
         from repro.runtime.errors import BackendFaultError, TrapError
-        from repro.runtime.schedulers import (
+        from repro.runtime.shots import (
             ChainGuard,
             ShotExecutor,
             ShotOutcome,

@@ -250,6 +250,32 @@ class TestPoolStartup:
                 PROGRAM, shots=8, jobs=2, sampling="never"
             )
 
+    def test_worker_start_failure_on_submit_is_a_startup_error(
+        self, monkeypatch
+    ):
+        # ProcessPoolExecutor starts its processes inside submit(), so a
+        # fork that fails there is the pool failing to start, not a
+        # lost wave.
+        new_pool = ProcessScheduler._new_pool
+
+        def unforkable_pool(self, workers):
+            pool = new_pool(self, workers)
+
+            def failing_submit(*args, **kwargs):
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            pool.submit = failing_submit
+            return pool
+
+        monkeypatch.setattr(ProcessScheduler, "_new_pool", unforkable_pool)
+        with pytest.raises(PoolStartupError) as excinfo:
+            QirRuntime(seed=7).run_shots(
+                PROGRAM, shots=8, jobs=2, sampling="never"
+            )
+        assert excinfo.value.code == "QIR022"
+        assert not excinfo.value.retryable
+        assert isinstance(excinfo.value.__cause__, OSError)
+
 
 class TestSupervisionConfiguration:
     def test_get_scheduler_threads_supervision_options(self):

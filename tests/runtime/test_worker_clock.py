@@ -1,7 +1,8 @@
 """Clock-rebasing invariants for merged ``process.worker`` spans.
 
-``ProcessScheduler._rebase_start`` maps a worker's self-reported timing
-onto the parent's ``perf_counter`` so folded spans land where the work
+``ProcessScheduler._rebase_start`` maps a worker's self-reported start
+clock onto the parent's ``perf_counter`` (against the dispatch clock the
+supervisor kept for that chunk) so folded spans land where the work
 actually happened.  The invariants under test:
 
 * the rebased start is always one of the three defensible anchors --
@@ -21,45 +22,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.tracer import Tracer
-from repro.runtime.schedulers import ProcessScheduler, _WorkerReport
+from repro.runtime.pool import ProcessScheduler, _WorkerReport
 
 
-def make_report(dispatch_clock, start_offset, seconds):
-    return _WorkerReport(
-        index=0,
+def rebase(dispatch_clock, start_offset, seconds, pool_start):
+    """Rebase a report whose worker started ``start_offset`` seconds after
+    the chunk's dispatch (on the worker's own clock)."""
+    report = _WorkerReport(
         outcomes=[],
         degraded=False,
         history=[],
         faults_raised=0,
         seconds=seconds,
-        dispatch_clock=dispatch_clock,
-        start_offset=start_offset,
+        started=dispatch_clock + start_offset,
     )
+    return ProcessScheduler._rebase_start(report, dispatch_clock, pool_start)
 
 
 class TestRebaseBranches:
     def test_no_rebase_info_falls_back_to_pool_start(self):
-        report = make_report(dispatch_clock=0.0, start_offset=-1.0, seconds=1.0)
-        assert ProcessScheduler._rebase_start(report, pool_start=42.0) == 42.0
+        assert rebase(0.0, start_offset=-1.0, seconds=1.0, pool_start=42.0) == 42.0
 
     def test_plausible_offset_is_applied(self):
         now = perf_counter()
-        report = make_report(
-            dispatch_clock=now - 10.0, start_offset=0.25, seconds=1.0
-        )
-        assert ProcessScheduler._rebase_start(report, pool_start=now - 11.0) == (
-            pytest.approx(now - 10.0 + 0.25)
-        )
+        assert rebase(
+            now - 10.0, start_offset=0.25, seconds=1.0, pool_start=now - 11.0
+        ) == pytest.approx(now - 10.0 + 0.25)
 
     def test_negative_offset_clamps_to_dispatch(self):
         # spawn: worker perf_counter origin predates the parent's value,
         # so the naive offset goes negative.
         now = perf_counter()
-        report = make_report(
-            dispatch_clock=now - 10.0, start_offset=-123.0, seconds=1.0
-        )
         assert (
-            ProcessScheduler._rebase_start(report, pool_start=now - 11.0)
+            rebase(now - 10.0, start_offset=-123.0, seconds=1.0, pool_start=now - 11.0)
             == now - 10.0
         )
 
@@ -67,11 +62,8 @@ class TestRebaseBranches:
         # spawn the other way: the worker's clock is far ahead, so
         # dispatch + offset + seconds would end after "now".
         now = perf_counter()
-        report = make_report(
-            dispatch_clock=now - 1.0, start_offset=500.0, seconds=2.0
-        )
         assert (
-            ProcessScheduler._rebase_start(report, pool_start=now - 2.0)
+            rebase(now - 1.0, start_offset=500.0, seconds=2.0, pool_start=now - 2.0)
             == now - 1.0
         )
 
@@ -93,9 +85,7 @@ class TestRebaseProperties:
         now = perf_counter()
         dispatch_clock = max(now - dispatch_age, 1e-6) if has_dispatch else 0.0
         pool_start = max((dispatch_clock or now) - pool_lead, 0.0)
-        report = make_report(dispatch_clock, start_offset, seconds)
-
-        start = ProcessScheduler._rebase_start(report, pool_start)
+        start = rebase(dispatch_clock, start_offset, seconds, pool_start)
 
         # The result is one of the three defensible anchors.
         anchors = {pool_start, dispatch_clock, dispatch_clock + start_offset}
@@ -146,8 +136,7 @@ class TestRebaseProperties:
         origin = tracer._origin
         pool_start = perf_counter()
         dispatch_clock = perf_counter()
-        report = make_report(dispatch_clock, start_offset, seconds)
-        start = ProcessScheduler._rebase_start(report, pool_start)
+        start = rebase(dispatch_clock, start_offset, seconds, pool_start)
         tracer.complete(
             "process.worker", start=start, seconds=seconds, tid=1, worker=0
         )

@@ -37,7 +37,7 @@ from repro.runtime.plan import (
     encode_payload,
 )
 from repro.runtime.plancache import PlanCache
-from repro.runtime.schedulers import run_batched
+from repro.runtime.shots import run_batched
 from repro.runtime.sampling_fastpath import SampledDistribution
 from repro.sim import StatevectorSimulator
 from repro.sim.fusion import build_schedule, extract_trace, run_fused
