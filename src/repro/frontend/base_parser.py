@@ -165,9 +165,9 @@ def parse_base_profile(text: str, name: str = "imported") -> Circuit:
     """Parse base-profile QIR text directly into a :class:`Circuit`."""
     env: Dict[str, object] = {}
     next_qubit_base = 0
-    gates: List[Tuple[str, List[float], List[int]]] = []
-    measurements: List[Tuple[int, int]] = []
-    resets: List[int] = []
+    # Circuit method calls in program order, replayed once the register
+    # sizes are known.
+    ops: List[Tuple[str, tuple]] = []
     max_qubit = -1
     max_result = -1
     in_body = False
@@ -299,17 +299,15 @@ def parse_base_profile(text: str, name: str = "imported") -> Circuit:
             qubit_tokens = tokens[entry.num_params : entry.num_params + entry.num_qubits]
             qubits = [resolve_qubit(t, line_number) for t in qubit_tokens]
             if entry.gate == "mz":
-                result = resolve_result(tokens[-1], line_number)
-                measurements.append((qubits[0], result))
+                ops.append(("measure", (qubits[0], resolve_result(tokens[-1], line_number))))
             elif entry.gate == "reset":
-                resets.append(qubits[0])
-                gates.append(("__reset__", [], qubits))
+                ops.append(("reset", (qubits[0],)))
             elif entry.returns_result:
                 raise BaseProfileParseError(
                     "dynamic measurement (m__body) is not base profile", line_number
                 )
             else:
-                gates.append((entry.gate, params, qubits))
+                ops.append(("gate", (entry.gate, qubits, params)))
             continue
 
         raise BaseProfileParseError(f"unrecognised line {line!r}", line_number)
@@ -322,110 +320,8 @@ def parse_base_profile(text: str, name: str = "imported") -> Circuit:
     if num_results:
         circuit.creg(num_results, "c")
 
-    # Interleave gates and measurements in program order: rebuild from the
-    # combined event list.  (Gates and measurements were collected in order
-    # relative to each other via the shared list walk; simplest correct
-    # approach is a second pass, so redo with a unified list.)
-    return _rebuild(circuit, text, name)
-
-
-def _rebuild(template: Circuit, text: str, name: str) -> Circuit:
-    """Single-pass construction now that register sizes are known."""
-    env: Dict[str, object] = {}
-    next_qubit_base = 0
-    circuit = Circuit(name)
-    if template.num_qubits:
-        circuit.qreg(template.num_qubits, "q")
-    if template.num_clbits:
-        circuit.creg(template.num_clbits, "c")
-
-    in_body = False
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = _RE_COMMENT.sub("", raw).strip()
-        if not line:
-            continue
-        if line.startswith("define "):
-            in_body = True
-            continue
-        if not in_body:
-            continue
-        if line == "}":
-            in_body = False
-            continue
-        if line == "ret void" or _RE_LABEL.match(line) or _RE_BR_UNCOND.match(line):
-            continue
-        if _RE_INITIALIZE.match(line):
-            continue
-        m = _RE_ALLOCA.match(line)
-        if m:
-            env[m.group("var")] = _Slot()
-            continue
-        m = _RE_ALLOC_ARRAY.match(line)
-        if m:
-            size = int(m.group("n"))
-            env[m.group("var")] = _QubitArray(next_qubit_base, size)
-            next_qubit_base += size
-            continue
-        m = _RE_CREATE_ARRAY.match(line)
-        if m:
-            env[m.group("var")] = _ByteArray(int(m.group("n")))
-            continue
-        m = _RE_STORE.match(line)
-        if m:
-            dst = env[m.group("dst")]
-            assert isinstance(dst, _Slot)
-            src_token = m.group("src")
-            dst.value = None if src_token == "null" else env.get(src_token[1:])
-            continue
-        m = _RE_LOAD.match(line)
-        if m:
-            src = env[m.group("src")]
-            assert isinstance(src, _Slot)
-            env[m.group("var")] = src.value
-            continue
-        m = _RE_ELEMENT_PTR.match(line)
-        if m:
-            array = env[m.group("array")]
-            index = int(m.group("idx"))
-            if isinstance(array, _QubitArray):
-                env[m.group("var")] = _Qubit(array.base + index)
-            else:
-                assert isinstance(array, _ByteArray)
-                env[m.group("var")] = _Result(index)
-            continue
-        if _RE_RT_RELEASE.match(line) or _RE_RECORD.match(line):
-            continue
-        m = _RE_QIS_CALL.match(line)
-        if m:
-            entry = parse_qis_name(m.group("fn"))
-            assert entry is not None
-            tokens = _split_args(m.group("args"))
-            params = []
-            for token in tokens[: entry.num_params]:
-                dm = _RE_ARG_DOUBLE.match(token)
-                assert dm is not None
-                val = dm.group("val")
-                if val.lower().startswith("0x"):
-                    import struct as _struct
-
-                    params.append(
-                        _struct.unpack("<d", _struct.pack("<Q", int(val, 16)))[0]
-                    )
-                else:
-                    params.append(float(val))
-            qubit_tokens = tokens[entry.num_params : entry.num_params + entry.num_qubits]
-            qubits = [
-                _resolve_pointer(t, env, line_number, kind="qubit")
-                for t in qubit_tokens
-            ]
-            if entry.gate == "mz":
-                result = _resolve_pointer(tokens[-1], env, line_number, kind="result")
-                circuit.measure(qubits[0], result)
-            elif entry.gate == "reset":
-                circuit.reset(qubits[0])
-            else:
-                circuit.gate(entry.gate, qubits, params)
-            continue
+    for method, args in ops:
+        getattr(circuit, method)(*args)
     return circuit
 
 

@@ -115,9 +115,6 @@ class Module:
     def defined_functions(self) -> List[Function]:
         return [f for f in self.functions.values() if not f.is_declaration]
 
-    def declared_functions(self) -> List[Function]:
-        return [f for f in self.functions.values() if f.is_declaration]
-
     def entry_points(self) -> List[Function]:
         return [f for f in self.functions.values() if f.is_entry_point]
 

@@ -159,21 +159,6 @@ class Parser:
         return None
 
     # -- types ---------------------------------------------------------------
-    def _looks_like_type(self) -> bool:
-        tok = self._peek()
-        if tok.kind == "LOCAL":
-            # %Name could be a struct type only at positions where a type is
-            # expected; callers use this in unambiguous contexts.
-            return tok.text in self.module.struct_types
-        if tok.kind == "PUNCT" and tok.text == "[":
-            return True
-        if tok.kind != "WORD":
-            return False
-        t = tok.text
-        if t in ("void", "double", "float", "ptr", "label"):
-            return True
-        return len(t) > 1 and t[0] == "i" and t[1:].isdigit()
-
     def parse_type(self) -> IRType:
         tok = self._next()
         base: IRType

@@ -24,10 +24,6 @@ from repro.llvmir.values import (
 )
 
 
-def is_constant_scalar(value: Value) -> bool:
-    return isinstance(value, (ConstantInt, ConstantFloat, ConstantNull, ConstantPointerInt))
-
-
 def fold_instruction(inst: Instruction) -> Optional[Constant]:
     """Evaluate an instruction with constant operands; None if not foldable."""
     if isinstance(inst, BinaryInst):

@@ -35,9 +35,6 @@ class Profile:
     require_module_flags: bool = True
     allow_user_functions: bool = False  # callable non-entry definitions
 
-    def flag_name(self) -> str:
-        return self.name
-
 
 # The canonical profile instances.
 BaseProfile = Profile(name="base_profile")

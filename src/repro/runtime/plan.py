@@ -364,16 +364,12 @@ def compile_plan(
     entry: Optional[str] = None,
     verify: bool = True,
     observer=None,
-    module: Optional[Module] = None,
     source_hash: Optional[str] = None,
 ) -> ExecutionPlan:
     """Compile one program into a frozen :class:`ExecutionPlan`.
 
-    ``module``/``source_hash`` let a caching front door (QirSession) hand
-    in an already-parsed module for the pipeline-free case; otherwise the
-    program is parsed (and hashed) here.  Passing ``pipeline`` always
-    compiles a *fresh* parse even when ``module`` is given, because passes
-    mutate IR in place and a cached pristine module must stay pristine.
+    Text is parsed here; ``source_hash`` lets a caller that already
+    hashed it (QirSession, for its cache key) skip hashing it again.
     """
     obs = as_observer(observer)
     t0 = perf_counter()
@@ -382,15 +378,11 @@ def compile_plan(
         digest = source_hash
         if digest is None:
             digest = content_hash(program)
-        if module is not None and factory is None:
-            compiled = module
-        elif isinstance(program, Module):
+        if isinstance(program, Module):
             # A caller handing in a Module accepts in-place optimisation
             # (the established qir-run --opt behaviour).
             compiled = program
         else:
-            # Pipelines mutate IR in place: run them on a private parse so
-            # any cached pristine module stays pristine.
             compiled = parse_assembly(program, observer=obs)
         if verify:
             verify_module(compiled)

@@ -146,9 +146,11 @@ class PlanCache:
         return os.path.join(self.directory, digest + _SUFFIX)
 
     # -- read -----------------------------------------------------------------
-    def get(self, key: str) -> Optional[ExecutionPlan]:
+    def get(self, key: str, verified: bool = False) -> Optional[ExecutionPlan]:
         """Load a plan, or ``None`` on miss.  Corrupt entries are deleted
-        and reported as misses -- the caller recompiles, never crashes."""
+        and reported as misses -- the caller recompiles, never crashes.
+        With ``verified=True`` an entry compiled without verification is a
+        miss too; it stays on disk until the verified recompile replaces it."""
         path = self.path_for(key)
         try:
             with open(path, "rb") as handle:
@@ -166,6 +168,9 @@ class PlanCache:
             # A (vanishingly unlikely) file-name collision, or a file
             # copied between directories by hand: treat as corrupt.
             self._drop_corrupt(path)
+            self._miss()
+            return None
+        if verified and not plan.verified:
             self._miss()
             return None
         self.stats["hits"] += 1
@@ -218,13 +223,7 @@ class PlanCache:
 
     def _evict_over_capacity(self, keep: str) -> None:
         """Delete oldest entries beyond ``max_entries`` (never ``keep``)."""
-        try:
-            names = [
-                n for n in os.listdir(self.directory)
-                if n.endswith(_SUFFIX) and not n.startswith(".tmp-")
-            ]
-        except OSError:
-            return
+        names = self._entry_names()
         if len(names) <= self.max_entries:
             return
         aged: List[tuple] = []
@@ -258,14 +257,7 @@ class PlanCache:
         a directory other processes are concurrently mutating.
         """
         out: List[CacheEntry] = []
-        try:
-            names = [
-                n for n in os.listdir(self.directory)
-                if n.endswith(_SUFFIX) and not n.startswith(".tmp-")
-            ]
-        except OSError:
-            return out
-        for name in names:
+        for name in self._entry_names():
             path = os.path.join(self.directory, name)
             try:
                 stat = os.stat(path)
@@ -302,14 +294,7 @@ class PlanCache:
         """
         ok: List[str] = []
         corrupt: List[str] = []
-        try:
-            names = sorted(
-                n for n in os.listdir(self.directory)
-                if n.endswith(_SUFFIX) and not n.startswith(".tmp-")
-            )
-        except OSError:
-            return VerifyReport(ok=[], corrupt=[], deleted=False)
-        for name in names:
+        for name in sorted(self._entry_names()):
             path = os.path.join(self.directory, name)
             try:
                 with open(path, "rb") as handle:
@@ -347,11 +332,16 @@ class PlanCache:
                 continue
         return removed
 
-    def __len__(self) -> int:
+    def _entry_names(self) -> List[str]:
+        """File names of the committed entries (in-flight ``.tmp-`` writes
+        excluded); empty when the directory is missing or unreadable."""
         try:
-            return sum(
-                1 for n in os.listdir(self.directory)
+            return [
+                n for n in os.listdir(self.directory)
                 if n.endswith(_SUFFIX) and not n.startswith(".tmp-")
-            )
+            ]
         except OSError:
-            return 0
+            return []
+
+    def __len__(self) -> int:
+        return len(self._entry_names())

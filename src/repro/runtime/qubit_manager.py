@@ -93,7 +93,3 @@ class QubitManager:
         self.total_allocations += 1
         width = len(self._dynamic) + len(self._static)
         self.peak_width = max(self.peak_width, width)
-
-    @property
-    def live_width(self) -> int:
-        return len(self._dynamic) + len(self._static)

@@ -288,10 +288,6 @@ class FusedProgram:
         return sum(1 for op in self.ops if isinstance(op, KernelOp))
 
     @property
-    def fused_gates(self) -> int:
-        return sum(op.gates for op in self.ops if isinstance(op, KernelOp))
-
-    @property
     def measurements(self) -> int:
         return sum(1 for op in self.ops if isinstance(op, MeasureOp))
 

@@ -24,7 +24,7 @@ import sys
 from typing import List, Optional
 
 from repro.obs.cli import add_observability_args, emit_observability, observer_from_args
-from repro.resilience import FallbackChain, FaultPlan, RetryPolicy, ShotFailure
+from repro.resilience import FallbackChain, FaultPlan, RetryPolicy
 from repro.resilience.report import render_timing_line
 from repro.runtime import (
     QirRuntime,
@@ -130,11 +130,6 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
-def _print_failures(failures: List[ShotFailure]) -> None:
-    for failure in failures:
-        print(failure.render(), file=sys.stderr)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     observer = observer_from_args(args)
@@ -195,7 +190,7 @@ def _run(args: argparse.Namespace, observer) -> int:
     # The lli workflow, compile-once style: parse -> verify -> optional
     # pipeline happen in the session's compile phase, sharing the observer
     # so one invocation profiles parse -> passes -> runtime end to end (and
-    # the --profile table shows the cache.{module,plan}.* counters).
+    # the --profile table shows the cache.plan.* counters).
     session = QirSession(
         runtime=runtime, plan_cache_dir=args.plan_cache, ledger_dir=args.ledger
     )

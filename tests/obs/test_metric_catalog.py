@@ -1,8 +1,10 @@
 """The README metric-name catalog stays in sync with the source tree.
 
 Every metric name emitted anywhere under ``src/`` must appear in the
-"Metric-name catalog" section of README.md.  A new counter added without
-documentation fails here, naming the missing metric.
+"Metric-name catalog" section of README.md, and every name the catalog
+lists must still be emitted.  A new counter added without documentation,
+or a catalog row left behind by a deleted counter, fails here, naming the
+metric.
 """
 
 from __future__ import annotations
@@ -50,10 +52,23 @@ def test_sources_emit_metrics():
     assert "run.info" in names
 
 
-def test_every_metric_name_is_catalogued():
+def _catalog() -> str:
     readme = README.read_text(encoding="utf-8")
     assert "### Metric-name catalog" in readme
-    catalog = readme.split("### Metric-name catalog", 1)[1]
+    return readme.split("### Metric-name catalog", 1)[1].split("\n## ", 1)[0]
+
+
+def _catalogued_names() -> set:
+    """The backticked names in the first column of the catalog table."""
+    names = set()
+    for line in _catalog().splitlines():
+        if line.startswith("| `"):
+            names.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    return names
+
+
+def test_every_metric_name_is_catalogued():
+    catalog = _catalog()
     missing = sorted(
         name for name in _collect_metric_names() if f"`{name}`" not in catalog
         and name not in catalog
@@ -61,4 +76,14 @@ def test_every_metric_name_is_catalogued():
     assert not missing, (
         "metric names emitted under src/ but absent from the README "
         f"metric-name catalog: {missing}"
+    )
+
+
+def test_every_catalogued_name_is_emitted():
+    catalogued = _catalogued_names()
+    assert len(catalogued) >= 40
+    stale = sorted(catalogued - _collect_metric_names())
+    assert not stale, (
+        "metric names in the README metric-name catalog that nothing under "
+        f"src/ emits any more: {stale}"
     )

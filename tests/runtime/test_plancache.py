@@ -4,11 +4,13 @@ import os
 
 import pytest
 
+from repro.llvmir.verifier import VerificationError
 from repro.obs.observer import Observer
 from repro.resilience import corrupt_bytes
 from repro.runtime import PlanCache, QirSession, compile_plan, default_cache_dir
 from repro.runtime.plancache import CACHE_ENV, environment_tag
 from repro.tools.qir_plan_cache import main as plan_cache_main
+from repro.workloads.qec import teleportation_qir
 from repro.workloads.qir_programs import bell_qir, counted_loop_qir
 
 
@@ -250,9 +252,124 @@ class TestSessionDiskTier:
             def run(self, module, observer=None):
                 return []
 
+        text = bell_qir("static")
         session = QirSession(plan_cache_dir=str(tmp_path))
-        session.compile(bell_qir("static"), pipeline=_NoopPasses)
+        session.compile(text, pipeline=_NoopPasses)
         assert len(session.plan_cache) == 0
+        # A run under the callable leaves the warm pipeline-free entry of
+        # the same source alone, so the next process still hits it.
+        QirSession(plan_cache_dir=str(tmp_path)).run_shots(text, shots=20)
+        session.run_shots(text, shots=20, pipeline=_NoopPasses)
+        fresh = QirSession(plan_cache_dir=str(tmp_path))
+        assert fresh.compile(text).distribution is not None
+        assert fresh.plan_cache.stats == {
+            "hits": 1, "misses": 0, "evictions": 0, "corrupt": 0,
+        }
+
+
+def _reject_me():
+    """A module the verifier rejects (a value returned from a void
+    function) that still parses and runs."""
+    return bell_qir("static").replace("ret void", "ret i64 1")
+
+
+class TestVerifiedHits:
+    def test_unverified_plan_is_not_served_to_a_verified_compile(self):
+        session = QirSession()
+        session.compile(_reject_me(), verify=False)
+        with pytest.raises(VerificationError):
+            session.compile(_reject_me())
+
+    def test_unverified_disk_entry_is_not_served_to_a_verified_compile(
+        self, tmp_path
+    ):
+        QirSession(plan_cache_dir=str(tmp_path)).compile(_reject_me(), verify=False)
+        session = QirSession(plan_cache_dir=str(tmp_path))
+        with pytest.raises(VerificationError):
+            session.compile(_reject_me())
+        assert session.plan_cache.stats["hits"] == 0
+
+    def test_verified_recompile_replaces_both_tiers(self, tmp_path):
+        text = bell_qir("static")
+        session = QirSession(plan_cache_dir=str(tmp_path))
+        unverified = session.compile(text, verify=False)
+        assert session.compile(text, verify=False) is unverified
+        verified = session.compile(text)
+        assert verified.verified and verified is not unverified
+        assert session.compile(text, verify=False) is verified
+        fresh = QirSession(plan_cache_dir=str(tmp_path))
+        assert fresh.compile(text).verified
+        assert fresh.plan_cache.stats["hits"] == 1
+
+
+def _bell_twice(session):
+    session.run_shots(bell_qir("static"), shots=50)
+    return session.run_shots(bell_qir("static"), shots=50)
+
+
+class TestOneWritePerPlan:
+    """Each new plan costs the disk tier one write; a cached plan is
+    re-written only by the run that first warms it."""
+
+    @pytest.fixture()
+    def puts(self, monkeypatch):
+        """Every ``PlanCache.put`` as ``(key, carries a distribution)``."""
+        calls = []
+        put = PlanCache.put
+
+        def counting_put(cache, key, plan):
+            calls.append((key, plan.distribution is not None))
+            return put(cache, key, plan)
+
+        monkeypatch.setattr(PlanCache, "put", counting_put)
+        return calls
+
+    @pytest.mark.parametrize(
+        "calls, program, writes",
+        [
+            pytest.param(
+                lambda s: s.run_shots(bell_qir("static"), shots=50),
+                bell_qir("static"), [True], id="run",
+            ),
+            pytest.param(_bell_twice, bell_qir("static"), [True], id="run-again"),
+            pytest.param(
+                lambda s: s.run_shots(teleportation_qir(0.4), shots=20),
+                teleportation_qir(0.4), [False], id="feedback-run",
+            ),
+            pytest.param(
+                lambda s: s.compile(bell_qir("static")),
+                bell_qir("static"), [False], id="compile",
+            ),
+            # The qir-run shape: compile writes through, then the first
+            # run re-writes the entry with its distribution so the next
+            # process warm-starts with it.
+            pytest.param(
+                lambda s: s.run_shots(s.compile(bell_qir("static")), shots=50),
+                bell_qir("static"), [False, True], id="compile-then-run",
+            ),
+        ],
+    )
+    def test_disk_writes_per_call(self, tmp_path, puts, calls, program, writes):
+        session = QirSession(seed=1, plan_cache_dir=str(tmp_path))
+        calls(session)
+        key = session.compile(program).key  # a memory hit: no write
+        assert puts == [(key, dist) for dist in writes]
+        (entry,) = session.plan_cache.entries()
+        assert entry.has_distribution == writes[-1]
+
+    def test_a_run_that_raises_still_writes_its_compile(
+        self, tmp_path, puts, monkeypatch
+    ):
+        session = QirSession(plan_cache_dir=str(tmp_path))
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(session.runtime, "run_shots", boom)
+        with pytest.raises(RuntimeError):
+            session.run_shots(bell_qir("static"), shots=10)
+        assert len(puts) == 1
+        assert len(session.plan_cache) == 1
 
 
 class TestPlanCacheCli:

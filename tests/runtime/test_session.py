@@ -1,4 +1,4 @@
-"""QirSession: content-hash-keyed module/plan caches over one runtime."""
+"""QirSession: the content-hash-keyed plan cache over one runtime."""
 
 import pytest
 
@@ -31,35 +31,7 @@ class TestConstruction:
 
     def test_cache_sizes_must_be_positive(self):
         with pytest.raises(ValueError):
-            QirSession(module_cache_size=0)
-        with pytest.raises(ValueError):
             QirSession(plan_cache_size=0)
-
-
-class TestModuleCache:
-    def test_reparse_is_a_cache_hit(self):
-        session = QirSession(seed=1)
-        text = bell_qir("static")
-        first = session.parse(text)
-        second = session.parse(text)
-        assert first is second
-        stats = session.cache_stats()["module"]
-        assert stats == {"hits": 1, "misses": 1, "size": 1, "capacity": 32}
-
-    def test_module_instances_pass_through(self):
-        session = QirSession(seed=1)
-        module = parse_assembly(bell_qir("static"))
-        assert session.parse(module) is module
-        assert session.cache_stats()["module"]["misses"] == 0
-
-    def test_lru_evicts_the_oldest_entry(self):
-        session = QirSession(seed=1, module_cache_size=2)
-        a, b, c = bell_qir("static"), ghz_qir(3), ghz_qir(4)
-        first_a = session.parse(a)
-        session.parse(b)
-        session.parse(c)  # evicts a
-        assert session.parse(a) is not first_a
-        assert session.cache_stats()["module"]["misses"] == 4
 
 
 class TestPlanCache:
@@ -147,7 +119,6 @@ class TestCachedExecution:
         session = QirSession(seed=7, observer=observer)
         session.compile(bell_qir("static"))
         names = [e["name"] for e in observer.tracer.events]
-        assert "session.cache_parse" in names
         assert "session.cache_compile" in names
 
 
