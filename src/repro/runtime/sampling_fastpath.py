@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +46,9 @@ from repro.runtime.values import IntPtr, ResultPtr
 from repro.sim.backend import DelegatingBackend
 from repro.sim.sampling import ZERO_COLUMN, render_counts, render_outcomes
 from repro.sim.statevector import StatevectorSimulator, is_superposed
+
+#: How far from 1 ``Generator.choice`` lets a probability table sum.
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 #: Distributions with more nonzero outcomes than this are not cached --
 #: the wire payload would dwarf the module text and the warm win shrinks
@@ -195,14 +199,30 @@ class SampledDistribution:
         """
         if not self.entries:
             return {"": shots}
-        probs = np.asarray([p for _, p in self.entries], dtype=np.float64)
         rng = np.random.default_rng(seed)
-        outcomes = rng.choice(len(probs), size=shots, p=probs)
+        drawn = self._cdf.searchsorted(rng.random(shots), side="right")
+        tally = np.bincount(drawn, minlength=len(self.entries))
         counts: Dict[str, int] = {}
-        for index, count in zip(*np.unique(outcomes, return_counts=True)):
-            bits = self.entries[int(index)][0]
-            counts[bits] = counts.get(bits, 0) + int(count)
+        for index in np.flatnonzero(tally).tolist():
+            bits = self.entries[index][0]
+            counts[bits] = counts.get(bits, 0) + int(tally[index])
         return counts
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """The cumulative table ``Generator.choice(p=...)`` draws through,
+        built the same way (``cdf = p.cumsum(); cdf /= cdf[-1]``, then
+        ``searchsorted`` of ``random(shots)``), so a warm draw equals the
+        cold path's.  A table ``choice`` would reject raises
+        ``ValueError`` on every call, and nothing is cached then."""
+        probs = np.asarray([p for _, p in self.entries], dtype=np.float64)
+        if np.isnan(probs).any() or (probs < 0).any():
+            raise ValueError("distribution probabilities must be non-negative numbers")
+        if abs(math.fsum(probs) - 1.0) > _CHOICE_ATOL:
+            raise ValueError("distribution probabilities do not sum to 1")
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
     def to_entries(self) -> List[List[object]]:
         return [[bits, prob] for bits, prob in self.entries]

@@ -34,6 +34,7 @@ tracer fixed at compile time with the runtime's one output rule
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -283,6 +284,17 @@ class FusedProgram:
     def prefix_gates(self) -> int:
         return len(self.prefix)
 
+    @cached_property
+    def prefix_state(self) -> np.ndarray:
+        """The amplitudes after the Clifford prefix, synthesized once per
+        schedule; read-only, since every shot loads a copy."""
+        tableau = StabilizerSimulator(self.num_slots)
+        for gate in self.prefix:
+            tableau.apply_gate(gate.name, list(gate.slots))
+        state = stabilizer_statevector(tableau)
+        state.flags.writeable = False
+        return state
+
     @property
     def kernels(self) -> int:
         return sum(1 for op in self.ops if isinstance(op, KernelOp))
@@ -506,13 +518,6 @@ def stabilizer_statevector(tableau: StabilizerSimulator) -> np.ndarray:
 # -- execution -----------------------------------------------------------------
 
 
-def _prefix_state(program: FusedProgram) -> np.ndarray:
-    tableau = StabilizerSimulator(program.num_slots)
-    for gate in program.prefix:
-        tableau.apply_gate(gate.name, list(gate.slots))
-    return stabilizer_statevector(tableau)
-
-
 def run_fused(program: FusedProgram, simulator) -> List[str]:
     """Execute a schedule; one bitstring per shot the simulator carries.
 
@@ -523,7 +528,7 @@ def run_fused(program: FusedProgram, simulator) -> List[str]:
     rendered through the program's output columns.
     """
     if program.prefix:
-        simulator.load_state(_prefix_state(program))
+        simulator.load_state(program.prefix_state)
     values: list = []
     for op in program.ops:
         if isinstance(op, KernelOp):

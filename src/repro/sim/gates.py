@@ -18,9 +18,18 @@ import numpy as np
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
+#: Kernel classes (:attr:`GateSpec.kind`).  A class belongs to the gate
+#: family, never to one matrix instance: ``ry(0)`` is diagonal but
+#: ``ry(0.3)`` is not, so ``ry`` is dense.
+PERMUTATION = "permutation"  # a 0/1 matrix with one 1 per row and column
+DIAGONAL = "diagonal"  # zero off the diagonal for every parameter value
+DENSE = "dense"
+
+
 @dataclass(frozen=True)
 class GateSpec:
-    """Static description of a gate: arities and Clifford membership."""
+    """Static description of a gate: arities, Clifford membership, and
+    the kernel class the statevector simulator applies it with."""
 
     name: str
     num_qubits: int
@@ -28,6 +37,7 @@ class GateSpec:
     clifford: bool
     hermitian: bool = False  # self-inverse (its own adjoint)
     matrix_fn: Optional[Callable[..., np.ndarray]] = None
+    kind: str = DENSE
 
     def matrix(self, *params: float) -> np.ndarray:
         if self.matrix_fn is None:
@@ -136,30 +146,30 @@ def _const(matrix: np.ndarray) -> Callable[..., np.ndarray]:
 GATE_SET: Dict[str, GateSpec] = {
     spec.name: spec
     for spec in [
-        GateSpec("i", 1, 0, True, True, _const(_I)),
-        GateSpec("x", 1, 0, True, True, _const(_X)),
+        GateSpec("i", 1, 0, True, True, _const(_I), kind=DIAGONAL),
+        GateSpec("x", 1, 0, True, True, _const(_X), kind=PERMUTATION),
         GateSpec("y", 1, 0, True, True, _const(_Y)),
-        GateSpec("z", 1, 0, True, True, _const(_Z)),
+        GateSpec("z", 1, 0, True, True, _const(_Z), kind=DIAGONAL),
         GateSpec("h", 1, 0, True, True, _const(_H)),
-        GateSpec("s", 1, 0, True, False, _const(_S)),
-        GateSpec("s_adj", 1, 0, True, False, _const(_SDG)),
-        GateSpec("t", 1, 0, False, False, _const(_T)),
-        GateSpec("t_adj", 1, 0, False, False, _const(_TDG)),
+        GateSpec("s", 1, 0, True, False, _const(_S), kind=DIAGONAL),
+        GateSpec("s_adj", 1, 0, True, False, _const(_SDG), kind=DIAGONAL),
+        GateSpec("t", 1, 0, False, False, _const(_T), kind=DIAGONAL),
+        GateSpec("t_adj", 1, 0, False, False, _const(_TDG), kind=DIAGONAL),
         GateSpec("sx", 1, 0, True, False, _const(_SX)),
         GateSpec("rx", 1, 1, False, False, _rx),
         GateSpec("ry", 1, 1, False, False, _ry),
-        GateSpec("rz", 1, 1, False, False, _rz),
-        GateSpec("p", 1, 1, False, False, _p),
+        GateSpec("rz", 1, 1, False, False, _rz, kind=DIAGONAL),
+        GateSpec("p", 1, 1, False, False, _p, kind=DIAGONAL),
         GateSpec("u3", 1, 3, False, False, _u3),
-        GateSpec("cnot", 2, 0, True, True, _const(_CNOT)),
-        GateSpec("cz", 2, 0, True, True, _const(_CZ)),
+        GateSpec("cnot", 2, 0, True, True, _const(_CNOT), kind=PERMUTATION),
+        GateSpec("cz", 2, 0, True, True, _const(_CZ), kind=DIAGONAL),
         GateSpec("cy", 2, 0, True, True, _const(_CY)),
-        GateSpec("swap", 2, 0, True, True, _const(_SWAP)),
-        GateSpec("crz", 2, 1, False, False, _crz),
-        GateSpec("cp", 2, 1, False, False, _cp),
-        GateSpec("rzz", 2, 1, False, False, _rzz),
+        GateSpec("swap", 2, 0, True, True, _const(_SWAP), kind=PERMUTATION),
+        GateSpec("crz", 2, 1, False, False, _crz, kind=DIAGONAL),
+        GateSpec("cp", 2, 1, False, False, _cp, kind=DIAGONAL),
+        GateSpec("rzz", 2, 1, False, False, _rzz, kind=DIAGONAL),
         GateSpec("rxx", 2, 1, False, False, _rxx),
-        GateSpec("ccx", 3, 0, False, True, _const(_CCX)),
+        GateSpec("ccx", 3, 0, False, True, _const(_CCX), kind=PERMUTATION),
     ]
 }
 

@@ -12,16 +12,24 @@ Design notes (following the HPC guide's advice):
   release measures the qubit away so slots can be reused -- this is what
   lets the runtime support *on-the-fly allocation for static qubit
   addresses* (paper, Section IV-A).
+* :meth:`StatevectorSimulator.apply_gate` looks each ``(width, gate,
+  qubits)`` up in one bounded module-level kernel table.  The argument
+  checks run once, when a key is built.  A permutation gate (x, cnot,
+  swap, ccx) is one gather ``state[index]``; a diagonal gate (z, rz, cz,
+  ...) is one multiply ``phases * state``; dense gates keep the slice
+  kernels of :meth:`~StatevectorSimulator.apply_matrix`.  Both shortcuts
+  give the dense arithmetic's amplitudes up to the sign of a zero.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import threading
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.sim.gates import gate_matrix
+from repro.sim.gates import DENSE, PERMUTATION, get_gate, gate_matrix
 from repro.sim.sampling import ZERO_COLUMN, render_counts, table_columns
 
 _ATOL = 1e-12
@@ -64,6 +72,73 @@ def _two_qubit_update(view: np.ndarray, matrix: np.ndarray, q0_is_high: bool) ->
         combined = row[0] * src[0] + row[1] * src[1] + row[2] * src[2] + row[3] * src[3]
         slot = order[out_index]
         view[..., slot >> 1, :, slot & 1, :] = combined
+
+
+def _check_targets(matrix: np.ndarray, qubits: Sequence[int], num_qubits: int) -> None:
+    """The shape, range and duplicate checks of one matrix application."""
+    k = len(qubits)
+    if matrix.shape != (1 << k, 1 << k):
+        raise ValueError(f"matrix shape {matrix.shape} does not match {k} qubits")
+    for q in qubits:
+        if not 0 <= q < num_qubits:
+            raise IndexError(f"qubit {q} out of range (have {num_qubits})")
+    if len(set(qubits)) != k:
+        raise ValueError(f"duplicate target qubits: {qubits}")
+
+
+#: Widest register whose gates get a cached index array.  Wider registers
+#: run permutation and diagonal gates through the slice kernels.  The
+#: gather beat the slice kernels at every width of the sweep in
+#: EXPERIMENTS.md ("Gate kernels by register width", 3 to 18 qubits), so
+#: the cap bounds memory, not time: one index array is ``8 * 2**12`` =
+#: 32 KiB here, and uncapped arrays raised ``frontend_mix``'s peak RSS.
+KERNEL_INDEX_MAX_QUBITS = 12
+
+#: Entries the kernel table keeps; the oldest is dropped first.  At most
+#: ``KERNEL_TABLE_SIZE * 32 KiB`` = 8 MiB of index arrays.
+KERNEL_TABLE_SIZE = 256
+
+
+class _Kernel(NamedTuple):
+    """One checked ``(width, gate, qubits)`` key's kernel."""
+
+    kind: str
+    num_params: int
+    #: Permutation: the source amplitude of each amplitude.  Diagonal: the
+    #: matrix row of each amplitude.  ``None``: run the slice kernels.
+    index: Optional[np.ndarray]
+
+
+_KERNELS: Dict[Tuple[int, str, Tuple[int, ...]], _Kernel] = {}
+_KERNELS_LOCK = threading.Lock()  # guards the evict-then-insert of a build
+
+
+def _build_kernel(key: Tuple[int, str, Tuple[int, ...]], matrix: np.ndarray) -> _Kernel:
+    """Check one key and build its kernel; raises what ``apply_matrix``
+    would, and caches nothing then."""
+    n, name, qubits = key
+    _check_targets(matrix, list(qubits), n)
+    spec = get_gate(name)
+    index = None
+    if spec.kind != DENSE and n <= KERNEL_INDEX_MAX_QUBITS:
+        amplitudes = np.arange(1 << n)
+        # Each amplitude's matrix row: its target bits, qubits[0] leading.
+        index = np.zeros(1 << n, dtype=np.intp)
+        for q in qubits:
+            index = (index << 1) | ((amplitudes >> q) & 1)
+        if spec.kind == PERMUTATION:
+            # Row r of a permutation matrix reads the one column holding a
+            # 1, so each amplitude reads the one whose target bits spell it.
+            column = np.argmax(matrix != 0, axis=1)[index]
+            index = amplitudes & ~sum(1 << q for q in qubits)
+            for position, q in enumerate(reversed(qubits)):
+                index |= ((column >> position) & 1) << q
+    kernel = _Kernel(spec.kind, spec.num_params, index)
+    with _KERNELS_LOCK:
+        while len(_KERNELS) >= KERNEL_TABLE_SIZE:
+            del _KERNELS[next(iter(_KERNELS))]
+        _KERNELS[key] = kernel
+    return kernel
 
 
 def _apply_dense(
@@ -112,6 +187,9 @@ class StatevectorSimulator:
 
     def probability_of_one(self, qubit: int) -> float:
         self._check_qubit(qubit)
+        return self._p1(qubit)
+
+    def _p1(self, qubit: int) -> float:
         view = self._axis_view(qubit)
         # view has shape (high, 2, low); slice [:, 1, :] selects bit=1.
         return float(np.sum(np.abs(view[:, 1, :]) ** 2))
@@ -141,9 +219,9 @@ class StatevectorSimulator:
 
     def release_qubit(self, slot: int) -> None:
         self._check_qubit(slot)
-        self.reset(slot)
         if slot in self._free_slots:
             raise ValueError(f"double release of qubit slot {slot}")
+        self._reset(slot)
         self._free_slots.append(slot)
 
     def ensure_qubits(self, count: int) -> None:
@@ -187,17 +265,12 @@ class StatevectorSimulator:
         ordering, matching how :func:`repro.sim.gates.controlled` places
         controls in the leading position.
         """
-        k = len(qubits)
-        if matrix.shape != (1 << k, 1 << k):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match {k} qubits"
-            )
-        for q in qubits:
-            self._check_qubit(q)
-        if len(set(qubits)) != k:
-            raise ValueError(f"duplicate target qubits: {qubits}")
+        _check_targets(matrix, qubits, self._num_qubits)
+        self._apply(matrix, qubits)
 
-        n = self._num_qubits
+    def _apply(self, matrix: np.ndarray, qubits: Sequence[int]) -> None:
+        """The slice kernels, on already-checked targets."""
+        k = len(qubits)
         if k == 1:
             # Fast path: single-qubit gate as one reshaped matmul.
             view = self._axis_view(qubits[0])
@@ -224,17 +297,33 @@ class StatevectorSimulator:
             _two_qubit_update(view, matrix, q0_is_high=qubits[0] == hi)
             return
 
-        self._state = _apply_dense(self._state, matrix, qubits, n)
+        self._state = _apply_dense(self._state, matrix, qubits, self._num_qubits)
 
     def apply_gate(
         self, name: str, qubits: Sequence[int], params: Sequence[float] = ()
     ) -> None:
-        self.apply_matrix(gate_matrix(name, params), list(qubits))
+        key = (self._num_qubits, name, tuple(qubits))
+        kernel = _KERNELS.get(key)
+        if kernel is None:
+            kernel = _build_kernel(key, gate_matrix(name, params))
+        elif len(params) != kernel.num_params:
+            gate_matrix(name, params)  # raises the catalogue's arity error
+        index = kernel.index
+        if index is None:
+            self._apply(gate_matrix(name, params), key[2])
+        elif kernel.kind == PERMUTATION:
+            self._state = self._state[index]
+        else:
+            # Phases on the left: the dense kernels compute ``m * a`` with
+            # the matrix entry first, and numpy's complex product is not
+            # bit-symmetric in its operands.
+            phases = gate_matrix(name, params).diagonal()[index]
+            np.multiply(phases, self._state, out=self._state)
 
     # -- measurement -------------------------------------------------------------
     def measure(self, qubit: int) -> int:
         self._check_qubit(qubit)
-        p1 = self.probability_of_one(qubit)
+        p1 = self._p1(qubit)
         outcome = int(self._rng.random() < p1)
         self._collapse(qubit, outcome, p1)
         return outcome
@@ -257,13 +346,17 @@ class StatevectorSimulator:
 
     def reset(self, qubit: int) -> None:
         self._check_qubit(qubit)
-        p1 = self.probability_of_one(qubit)
+        self._reset(qubit)
+
+    def _reset(self, qubit: int) -> None:
+        p1 = self._p1(qubit)
         if is_superposed(p1):
-            outcome = self.measure(qubit)
+            outcome = int(self._rng.random() < p1)
+            self._collapse(qubit, outcome, p1)
         else:
             outcome = int(p1 >= 0.5)
         if outcome == 1:
-            self.apply_gate("x", [qubit])
+            self.apply_gate("x", (qubit,))
 
     def sampling_probabilities(self) -> np.ndarray:
         """The probabilities :meth:`sample_basis` draws from, renormalised."""
@@ -379,14 +472,8 @@ class BatchedStatevectorSimulator:
             )
 
     def apply_matrix(self, matrix: np.ndarray, qubits: Sequence[int]) -> None:
+        _check_targets(matrix, qubits, self._num_qubits)
         k = len(qubits)
-        if matrix.shape != (1 << k, 1 << k):
-            raise ValueError(f"matrix shape {matrix.shape} does not match {k} qubits")
-        for q in qubits:
-            self._check_qubit(q)
-        if len(set(qubits)) != k:
-            raise ValueError(f"duplicate target qubits: {qubits}")
-
         if k == 1:
             low = 1 << qubits[0]
             high = self._state.shape[1] // (2 * low)

@@ -204,6 +204,24 @@ def test_clifford_prefix_routing_keeps_counts_bit_identical():
     assert fused.counts == unfused.counts
 
 
+def test_clifford_prefix_is_synthesized_once_per_schedule(monkeypatch):
+    import repro.sim.fusion as fusion
+
+    text = _clifford_preamble_program()
+    reference = QirRuntime(seed=SEED).run_shots(text, shots=200, sampling="never")
+    calls = []
+    synthesize = fusion.stabilizer_statevector
+    monkeypatch.setattr(
+        fusion, "stabilizer_statevector",
+        lambda tableau: calls.append(1) or synthesize(tableau),
+    )
+    plan = compile_plan(text)
+    assert plan.fused.prefix_gates == 18
+    fused = QirRuntime(seed=SEED).run_shots(plan, shots=200, sampling="never")
+    assert len(calls) == 1
+    assert fused.counts == reference.counts
+
+
 # -- cached sampling distribution ---------------------------------------------
 
 def _warmed_plan(text: str):
@@ -241,6 +259,32 @@ def test_distribution_entry_validation_fails_closed():
     ]:
         with pytest.raises(ValueError):
             SampledDistribution.from_entries(bad)
+
+
+def test_warm_draws_equal_generator_choice_on_random_tables():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        probs = rng.random(int(rng.integers(1, 300))) ** 3
+        probs /= probs.sum()
+        entries = tuple((format(i, "09b"), float(p)) for i, p in enumerate(probs))
+        shots, seed = int(rng.integers(1, 3000)), int(rng.integers(2**30))
+        drawn = np.random.default_rng(seed).choice(len(probs), size=shots, p=probs)
+        expected = {}
+        for index, count in zip(*np.unique(drawn, return_counts=True)):
+            expected[entries[index][0]] = int(count)
+        counts = SampledDistribution(entries).sample_counts(shots, seed)
+        assert counts == expected
+        assert list(counts) == list(expected)
+
+
+def test_warm_draws_reject_a_table_choice_would_reject():
+    # Within from_entries' 1e-6 but past choice's sqrt(eps) tolerance.
+    table = SampledDistribution((("0", 0.5), ("1", 0.5 + 1e-7)))
+    with pytest.raises(ValueError):
+        np.random.default_rng(1).choice(2, size=4, p=[0.5, 0.5 + 1e-7])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            table.sample_counts(4, 1)
 
 
 def _edited_payload(plan) -> dict:
