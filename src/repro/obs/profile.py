@@ -78,11 +78,11 @@ def render_profile(observer: Observer, title: str = "qir profile") -> str:
         parse_lines.append(f"  {key[len('parse.'):]:<22}{_fmt(gauges.pop(key))}")
     out += _section("parse", parse_lines)
 
-    # -- specialization (fusion / Clifford prefix / distribution cache) -------
+    # -- specialization (fusion / distribution cache) -------------------------
     # Popped *before* the compile & cache section, which sweeps the whole
     # plan.* / cache.* namespaces into one flat listing.
     spec_lines: List[str] = []
-    _SPEC_PREFIXES = ("plan.fusion.", "plan.clifford_prefix.", "cache.distribution.")
+    _SPEC_PREFIXES = ("plan.fusion.", "cache.distribution.")
     for key in sorted(
         k for k in list(counters) if k.startswith(_SPEC_PREFIXES)
     ):

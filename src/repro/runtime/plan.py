@@ -406,8 +406,6 @@ def compile_plan(
         obs.observe("plan.compile_seconds", elapsed)
         if fused is not None:
             obs.inc("plan.fusion.kernels", fused.kernels)
-            if fused.prefix_gates:
-                obs.inc("plan.clifford_prefix.gates", fused.prefix_gates)
     return ExecutionPlan(
         module=compiled,
         source_hash=digest,

@@ -9,6 +9,12 @@ Two address spaces coexist:
   from the entry point's ``required_num_qubits`` attribute, and
   **on-the-fly allocation** when an unseen address is touched.
 
+The attribute's block ``0..n-1`` binds to slots on the first
+static-address use, before that address binds, so a program that only
+allocates dynamically never simulates it.  In a program that mixes both,
+a dynamic allocation made before the first static address takes the
+first slots.
+
 The manager also keeps the statistics the SCALE benchmark reports
 (total allocations vs. peak simultaneous width, i.e. slot reuse).
 """
@@ -29,6 +35,7 @@ class QubitManager:
         self._dynamic: Dict[int, int] = {}  # handle id -> backend slot
         self._static: Dict[int, int] = {}  # static address -> backend slot
         self._next_handle = 0
+        self._reserved = 0  # static block not yet bound (reserve_static)
         # statistics
         self.total_allocations = 0
         self.peak_width = 0
@@ -51,11 +58,9 @@ class QubitManager:
 
     # -- static addressing ---------------------------------------------------------
     def reserve_static(self, count: int) -> None:
-        """Pre-bind static addresses ``0..count-1`` (the attribute route)."""
-        for address in range(count):
-            if address not in self._static:
-                self._static[address] = self._new_slot()
-                self._note_alloc()
+        """Reserve static addresses ``0..count-1`` (the attribute route);
+        they bind on the first static-address use."""
+        self._reserved = count
 
     def slot_for(self, pointer: object) -> int:
         """Resolve any qubit pointer kind to a backend slot."""
@@ -66,6 +71,13 @@ class QubitManager:
             return slot
         if isinstance(pointer, IntPtr):
             slot = self._static.get(pointer.address)
+            if slot is None and self._reserved:
+                for address in range(self._reserved):
+                    if address not in self._static:
+                        self._static[address] = self._new_slot()
+                        self._note_alloc()
+                self._reserved = 0
+                slot = self._static.get(pointer.address)
             if slot is None:
                 if not self.allow_on_the_fly:
                     raise QirRuntimeError(

@@ -232,11 +232,10 @@ class SampledDistribution:
         """Decode and validate a wire-format entry list.  Raises
         ``ValueError`` on anything suspect -- shape, types, bitstrings of
         differing or zero width, negative or non-finite probabilities, or
-        a total that is not ~1.0."""
+        a total the warm draw would reject (one tolerance: :attr:`_cdf`'s)."""
         if not isinstance(entries, list):
             raise ValueError("distribution entries must be a list")
         pairs: List[Tuple[str, float]] = []
-        total = 0.0
         for item in entries:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ValueError("distribution entry must be a [bits, prob] pair")
@@ -250,11 +249,11 @@ class SampledDistribution:
             prob = float(prob)
             if not math.isfinite(prob) or prob <= 0.0:
                 raise ValueError(f"distribution probability {prob!r} out of range")
-            total += prob
             pairs.append((bits, prob))
-        if pairs and abs(total - 1.0) > 1e-6:
-            raise ValueError(f"distribution sums to {total!r}, expected ~1.0")
-        return cls(entries=tuple(pairs))
+        distribution = cls(entries=tuple(pairs))
+        if pairs:
+            distribution._cdf  # raises what every warm draw would
+        return distribution
 
 
 def distribution_from(

@@ -16,11 +16,9 @@ the compile phase can precompute a :class:`FusedProgram`:
   support stays within two qubits into single pre-multiplied matrices
   (the qiskit-aer "fusion" idea), so a depth-``d`` single-qubit run
   costs one ``apply_matrix`` pass instead of ``d``.
-* **Clifford-prefix routing** splits the trace at the first non-Clifford
-  gate: a long Clifford preamble (GHZ/graph-state prep, QEC encoders)
-  runs on the CHP stabilizer tableau in O(gates * n) bit operations, and
-  the resulting state is synthesised back into amplitudes exactly once
-  via :func:`stabilizer_statevector`.
+* **The unitary prefix** -- the kernels before the first measurement or
+  reset -- is the same for every shot, so it is evolved once per schedule
+  (:attr:`FusedProgram.prefix_state`) and every run starts from a copy.
 
 One executor, :func:`run_fused`, walks the schedule on either the scalar
 or the batched statevector simulator.  It replicates the interpreter
@@ -49,10 +47,9 @@ from repro.llvmir.values import (
     ConstantPointerInt,
 )
 from repro.qir.catalog import QIS_PREFIX, RT_PREFIX, parse_qis_name
-from repro.sim.gates import gate_matrix, is_clifford_gate
+from repro.sim.gates import gate_matrix
 from repro.sim.sampling import ZERO_COLUMN, render_columns
-from repro.sim.stabilizer import StabilizerSimulator
-from repro.sim.statevector import BatchedStatevectorSimulator
+from repro.sim.statevector import BatchedStatevectorSimulator, StatevectorSimulator
 
 __all__ = [
     "FusedProgram",
@@ -61,7 +58,6 @@ __all__ = [
     "ResetOp",
     "extract_trace",
     "specialize_module",
-    "stabilizer_statevector",
     "run_fused",
 ]
 
@@ -268,46 +264,37 @@ ScheduleOp = Union[KernelOp, MeasureOp, ResetOp]
 class FusedProgram:
     """A compiled kernel schedule: the execute phase's specialized form.
 
-    ``prefix`` is the Clifford preamble routed to the stabilizer tableau
-    (empty when routing is not worthwhile); ``ops`` covers everything
-    after it.  Attached to :class:`~repro.runtime.plan.ExecutionPlan` as
-    derived analysis -- recomputed on decode, never serialized.
+    ``prefix`` is the kernels before the first measurement or reset;
+    ``ops`` covers everything after it.  Attached to
+    :class:`~repro.runtime.plan.ExecutionPlan` as derived analysis --
+    recomputed on decode, never serialized.
     """
 
     num_slots: int
-    prefix: Tuple[TraceGate, ...]
+    prefix: Tuple[KernelOp, ...]
     ops: Tuple[ScheduleOp, ...]
     columns: Tuple[int, ...]
     source_gates: int
 
-    @property
-    def prefix_gates(self) -> int:
-        return len(self.prefix)
-
     @cached_property
     def prefix_state(self) -> np.ndarray:
-        """The amplitudes after the Clifford prefix, synthesized once per
-        schedule; read-only, since every shot loads a copy."""
-        tableau = StabilizerSimulator(self.num_slots)
-        for gate in self.prefix:
-            tableau.apply_gate(gate.name, list(gate.slots))
-        state = stabilizer_statevector(tableau)
+        """The amplitudes after the prefix, evolved once per schedule;
+        read-only, since every run loads a copy.  The kernels and their
+        order are those a run would apply, so the amplitudes are too."""
+        simulator = StatevectorSimulator(self.num_slots)
+        for op in self.prefix:
+            simulator.apply_matrix(op.matrix, list(op.qubits))
+        state = simulator.state
         state.flags.writeable = False
         return state
 
     @property
     def kernels(self) -> int:
-        return sum(1 for op in self.ops if isinstance(op, KernelOp))
+        return len(self.prefix) + sum(1 for op in self.ops if isinstance(op, KernelOp))
 
     @property
     def measurements(self) -> int:
         return sum(1 for op in self.ops if isinstance(op, MeasureOp))
-
-    def describe(self) -> str:
-        return (
-            f"fused schedule: {self.kernels} kernels from "
-            f"{self.source_gates} gates, clifford prefix {self.prefix_gates}"
-        )
 
 
 def _embed(
@@ -371,45 +358,13 @@ def _fuse_gates(gates: Sequence[TraceGate]) -> List[KernelOp]:
     return kernels
 
 
-def _split_prefix(
-    ops: Sequence[TraceOp], num_slots: int, prefix_threshold: Optional[int]
-) -> Tuple[Tuple[TraceGate, ...], Tuple[TraceOp, ...]]:
-    """Split the trace at the first non-Clifford instruction.
-
-    The prefix must be unitary Clifford gates only (measure/reset end
-    it); it is routed to the tableau only when long enough to amortise
-    the one-off stabilizer->statevector synthesis, which costs roughly
-    ``num_slots`` statevector passes.
-    """
-    count = 0
-    for op in ops:
-        if not isinstance(op, TraceGate):
-            break
-        if op.params or not is_clifford_gate(op.name):
-            break
-        count += 1
-    threshold = (
-        prefix_threshold
-        if prefix_threshold is not None
-        else 2 * max(1, num_slots) + 4
-    )
-    if count < max(1, threshold):
-        return (), tuple(ops)
-    prefix = tuple(ops[:count])  # type: ignore[arg-type]
-    return prefix, tuple(ops[count:])
-
-
-def build_schedule(
-    trace: Trace,
-    *,
-    prefix_threshold: Optional[int] = None,
-) -> FusedProgram:
-    """Turn a trace into a fused kernel schedule (+ Clifford prefix)."""
-    prefix, rest = _split_prefix(trace.ops, trace.num_slots, prefix_threshold)
+def build_schedule(trace: Trace) -> FusedProgram:
+    """Turn a trace into a fused kernel schedule; the kernels before the
+    first measurement or reset become its prefix."""
     ops: List[ScheduleOp] = []
     run: List[TraceGate] = []
-    gates = len(prefix)
-    for op in rest:
+    gates = 0
+    for op in trace.ops:
         if isinstance(op, TraceGate):
             run.append(op)
             gates += 1
@@ -418,20 +373,20 @@ def build_schedule(
         run = []
         ops.append(op)  # measure / reset: kept in place, never fused
     ops.extend(_fuse_gates(run))
+    split = next(
+        (i for i, op in enumerate(ops) if not isinstance(op, KernelOp)), len(ops)
+    )
     return FusedProgram(
         num_slots=trace.num_slots,
-        prefix=prefix,
-        ops=tuple(ops),
+        prefix=tuple(ops[:split]),  # type: ignore[arg-type]
+        ops=tuple(ops[split:]),
         columns=trace.columns,
         source_gates=gates,
     )
 
 
 def specialize_module(
-    module: Module,
-    entry: Optional[str] = None,
-    *,
-    prefix_threshold: Optional[int] = None,
+    module: Module, entry: Optional[str] = None
 ) -> Optional[FusedProgram]:
     """The compile phase's entry point: trace + fuse, or ``None``.
 
@@ -443,76 +398,9 @@ def specialize_module(
         trace = extract_trace(module, entry)
         if trace is None:
             return None
-        return build_schedule(trace, prefix_threshold=prefix_threshold)
+        return build_schedule(trace)
     except Exception:
         return None
-
-
-# -- stabilizer -> statevector synthesis ---------------------------------------
-
-
-def _parity(indices: np.ndarray, mask: int) -> np.ndarray:
-    parity = np.zeros(len(indices), dtype=bool)
-    bit = 0
-    while mask >> bit:
-        if (mask >> bit) & 1:
-            parity ^= ((indices >> bit) & 1).astype(bool)
-        bit += 1
-    return parity
-
-
-def stabilizer_statevector(tableau: StabilizerSimulator) -> np.ndarray:
-    """Amplitudes of the tableau's state (phase fixed: first nonzero real+).
-
-    Finds one basis state in the support deterministically (postselect,
-    never an RNG draw), then projects it onto the stabilizer group:
-    ``|psi> ~ prod_i (I + G_i)/2 |b>``.  O(n * 2**n) vectorised work --
-    one pass per generator, the same order as a handful of gates.
-    """
-    n = tableau.num_qubits
-    size = 1 << n
-    cap = tableau._capacity
-
-    # Deterministic support-state search on a scratch copy.
-    scratch = StabilizerSimulator(0)
-    scratch._n = tableau._n
-    scratch._capacity = tableau._capacity
-    scratch.x = tableau.x.copy()
-    scratch.z = tableau.z.copy()
-    scratch.r = tableau.r.copy()
-    basis = 0
-    for qubit in range(n):
-        stab_rows = np.arange(cap, cap + n)
-        if scratch.x[stab_rows, qubit].any():
-            scratch.postselect(qubit, 0)  # random outcome: force |0>
-        else:
-            basis |= int(scratch.measure(qubit)) << qubit  # deterministic
-
-    indices = np.arange(size, dtype=np.int64)
-    state = np.zeros(size, dtype=np.complex128)
-    state[basis] = 1.0
-    for row in range(cap, cap + n):
-        x_mask = 0
-        z_mask = 0
-        for qubit in range(n):
-            if tableau.x[row, qubit]:
-                x_mask |= 1 << qubit
-            if tableau.z[row, qubit]:
-                z_mask |= 1 << qubit
-        y_count = bin(x_mask & z_mask).count("1")
-        sign = (-1.0) ** int(tableau.r[row]) * (1j) ** y_count
-        phases = np.where(_parity(indices, z_mask), -1.0, 1.0) * sign
-        source = indices ^ x_mask
-        state = state + phases[source] * state[source]
-    norm = np.linalg.norm(state)
-    if norm <= 0.0:
-        raise ValueError("stabilizer synthesis produced a null state")
-    state /= norm
-    anchor = np.flatnonzero(np.abs(state) > 1e-9)
-    if len(anchor):
-        lead = state[anchor[0]]
-        state *= np.abs(lead) / lead
-    return state
 
 
 # -- execution -----------------------------------------------------------------

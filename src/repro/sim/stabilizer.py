@@ -259,33 +259,6 @@ class StabilizerSimulator:
                 sz ^= z_i
         return sr
 
-    def postselect(self, qubit: int, outcome: int) -> float:
-        """Force an outcome.  Returns its probability (0.5 random, 1.0/0.0 det)."""
-        self._check(qubit)
-        cap, n = self._capacity, self._n
-        stab_rows = np.arange(cap, cap + n)
-        candidates = stab_rows[self.x[stab_rows, qubit]]
-        if len(candidates):
-            p = int(candidates[0])
-            rows = self._rows()
-            for i in rows:
-                if i != p and self.x[i, qubit]:
-                    self._row_mult(int(i), p)
-            self.x[p - cap] = self.x[p]
-            self.z[p - cap] = self.z[p]
-            self.r[p - cap] = self.r[p]
-            self.x[p] = False
-            self.z[p] = False
-            self.z[p, qubit] = True
-            self.r[p] = bool(outcome)
-            return 0.5
-        actual = self.measure(qubit)
-        if actual != outcome:
-            raise FloatingPointError(
-                f"postselect impossible: qubit {qubit} is deterministically {actual}"
-            )
-        return 1.0
-
     def reset(self, qubit: int) -> None:
         if self.measure(qubit) == 1:
             self.apply_gate("x", [qubit])

@@ -234,8 +234,8 @@ class StatevectorSimulator:
             self.allocate_qubit()
 
     def load_state(self, amplitudes: np.ndarray) -> None:
-        """Replace the register with precomputed amplitudes (the
-        stabilizer->statevector handoff).  Length must match the current
+        """Replace the register with precomputed amplitudes (a fused
+        schedule's prefix state).  Length must match the current
         allocation exactly; callers size the register first."""
         amplitudes = np.asarray(amplitudes, dtype=np.complex128)
         if amplitudes.shape != self._state.shape:
@@ -453,9 +453,9 @@ class BatchedStatevectorSimulator:
         return float(np.sum(np.abs(view[:, 1, :]) ** 2))
 
     def load_state(self, amplitudes: np.ndarray) -> None:
-        """Broadcast precomputed amplitudes to every member (the
-        stabilizer->statevector handoff; all members start identical and
-        diverge only at measurement)."""
+        """Broadcast precomputed amplitudes to every member (a fused
+        schedule's prefix state; all members start identical and diverge
+        only at measurement)."""
         amplitudes = np.asarray(amplitudes, dtype=np.complex128)
         if amplitudes.shape != (self._state.shape[1],):
             raise ValueError(

@@ -108,8 +108,8 @@ def rotation_ladder_qir(
     plan-compile time, so the fused executor applies ``num_qubits``
     matrices where the interpreter dispatches ``num_qubits * depth``
     intrinsic calls -- the spread ``runtime.fusion.speedup`` measures.
-    Non-Clifford throughout, so neither the stabilizer backend nor the
-    Clifford-prefix router claims it, and measurement-free until the end,
+    Non-Clifford throughout, so the stabilizer backend does not claim it,
+    and measurement-free until the end,
     so the sampling fast path *does* accept it (disable sampling to
     isolate the fused-kernel win).
     """

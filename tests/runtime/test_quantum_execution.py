@@ -10,6 +10,7 @@ from repro.runtime.errors import QirRuntimeError, TrapError
 from repro.runtime.qubit_manager import QubitManager
 from repro.runtime.values import IntPtr, QubitPtr
 from repro.sim.statevector import StatevectorSimulator
+from repro.workloads.qir_programs import ghz_qir
 
 
 def bell_text(addressing="static"):
@@ -191,6 +192,28 @@ class TestQubitManager:
         manager.reserve_static(3)
         assert manager.slot_for(IntPtr(2)) == 2
         assert manager.on_the_fly_allocations == 0
+
+    def test_reserved_block_binds_on_first_static_use(self):
+        sim = StatevectorSimulator(0)
+        manager = QubitManager(sim)
+        manager.reserve_static(3)
+        assert sim.num_qubits == 0  # nothing bound until an address is used
+        dynamic = manager.allocate()
+        assert manager.slot_for(dynamic) == 0  # allocated first: first slot
+        assert manager.slot_for(IntPtr(1)) == 2  # block 0..2 -> slots 1..3
+        assert manager.slot_for(IntPtr(0)) == 1
+        assert sim.num_qubits == 4
+        assert manager.on_the_fly_allocations == 0
+
+    @pytest.mark.parametrize("sampling", ["never", "auto"])
+    def test_dynamic_program_simulates_only_its_own_width(self, sampling):
+        # required_num_qubits describes the static address space; a
+        # program that allocates dynamically must not also pay for it.
+        result = QirRuntime(max_qubits=10, seed=1).run_shots(
+            ghz_qir(10, addressing="dynamic"), shots=4, sampling=sampling
+        )
+        assert sum(result.counts.values()) == 4
+        assert set(result.counts) <= {"0" * 10, "1" * 10}
 
     def test_peak_width_tracks_reuse(self):
         sim = StatevectorSimulator(0)

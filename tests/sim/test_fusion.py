@@ -4,9 +4,8 @@ Covers the three specialization tiers end to end:
 
 * fusion arithmetic: the fused executor's statevector matches per-gate
   application on hypothesis-generated random circuits, exactly;
-* Clifford-prefix routing: the stabilizer-synthesized handoff state
-  matches per-gate evolution (up to global phase), and routed plans keep
-  bit-identical histograms;
+* the unitary prefix: evolved once per schedule, with the counts the
+  Clifford-preamble programs had when a stabilizer tableau served them;
 * schedulers: fused counts equal the unfused serial reference across
   serial / process and the batch for a fixed seed;
 * the cached sampling distribution: wire round-trip, fail-closed decode
@@ -16,6 +15,7 @@ Covers the three specialization tiers end to end:
   they cannot measure.
 """
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -40,7 +40,7 @@ from repro.runtime.plancache import PlanCache
 from repro.runtime.shots import run_batched
 from repro.runtime.sampling_fastpath import SampledDistribution
 from repro.sim import StatevectorSimulator
-from repro.sim.fusion import build_schedule, extract_trace, run_fused
+from repro.sim.fusion import MeasureOp, build_schedule, extract_trace, run_fused
 from repro.tools.qir_bench import dist_warm_arms, fusion_arms
 from repro.workloads.circuits import random_circuit
 from repro.workloads.qir_programs import (
@@ -70,21 +70,9 @@ def _fused_state(program) -> np.ndarray:
     return simulator.state.copy()
 
 
-def _fix_phase(state: np.ndarray) -> np.ndarray:
-    """Normalize global phase: first non-negligible amplitude real positive."""
-    for amp in state:
-        if abs(amp) > 1e-9:
-            return state * (abs(amp) / amp)
-    return state
-
-
-def _gate_only_trace(num_qubits: int, depth: int, seed: int,
-                     clifford_only: bool = False):
+def _gate_only_trace(num_qubits: int, depth: int, seed: int):
     text = export_circuit_text(
-        random_circuit(
-            num_qubits, depth, seed=seed,
-            clifford_only=clifford_only, measure=False,
-        ),
+        random_circuit(num_qubits, depth, seed=seed, measure=False),
         addressing="static",
     )
     trace = extract_trace(parse_assembly(text))
@@ -102,34 +90,14 @@ def _gate_only_trace(num_qubits: int, depth: int, seed: int,
 )
 def test_fused_statevector_matches_per_gate_application(num_qubits, depth, seed):
     trace = _gate_only_trace(num_qubits, depth, seed)
-    # A huge threshold disables prefix routing, isolating the kernel
-    # pre-multiplication math (which is exact -- no phase ambiguity).
-    program = build_schedule(trace, prefix_threshold=10**9)
-    assert program.prefix_gates == 0
+    # With no measurement every kernel is in the prefix: the run loads the
+    # prefix state, so this checks the kernel pre-multiplication math.
+    program = build_schedule(trace)
+    assert not program.ops
+    assert len(program.prefix) == program.kernels
     np.testing.assert_allclose(
         _fused_state(program),
         _per_gate_state(trace, trace.num_slots),
-        atol=1e-9,
-    )
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    num_qubits=st.integers(min_value=1, max_value=4),
-    depth=st.integers(min_value=2, max_value=6),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_clifford_prefix_state_matches_per_gate_application(
-    num_qubits, depth, seed
-):
-    trace = _gate_only_trace(num_qubits, depth, seed, clifford_only=True)
-    # threshold=1 forces the whole Clifford circuit through the tableau +
-    # stabilizer->statevector synthesis path.
-    program = build_schedule(trace, prefix_threshold=1)
-    assert program.prefix_gates == len(trace.ops)
-    np.testing.assert_allclose(
-        _fix_phase(_fused_state(program)),
-        _fix_phase(_per_gate_state(trace, trace.num_slots)),
         atol=1e-9,
     )
 
@@ -175,28 +143,73 @@ def test_fused_counts_match_unfused_serial_across_schedulers(text):
     assert batched == reference.counts
 
 
-def _clifford_preamble_program() -> str:
+def _clifford_preamble_program(
+    num_qubits: int = 3, layers: int = 6, reset: bool = False
+) -> str:
+    """A Clifford preamble of ``3 * layers`` gates, then T and measurement.
+
+    With ``reset``, qubit 0 is measured and reset mid-circuit, so the
+    fast path declines and an ``"auto"`` run is served by the batch.
+    """
     from repro.circuit.circuit import Circuit
 
     circuit = Circuit("prefix")
-    circuit.qreg(3, "q")
-    circuit.creg(3, "c")
-    for i in range(6):
-        circuit.h(i % 3)
-        circuit.s((i + 1) % 3)
-        circuit.cx(i % 3, (i + 1) % 3)
-    circuit.t(0)  # first non-Clifford instruction: the split point
-    circuit.measure_all()
+    circuit.qreg(num_qubits, "q")
+    circuit.creg(num_qubits + 1, "c")
+    for i in range(layers):
+        circuit.h(i % num_qubits)
+        circuit.s((i + 1) % num_qubits)
+        circuit.cx(i % num_qubits, (i + 1) % num_qubits)
+    circuit.t(0)  # the first non-Clifford gate
+    if reset:
+        circuit.measure(0, num_qubits)
+        circuit.reset(0)
+        circuit.h(0)
+        circuit.cx(0, 1)
+    for q in range(num_qubits):
+        circuit.measure(q, q)
     return export_circuit_text(circuit, addressing="static")
 
 
-def test_clifford_prefix_routing_keeps_counts_bit_identical():
+#: Counts of the Clifford-preamble programs below at fixed seeds, recorded
+#: when their preambles ran on the stabilizer tableau and were synthesized
+#: back into amplitudes; the fused prefix must reproduce them bit for bit.
+PREAMBLE_COUNTS_DIGEST = "42d49425d80d4540a1570ae5eec6fa565202c553e80108147739f22f668caae8"
+
+
+def _preamble_records():
+    records = []
+    for seed in (3, 17):
+        for name, text, shots in [
+            ("preamble3", _clifford_preamble_program(), 200),
+            ("preamble10", _clifford_preamble_program(10, 10), 64),
+        ]:
+            plan = compile_plan(text)
+            for jobs in (1, 2):
+                result = QirRuntime(seed=seed).run_shots(
+                    plan, shots=shots, sampling="never", jobs=jobs
+                )
+                records.append([name, seed, jobs, sorted(result.counts.items())])
+        plan = compile_plan(_clifford_preamble_program(reset=True))
+        batched = QirRuntime(seed=seed).run_shots(plan, shots=200)
+        assert batched.scheduler == "batched"
+        records.append(["preamble3.reset", seed, sorted(batched.counts.items())])
+    return records
+
+
+def test_clifford_preamble_counts_match_recorded_digest():
+    blob = json.dumps(_preamble_records(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PREAMBLE_COUNTS_DIGEST
+
+
+def test_clifford_preamble_keeps_counts_bit_identical():
     text = _clifford_preamble_program()
     plan = compile_plan(text)
-    # 18 Clifford gates beats the default threshold (2*3 + 4 = 10), so
-    # the compiled plan routes the preamble through the tableau.
+    # The preamble and the T gate fuse into the prefix; the terminal
+    # measurements are all that is left to run.
     assert plan.fused is not None
-    assert plan.fused.prefix_gates == 18
+    assert plan.fused.prefix and plan.fused.source_gates == 19
+    assert all(isinstance(op, MeasureOp) for op in plan.fused.ops)
     fused = QirRuntime(seed=SEED).run_shots(plan, shots=64, sampling="never")
     unfused = QirRuntime(seed=SEED).run_shots(
         plan.module, shots=64, entry=plan.entry, sampling="never"
@@ -204,21 +217,20 @@ def test_clifford_prefix_routing_keeps_counts_bit_identical():
     assert fused.counts == unfused.counts
 
 
-def test_clifford_prefix_is_synthesized_once_per_schedule(monkeypatch):
-    import repro.sim.fusion as fusion
-
-    text = _clifford_preamble_program()
+def test_prefix_is_evolved_once_per_schedule(monkeypatch):
+    text = rotation_ladder_qir(2, depth=48)
     reference = QirRuntime(seed=SEED).run_shots(text, shots=200, sampling="never")
-    calls = []
-    synthesize = fusion.stabilizer_statevector
-    monkeypatch.setattr(
-        fusion, "stabilizer_statevector",
-        lambda tableau: calls.append(1) or synthesize(tableau),
-    )
     plan = compile_plan(text)
-    assert plan.fused.prefix_gates == 18
+    calls = []
+    apply_matrix = StatevectorSimulator.apply_matrix
+    monkeypatch.setattr(
+        StatevectorSimulator, "apply_matrix",
+        lambda self, matrix, qubits: calls.append(1) or apply_matrix(self, matrix, qubits),
+    )
     fused = QirRuntime(seed=SEED).run_shots(plan, shots=200, sampling="never")
-    assert len(calls) == 1
+    # Every kernel precedes the terminal measurements: each is applied
+    # once for the schedule, never per shot.
+    assert len(calls) == plan.fused.kernels == len(plan.fused.prefix)
     assert fused.counts == reference.counts
 
 
@@ -278,7 +290,7 @@ def test_warm_draws_equal_generator_choice_on_random_tables():
 
 
 def test_warm_draws_reject_a_table_choice_would_reject():
-    # Within from_entries' 1e-6 but past choice's sqrt(eps) tolerance.
+    # Past choice's sqrt(eps) tolerance, which from_entries shares.
     table = SampledDistribution((("0", 0.5), ("1", 0.5 + 1e-7)))
     with pytest.raises(ValueError):
         np.random.default_rng(1).choice(2, size=4, p=[0.5, 0.5 + 1e-7])
@@ -356,6 +368,36 @@ def test_plan_cache_verify_deletes_corrupt_distribution(tmp_path):
     assert report.corrupt == [path]
     assert cache.get(plan.key) is None  # deleted: clean miss, no crash
     assert observer.metrics.value("cache.plan_disk.corrupt", 0) >= 1
+
+
+def _off_by_1e7_payload(plan) -> dict:
+    # 1e-7 off: a sum error the warm draw rejects (sqrt(eps) ~ 1.5e-8).
+    payload = _edited_payload(plan)
+    payload["distribution"] = {"entries": [["000", 0.5], ["111", 0.5 + 1e-7]]}
+    return payload
+
+
+def test_a_table_the_warm_draw_would_reject_fails_decode():
+    payload = _off_by_1e7_payload(_warmed_plan(ghz_qir(3, addressing="static")))
+    with pytest.raises(PlanDecodeError, match="do not sum to 1"):
+        ExecutionPlan.from_bytes(encode_payload(payload))
+
+
+def test_disk_cache_recompiles_a_table_the_warm_draw_would_reject(tmp_path):
+    # A corrupt entry: the session recompiles and serves counts instead
+    # of raising on every warm request.
+    text = ghz_qir(3, addressing="static")
+    plan = _warmed_plan(text)
+    payload = _off_by_1e7_payload(plan)
+    path = PlanCache(str(tmp_path)).put(plan.key, plan)
+    with open(path, "wb") as handle:
+        handle.write(encode_payload(payload))
+    session = QirSession(runtime=QirRuntime(seed=SEED), plan_cache_dir=str(tmp_path))
+    result = session.run_shots(text, shots=20)
+    assert session.plan_cache.stats["corrupt"] == 1
+    assert not result.distribution_served
+    assert sum(result.counts.values()) == 20
+    assert set(result.counts) <= {"000", "111"}
 
 
 def test_plan_cache_treats_a_v2_entry_as_a_miss(tmp_path, monkeypatch):
