@@ -11,14 +11,13 @@ Architecturally this module is now a thin front over the two-phase stack:
   frozen :class:`~repro.runtime.plan.ExecutionPlan` (``run_shots`` accepts
   one anywhere it accepts source, skipping the frontend entirely);
 * the **execute phase** serves the shots from the first tier that
-  applies: the plan's cached distribution,
-  the sampling fast path (one evolution, then joint sampling), the batch
-  (one vectorised evolution of the plan's fused schedule), or the
-  per-shot loop (:mod:`repro.runtime.shots`), in-thread (``jobs=1``, the
-  default, and every one-shot run) or in ``jobs=N`` worker processes fed
-  serialized plans (:mod:`repro.runtime.pool`).  Every tier reproduces
-  identical ``counts`` for the same ``seed=`` thanks to spawned per-shot
-  seeding.
+  applies: the plan's cached distribution, the sampling fast path (one
+  evolution with every measurement deferred, then joint sampling), or
+  the per-shot loop (:mod:`repro.runtime.shots`), in-thread (``jobs=1``,
+  the default, and every one-shot run) or in ``jobs=N`` worker processes
+  fed serialized plans (:mod:`repro.runtime.pool`).  Every placement of
+  the per-shot loop reproduces identical ``counts`` for the same
+  ``seed=`` thanks to spawned per-shot seeding.
 
 The runtime picks its own path: ``jobs`` is the only placement option,
 and the input decides the specialization (see :meth:`QirRuntime.run_shots`).
@@ -71,9 +70,7 @@ from repro.runtime.shots import (
     ExecutionResult,
     ShotExecutor,
     ShotTask,
-    batch_chunk_size,
     fastpath_sequence,
-    run_batched,
     sorted_counts as _sorted_counts,
 )
 from repro.sim.noise import NoiseModel
@@ -186,19 +183,15 @@ class QirRuntime:
         ``sampling``:
 
         * ``"auto"`` (default) -- attempt the deferred-measurement fast path
-          (one statevector evolution, then joint sampling); when the
-          program is not sampleable (mid-circuit reset, re-measurement,
-          feedback) run it in the batch if the plan allows, else per shot;
+          (one statevector evolution, then joint sampling; mid-circuit
+          measurement, reset and reuse included); when the program is not
+          sampleable (feedback on a measured value, ``m``-style results,
+          deferred wires past the growth cap) run it per shot;
         * ``"never"`` -- always run one shot at a time (the qir-runner model);
         * ``"require"`` -- fast path or raise :class:`FastPathUnsupported`.
 
-        The batch (:func:`~repro.runtime.shots.run_batched`) is picked
-        from the plan, not by an option: it serves an ``"auto"`` run the
-        fast path declined when the program is an :class:`ExecutionPlan`
-        with a fused schedule (within ``max_qubits``) on the
-        clean statevector, in-thread (``jobs == 1``), not resilient,
-        without ``keep_stats``, and for more than one shot.  Its result
-        reports ``scheduler == "batched"``.
+        The fast path is per run, not per shot: a run it serves starts no
+        worker pool, whatever ``jobs`` says.
 
         ``jobs`` overrides the runtime's default placement of the
         per-shot loop for this call; :func:`get_scheduler` validates it
@@ -209,16 +202,15 @@ class QirRuntime:
         to make one.
 
         A raw text/``Module`` program runs unspecialized: no fused
-        schedule, no batch, and no memoized distribution to serve or
-        capture.  Pass an :class:`ExecutionPlan` (``QirSession`` does) to
-        get them.
+        schedule, and no memoized distribution to serve or capture.  Pass
+        an :class:`ExecutionPlan` (``QirSession`` does) to get them.
 
         Passing any of ``retry`` / ``fault_plan`` / ``fallback`` (or
         ``collect_failures=True``) selects the *resilient* per-shot loop:
         failures are retried per ``retry``, the backend may be demoted per
         ``fallback``, and shots that still fail are returned as structured
         records on the result instead of raising.  Resilience is per-shot,
-        so a resilient run never takes the fast path or the batch.
+        so a resilient run never takes the fast path.
 
         ``worker_timeout`` / ``max_worker_failures`` configure the worker
         pool's supervisor (heartbeat deadline in seconds, and failed
@@ -265,30 +257,23 @@ class QirRuntime:
             obs.set_run_context(ctx)
         run_id = ctx.run_id if ctx is not None else ""
         t0 = perf_counter()
-        if obs.enabled:
-            with obs.span(
-                "run_shots", shots=shots, sampling=sampling, scheduler=sched.name
-            ) as span:
-                result = self._run_shots_impl(
-                    program, shots, entry, keep_stats, sampling,
-                    retry, fault_plan, fallback, collect_failures, sched,
-                )
-                span.tag("fast_path", result.used_fast_path)
-        else:
+        with obs.span(
+            "run_shots", shots=shots, sampling=sampling, scheduler=sched.name
+        ) as span:
             result = self._run_shots_impl(
                 program, shots, entry, keep_stats, sampling,
                 retry, fault_plan, fallback, collect_failures, sched,
             )
+            span.tag("fast_path", result.used_fast_path)
         result.wall_seconds = perf_counter() - t0
         result.run_id = run_id
         if obs.enabled:
             obs.inc("runtime.shots.requested", shots)
-            if result.used_fast_path:
-                path = "runtime.shots.fastpath"
-            elif result.scheduler == "batched":
-                path = "runtime.shots.batched"
-            else:
-                path = "runtime.shots.per_shot"
+            path = (
+                "runtime.shots.fastpath"
+                if result.used_fast_path
+                else "runtime.shots.per_shot"
+            )
             obs.inc(path, shots)
             obs.inc("runtime.scheduler.runs", scheduler=result.scheduler)
             obs.observe("runtime.run_seconds", result.wall_seconds)
@@ -336,8 +321,8 @@ class QirRuntime:
         # One root per run, drawn *before* any fast-path attempt so the
         # stream position -- and therefore every spawned per-shot seed --
         # is identical across sampling modes, tiers and schedulers.
-        # Serial, process, and batch execution of the same program with
-        # the same runtime seed produce identical counts.
+        # Serial and process execution of the same program with the same
+        # runtime seed produce identical counts.
         root = np.random.SeedSequence(int(self._rng.integers(2**63)))
 
         schedule = plan.fused if plan is not None else None
@@ -381,18 +366,6 @@ class QirRuntime:
             except FastPathUnsupported:
                 if sampling == "require":
                     raise
-            # The batch: sampling is "auto" and the fast path declined.  A
-            # fused schedule is a static gate trace, so the program has no
-            # classical feedback and one kernel stream serves every shot.
-            # Chunks of one member (one shot, or a register too wide for
-            # the amplitude budget) gain nothing over the per-shot loop.
-            if (
-                sched.jobs == 1
-                and schedule is not None
-                and batch_chunk_size(shots, schedule.num_slots) > 1
-            ):
-                counts = run_batched(schedule, shots, root, obs)
-                return ShotsResult(counts=counts, shots=shots, scheduler="batched")
         elif sampling == "require" and not resilient:
             raise FastPathUnsupported(
                 "sampling fast path requires the statevector backend, no "
@@ -454,8 +427,8 @@ class QirRuntime:
 
         With ``capture=True`` the terminal distribution also comes back
         (for plan memoization).  The evolution never draws from the RNG
-        (the deferred backend declines anything that would, such as a
-        reset of a superposed qubit), so a warm replay sampling straight
+        (the deferred backend moves a reset superposed qubit onto a fresh
+        wire instead of collapsing it), so a warm replay sampling straight
         from the stored table reads the same stream this cold run did.
         """
         inner = StatevectorSimulator(0, seed=seed, max_qubits=self.max_qubits)

@@ -66,7 +66,7 @@ def output_columns(recorded: Sequence[T], table: Mapping[int, T], unwritten: T) 
     addresses ``max..0`` with unwritten ones reading ``unwritten``.
 
     The per-shot interpreter passes bits.  The shared-stream tiers (the
-    sampling fast path, the batch, the fused schedule) pass output
+    sampling fast path and the fused schedule) pass output
     columns (:data:`~repro.sim.sampling.ZERO_COLUMN`) naming the
     measurement that wrote each result, and render them per shot later.
     """

@@ -6,23 +6,26 @@ unitary evolution a thousand times.  When measurements are *terminal* the
 quantum state right before them is shot-independent, so the runtime can
 evolve once and sample the joint measurement distribution.
 
+Measurement collapses nothing under the deferred-measurement principle:
+a measured qubit keeps its value on a wire of its own, and a reset or a
+reuse starts a fresh wire (QSSA's value semantics: measuring consumes a
+qubit value, reset produces a new one).  So every program whose control
+flow never reads a measured value -- mid-circuit measurement, reset and
+reuse included -- is sampled from one evolution
+(:class:`DeferredMeasurementBackend`).
+
 The fast path is attempted optimistically and *proves its own
-applicability while running*: a deferred backend records measurements
-without collapsing, and aborts with :class:`FastPathUnsupported` the
-moment the program does anything whose semantics would depend on a
-measurement outcome --
+applicability while running*: it aborts with :class:`FastPathUnsupported`
+the moment the program does something one shared evolution cannot
+express --
 
-* a gate / reset / release touching an already-measured qubit,
-* a reset or release of a superposed qubit (its outcome is random per
-  shot, so one shared collapse would serve every shot the same one),
-* measuring the same qubit twice,
 * reading a result value (``read_result`` / ``result_equal`` feedback),
-* a dynamic (``m``-style) result.
+* a dynamic (``m``-style) result,
+* growing a register that holds a deferred wire past
+  :data:`MAX_DEFERRED_QUBITS` or ``max_qubits``.
 
-On abort the caller falls back -- to the batch tier
-(:func:`~repro.runtime.shots.run_batched`) when the plan has a fused
-schedule, else to per-shot interpretation -- so the fast path is sound by
-construction rather than by up-front program analysis.
+On abort the caller falls back to per-shot interpretation, so the fast
+path is sound by construction rather than by up-front program analysis.
 
 :class:`SharedStreamResults` is this fast path's result store: one
 instruction stream for many shots.  It records which measurement each
@@ -36,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -60,51 +63,106 @@ class FastPathUnsupported(Exception):
     """Raised mid-execution when the program is not sampleable."""
 
 
-class DeferredMeasurementBackend(DelegatingBackend):
-    """Statevector wrapper that records measurements instead of collapsing.
+#: Widest register that holds a deferred wire: within it every terminal
+#: distribution has at most :data:`MAX_CACHED_OUTCOMES` outcomes, so a
+#: program that measures, resets or reuses qubits mid-circuit goes warm.
+MAX_DEFERRED_QUBITS = MAX_CACHED_OUTCOMES.bit_length() - 1
 
-    ``measure`` returns the measured slot: the outcome it stands for is
-    that slot's bit in each basis state sampled after the evolution.
-    Nothing here draws from the RNG: a reset that would (a superposed
-    qubit) declines instead."""
+
+class DeferredMeasurementBackend(DelegatingBackend):
+    """Statevector wrapper that defers every measurement to the end.
+
+    Each program qubit lives on a physical slot of ``inner``.  ``measure``
+    collapses nothing and returns the measured slot: the outcome it
+    stands for is that slot's bit in each basis state sampled after the
+    evolution.  A slot keeps its record to the end, so
+
+    * a gate or measurement on a measured qubit first copies it onto a
+      fresh |0> slot (``cnot(old, new)``) and moves the qubit there --
+      exact, since after the copy the two wires are symmetric;
+    * a reset or release of a measured or superposed qubit moves it onto
+      a fresh |0> slot with no copy, and sampling marginalises the slot
+      it leaves;
+    * a reset or release of a qubit in a basis state stays the inner
+      call, which draws nothing.
+
+    Nothing here draws from the RNG, so a warm replay of the captured
+    distribution stays bit-exact.  A register holding a slot left behind
+    may grow to :data:`MAX_DEFERRED_QUBITS` and ``max_qubits``; past
+    either the backend declines.
+    """
 
     def __init__(self, inner: StatevectorSimulator):
         super().__init__(inner)
-        self._measured_set: set = set()
+        self._slot: Dict[int, int] = {}  # program qubit -> slot, where they differ
+        self._measured: Set[int] = set()  # slots holding a measurement record
+        self._deferred = False  # does the register hold a slot left behind?
 
-    def release_qubit(self, slot: int) -> None:
-        # Releasing resets the qubit.  For a *measured* qubit the reset
-        # happens after the recorded outcome in the per-shot model, so it
-        # cannot affect results -- but here it would corrupt the deferred
-        # joint distribution.  Skip the physical reset and leave the slot
-        # allocated (it is never reused within this single evolution).
-        if slot in self._measured_set:
-            return
-        self._check_not_superposed(slot)
-        self.inner.release_qubit(slot)
+    def allocate_qubit(self) -> int:
+        return self._grow()
+
+    def release_qubit(self, qubit: int) -> None:
+        slot = self._slot.pop(qubit, qubit)
+        if self._keeps(slot):
+            self._deferred = True
+        else:
+            self.inner.release_qubit(slot)
 
     def apply_gate(
         self, name: str, qubits: Sequence[int], params: Sequence[float] = ()
     ) -> None:
-        if self._measured_set.intersection(qubits):
-            raise FastPathUnsupported("gate after measurement on the same qubit")
+        if self._slot or self._measured:
+            qubits = [self._live(q) for q in qubits]
         self.inner.apply_gate(name, qubits, params)
 
-    def measure(self, slot: int) -> int:
-        if slot in self._measured_set:
-            raise FastPathUnsupported("qubit measured twice")
-        self._measured_set.add(slot)
+    def measure(self, qubit: int) -> int:
+        slot = self._live(qubit)
+        self._measured.add(slot)
         return slot
 
-    def reset(self, slot: int) -> None:
-        if slot in self._measured_set:
-            raise FastPathUnsupported("reset after measurement")
-        self._check_not_superposed(slot)
-        self.inner.reset(slot)
+    def reset(self, qubit: int) -> None:
+        slot = self._slot.get(qubit, qubit)
+        if self._keeps(slot):
+            self._move(qubit)
+        else:
+            self.inner.reset(slot)
 
-    def _check_not_superposed(self, slot: int) -> None:
-        if is_superposed(self.inner.probability_of_one(slot)):
-            raise FastPathUnsupported("reset of a superposed qubit")
+    def _keeps(self, slot: int) -> bool:
+        """Must ``slot`` outlive its qubit's reset: it holds a record, or a
+        superposed value each shot would collapse differently?"""
+        return slot in self._measured or is_superposed(
+            self.inner.probability_of_one(slot)
+        )
+
+    def _live(self, qubit: int) -> int:
+        """The qubit's slot, copied off its measurement record first."""
+        slot = self._slot.get(qubit, qubit)
+        if slot in self._measured:
+            new = self._move(qubit)
+            self.inner.apply_gate("cnot", (slot, new))
+            slot = new
+        return slot
+
+    def _move(self, qubit: int) -> int:
+        """Move the qubit onto a fresh |0> slot."""
+        self._deferred = True
+        new = self._slot[qubit] = self._grow()
+        return new
+
+    def _grow(self) -> int:
+        """A fresh slot; a register holding a deferred wire stays within
+        the growth cap and ``max_qubits``, or the fast path declines."""
+        try:
+            slot = self.inner.allocate_qubit()
+        except MemoryError:
+            if not self._deferred:
+                raise  # too wide on every path: the coded allocation error
+            raise FastPathUnsupported("deferred wires beyond max_qubits") from None
+        if self._deferred and self.inner.num_qubits > MAX_DEFERRED_QUBITS:
+            raise FastPathUnsupported(
+                f"deferred wires beyond {MAX_DEFERRED_QUBITS} qubits"
+            )
+        return slot
 
 
 class SharedStreamResults(ResultStore):

@@ -3,7 +3,7 @@ outcomes fold into one :class:`ShotsResult`.
 
 A run is a *placement* times a *chunk executor*.  The executor is
 :mod:`repro.runtime.shots` (:meth:`~repro.runtime.shots.ShotTask.run_one`
-per shot, or the batch tier); the placement is one of two:
+per shot); the placement is one of two:
 
 * :class:`SerialScheduler` -- the in-thread, in-order loop (``jobs == 1``,
   and every one-shot run);
@@ -64,8 +64,7 @@ class ShotsResult:
     fallback_history: List[str] = field(default_factory=list)
     retried_shots: int = 0
     # -- placement ------------------------------------------------------------
-    #: The placement or tier that served the run: ``serial``, ``process``
-    #: or ``batched``.
+    #: The placement that served the run: ``serial`` or ``process``.
     scheduler: str = "serial"
     #: Worker-supervision record of a ``process`` run (None otherwise).
     supervision: Optional[SupervisionRecord] = None

@@ -1,26 +1,20 @@
-"""The chunk executor: one shot at a time, or the whole run as a batch.
+"""The chunk executor: one shot at a time.
 
 Every placement (:mod:`repro.runtime.schedulers` in-thread,
 :mod:`repro.runtime.pool` in worker processes) runs its shots through
 one call, :meth:`ShotTask.run_one`: retry, backend fallback and failure
-collection for one shot index.  :func:`run_batched` is the *batch tier*:
-one vectorised evolution of the plan's fused schedule for all shots
-(:class:`~repro.sim.statevector.BatchedStatevectorSimulator`), which the
-runtime picks from the plan, never from an option (see
-:meth:`~repro.runtime.execute.QirRuntime.run_shots`); a fused schedule is
-a static gate trace, so a program it serves has no classical feedback.
+collection for one shot index.
 
 Determinism: every shot's RNG is derived from a spawned child seed --
 ``SeedSequence(entropy=root, spawn_key=(shot, attempt))`` -- never from a
 shared stream, and the merge re-sorts per-shot outcomes by shot index, so
-in-thread, worker-process and batch execution of the same program with
-the same seed produce identical ``counts``.
+in-thread and worker-process execution of the same program with the
+same seed produce identical ``counts``.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple, Union
@@ -39,7 +33,7 @@ from repro.runtime.output import OutputRecord, output_columns
 from repro.sim.fusion import FusedProgram, run_fused
 from repro.sim.noise import NoiseModel, NoisyBackend
 from repro.sim.stabilizer import StabilizerSimulator
-from repro.sim.statevector import BatchedStatevectorSimulator, StatevectorSimulator
+from repro.sim.statevector import StatevectorSimulator
 
 SeedLike = Union[int, np.random.SeedSequence, None]
 
@@ -382,7 +376,7 @@ class ShotExecutor:
         backend = StatevectorSimulator(
             schedule.num_slots, seed=seed, max_qubits=self.max_qubits
         )
-        (bitstring,) = run_fused(schedule, backend)
+        bitstring = run_fused(schedule, backend)
         # Coarse synthesized stats: the interpreter's per-instruction
         # bookkeeping does not exist here, but gate/measurement totals
         # keep profiled runs meaningful.
@@ -554,45 +548,3 @@ class ShotTask:
                     return None, error, attempt
                 policy.wait(attempt, backoff.generator())
         return None, last_error, policy.max_attempts
-
-
-# -- batched execution --------------------------------------------------------
-
-#: Overall amplitude budget for one batched chunk (~128 MiB of complex128).
-_BATCH_AMPLITUDE_BUDGET = 1 << 23
-_BATCH_CHUNK_CAP = 1024
-
-
-def batch_chunk_size(shots: int, width: int) -> int:
-    """How many members one batched evolution should carry.
-
-    Bounded by an overall amplitude budget (so wide registers get small
-    chunks) and a hard cap.
-    """
-    chunk = max(1, _BATCH_AMPLITUDE_BUDGET >> width)
-    return max(1, min(shots, chunk, _BATCH_CHUNK_CAP))
-
-
-def run_batched(
-    schedule: FusedProgram,
-    shots: int,
-    root: np.random.SeedSequence,
-    observer=NULL_OBSERVER,
-) -> Dict[str, int]:
-    """The batch tier: evolve all shots through the fused schedule as
-    chunked :class:`BatchedStatevectorSimulator` batches; sorted counts.
-
-    Member ``i`` of the batch draws from the same spawned seed the serial
-    loop would hand shot ``i``'s backend, so counts are identical.
-    """
-    width = schedule.num_slots
-    chunk_size = batch_chunk_size(shots, width)
-    counts: Counter = Counter()
-    for start in range(0, shots, chunk_size):
-        size = min(chunk_size, shots - start)
-        seeds = [shot_sequence(root, start + member, 0) for member in range(size)]
-        backend = BatchedStatevectorSimulator(size, width, seeds=seeds)
-        counts.update(run_fused(schedule, backend))
-        if observer.enabled:
-            observer.inc("runtime.scheduler.batched_chunks")
-    return sorted_counts(counts)

@@ -20,12 +20,12 @@ the compile phase can precompute a :class:`FusedProgram`:
   reset -- is the same for every shot, so it is evolved once per schedule
   (:attr:`FusedProgram.prefix_state`) and every run starts from a copy.
 
-One executor, :func:`run_fused`, walks the schedule on either the scalar
-or the batched statevector simulator.  It replicates the interpreter
-path's RNG draw order (one draw per measurement, one per superposed
-reset), which keeps fused counts bit-identical to the unfused serial
-reference for a fixed seed, and renders through output columns the
-tracer fixed at compile time with the runtime's one output rule
+One executor, :func:`run_fused`, walks the schedule on one shot's
+statevector simulator.  It replicates the interpreter path's RNG draw
+order (one draw per measurement, one per superposed reset), which keeps
+fused counts bit-identical to the unfused serial reference for a fixed
+seed, and renders through output columns the tracer fixed at compile
+time with the runtime's one output rule
 (:func:`~repro.runtime.output.output_columns`).
 """
 
@@ -48,8 +48,8 @@ from repro.llvmir.values import (
 )
 from repro.qir.catalog import QIS_PREFIX, RT_PREFIX, parse_qis_name
 from repro.sim.gates import gate_matrix
-from repro.sim.sampling import ZERO_COLUMN, render_columns
-from repro.sim.statevector import BatchedStatevectorSimulator, StatevectorSimulator
+from repro.sim.sampling import ZERO_COLUMN
+from repro.sim.statevector import StatevectorSimulator
 
 __all__ = [
     "FusedProgram",
@@ -406,14 +406,12 @@ def specialize_module(
 # -- execution -----------------------------------------------------------------
 
 
-def run_fused(program: FusedProgram, simulator) -> List[str]:
-    """Execute a schedule; one bitstring per shot the simulator carries.
+def run_fused(program: FusedProgram, simulator: StatevectorSimulator) -> str:
+    """Execute a schedule for one shot; returns its bitstring.
 
-    ``simulator`` is a scalar :class:`StatevectorSimulator` (one shot) or
-    a :class:`BatchedStatevectorSimulator` (one shot per member), either
-    one ``program.num_slots`` qubits wide.  Each measurement's value -- an
-    int, or one outcome per member -- is collected in schedule order and
-    rendered through the program's output columns.
+    ``simulator`` is ``program.num_slots`` qubits wide.  Each
+    measurement's outcome is collected in schedule order and rendered
+    through the program's output columns.
     """
     if program.prefix:
         simulator.load_state(program.prefix_state)
@@ -425,7 +423,4 @@ def run_fused(program: FusedProgram, simulator) -> List[str]:
             values.append(simulator.measure(op.slot))
         else:
             simulator.reset(op.slot)
-    if isinstance(simulator, BatchedStatevectorSimulator):
-        return render_columns(values, program.columns, simulator.batch)
-    # One shot: a plain index-and-join costs less than numpy's set-up.
-    return ["".join([str(values[c] if c >= 0 else ~c) for c in program.columns])]
+    return "".join([str(values[c] if c >= 0 else ~c) for c in program.columns])

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,18 +41,13 @@ def is_superposed(p1: float) -> bool:
     return _ATOL < p1 < 1.0 - _ATOL
 
 
-SeedLike = Union[int, np.random.SeedSequence, None]
-
-
 def _two_qubit_update(view: np.ndarray, matrix: np.ndarray, q0_is_high: bool) -> None:
-    """Apply a 4x4 unitary through a ``(..., 2, ..., 2, ...)`` view.
+    """Apply a 4x4 unitary through a ``(high, 2, mid, 2, low)`` view.
 
     ``view`` has the *high* target qubit on axis -4 and the *low* one on
-    axis -2 (batch and spectator axes elsewhere).  The arithmetic is a
-    fixed-order elementwise expansion -- the same expression evaluates
-    identically for the scalar simulator and the batched one, which is
-    what lets the per-shot loop and the batch reproduce bit-identical
-    amplitudes (and therefore identical counts) from the same seeds.
+    axis -2 (spectator axes elsewhere).  The arithmetic is a fixed-order
+    elementwise expansion, so the fused and unfused per-shot paths
+    reproduce bit-identical amplitudes from the same matrices.
     """
     s = [
         view[..., 0, :, 0, :].copy(),
@@ -287,8 +282,7 @@ class StatevectorSimulator:
 
         if k == 2:
             # Fast path: elementwise 4-slice expansion (no tensordot, no
-            # copy of the full state back and forth).  Shared arithmetic
-            # with BatchedStatevectorSimulator -- see _two_qubit_update.
+            # copy of the full state back and forth); see _two_qubit_update.
             hi, lo = max(qubits), min(qubits)
             low = 1 << lo
             mid = 1 << (hi - lo - 1)
@@ -383,166 +377,3 @@ class StatevectorSimulator:
         qubits = list(qubits) if qubits is not None else list(range(self._num_qubits))
         columns = table_columns({k: k for k in range(len(qubits))}, ZERO_COLUMN)
         return render_counts(basis, counts, qubits, columns)
-
-
-class BatchedStatevectorSimulator:
-    """``batch`` independent ``num_qubits``-wide statevectors evolving
-    under one fused kernel schedule (the batch tier,
-    :func:`repro.runtime.shots.run_batched`, via
-    :func:`repro.sim.fusion.run_fused`).
-
-    The state is a single ``(batch, 2**n)`` array; every kernel applies to
-    all members in one vectorised operation, so the per-gate Python
-    overhead -- which dominates per-shot execution for small registers --
-    is paid once per *batch* instead of once per shot.  Measurements
-    genuinely collapse each member against its own RNG stream, so (unlike
-    the deferred-measurement sampling fast path) mid-circuit resets,
-    re-measurement, and gates after measurement are all supported.  The
-    register is sized up front and never grows: a fused schedule knows
-    its width.  :meth:`measure` returns one outcome per member.
-
-    Determinism contract: member ``i`` seeded with seed ``s`` draws the
-    exact uniform sequence -- and applies bit-identical gate arithmetic --
-    that a scalar :class:`StatevectorSimulator` seeded with ``s`` would,
-    so batched counts reproduce serial per-shot counts exactly.
-    """
-
-    def __init__(
-        self,
-        batch: int,
-        num_qubits: int = 0,
-        seeds: Optional[Sequence[SeedLike]] = None,
-        max_qubits: int = 26,
-    ):
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        if seeds is not None and len(seeds) != batch:
-            raise ValueError(f"need {batch} seeds, got {len(seeds)}")
-        if num_qubits < 0:
-            raise ValueError("num_qubits must be non-negative")
-        if num_qubits > max_qubits:
-            raise ValueError(
-                f"{num_qubits} qubits exceeds max_qubits={max_qubits}"
-            )
-        self.batch = batch
-        self._num_qubits = num_qubits
-        seed_list = list(seeds) if seeds is not None else [None] * batch
-        self._rngs = [np.random.default_rng(s) for s in seed_list]
-        self._state = np.zeros((batch, 1 << num_qubits), dtype=np.complex128)
-        self._state[:, 0] = 1.0
-
-    # -- inspection -------------------------------------------------------------
-    @property
-    def num_qubits(self) -> int:
-        return self._num_qubits
-
-    def member_state(self, member: int) -> np.ndarray:
-        """One member's amplitude array (a view; do not mutate)."""
-        return self._state[member]
-
-    def _member_axis_view(self, member: int, qubit: int) -> np.ndarray:
-        low = 1 << qubit
-        high = self._state.shape[1] // (2 * low)
-        return self._state[member].reshape(high, 2, low)
-
-    def probability_of_one(self, member: int, qubit: int) -> float:
-        """Member ``i``'s P(bit=1): the same reduction over the same slice
-        a scalar simulator performs, so the float is bit-identical."""
-        self._check_qubit(qubit)
-        view = self._member_axis_view(member, qubit)
-        return float(np.sum(np.abs(view[:, 1, :]) ** 2))
-
-    def load_state(self, amplitudes: np.ndarray) -> None:
-        """Broadcast precomputed amplitudes to every member (a fused
-        schedule's prefix state; all members start identical and diverge
-        only at measurement)."""
-        amplitudes = np.asarray(amplitudes, dtype=np.complex128)
-        if amplitudes.shape != (self._state.shape[1],):
-            raise ValueError(
-                f"state of length {amplitudes.shape} does not fit a "
-                f"{self._num_qubits}-qubit register"
-            )
-        self._state = np.tile(amplitudes, (self.batch, 1))
-
-    # -- gate application -------------------------------------------------------
-    def _check_qubit(self, qubit: int) -> None:
-        if not 0 <= qubit < self._num_qubits:
-            raise IndexError(
-                f"qubit {qubit} out of range (have {self._num_qubits})"
-            )
-
-    def apply_matrix(self, matrix: np.ndarray, qubits: Sequence[int]) -> None:
-        _check_targets(matrix, qubits, self._num_qubits)
-        k = len(qubits)
-        if k == 1:
-            low = 1 << qubits[0]
-            high = self._state.shape[1] // (2 * low)
-            view = self._state.reshape(self.batch, high, 2, low)
-            a = view[:, :, 0, :]
-            b = view[:, :, 1, :]
-            new_a = matrix[0, 0] * a + matrix[0, 1] * b
-            new_b = matrix[1, 0] * a + matrix[1, 1] * b
-            view[:, :, 0, :] = new_a
-            view[:, :, 1, :] = new_b
-            return
-        if k == 2:
-            hi, lo = max(qubits), min(qubits)
-            low = 1 << lo
-            mid = 1 << (hi - lo - 1)
-            high = self._state.shape[1] // (4 * low * mid)
-            view = self._state.reshape(self.batch, high, 2, mid, 2, low)
-            _two_qubit_update(view, matrix, q0_is_high=qubits[0] == hi)
-            return
-        # Rare k >= 3 gates: per-member dense application, sharing the
-        # scalar simulator's code path so amplitudes stay bit-identical.
-        n = self._num_qubits
-        for member in range(self.batch):
-            self._state[member] = _apply_dense(
-                self._state[member], matrix, qubits, n
-            )
-
-    def _apply_x_member(self, member: int, qubit: int) -> None:
-        view = self._member_axis_view(member, qubit)
-        a = view[:, 0, :].copy()
-        view[:, 0, :] = view[:, 1, :]
-        view[:, 1, :] = a
-
-    # -- measurement -------------------------------------------------------------
-    def measure(self, qubit: int) -> np.ndarray:
-        """Measure all members; returns a ``(batch,)`` array of outcomes.
-
-        Each member draws from its own RNG and collapses independently --
-        the per-member equivalent of ``StatevectorSimulator.measure``.
-        """
-        self._check_qubit(qubit)
-        outcomes = np.empty(self.batch, dtype=np.int64)
-        for member in range(self.batch):
-            p1 = self.probability_of_one(member, qubit)
-            outcome = int(self._rngs[member].random() < p1)
-            self._collapse_member(member, qubit, outcome, p1)
-            outcomes[member] = outcome
-        return outcomes
-
-    def _collapse_member(
-        self, member: int, qubit: int, outcome: int, p1: float
-    ) -> None:
-        prob = p1 if outcome else 1.0 - p1
-        if prob < _ATOL:
-            raise FloatingPointError(
-                f"collapse onto outcome {outcome} with probability ~0"
-            )
-        view = self._member_axis_view(member, qubit)
-        view[:, 1 - outcome, :] = 0.0
-        self._state[member] *= 1.0 / math.sqrt(prob)
-
-    def reset(self, qubit: int) -> None:
-        self._check_qubit(qubit)
-        for member in range(self.batch):
-            p1 = self.probability_of_one(member, qubit)
-            if is_superposed(p1):
-                outcome = int(self._rngs[member].random() < p1)
-                self._collapse_member(member, qubit, outcome, p1)
-            else:
-                outcome = int(p1 >= 0.5)
-            if outcome == 1:
-                self._apply_x_member(member, qubit)

@@ -71,10 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     execution.add_argument("--jobs", type=int, default=1, metavar="N",
                            help="where per-shot work runs: 1 (default) "
                                 "in-thread, N > 1 in N worker processes "
-                                "fed serialized plans; an in-thread run "
-                                "of a fused plan the sampling fast path "
-                                "rejects is served by one vectorised batch "
-                                "instead")
+                                "fed serialized plans; a run the sampling "
+                                "fast path serves stays in-thread")
     execution.add_argument("--chunk-shots", type=int, default=None,
                            metavar="K",
                            help="fixed shots per work-queue chunk for "

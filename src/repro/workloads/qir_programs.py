@@ -154,17 +154,17 @@ attributes #0 = {{ "entry_point" "qir_profiles"="base_profile" "required_num_qub
 
 
 def reset_chain_qir(num_qubits: int = 2, rounds: int = 3, angle: float = 0.7) -> str:
-    """Rotation + mid-circuit reset/re-measure chain: the batch tier's
-    home turf.
+    """Rotation + mid-circuit reset/re-measure chain.
 
     Each round rotates every qubit by a (non-Clifford) ``ry`` angle,
     measures it into its static result slot, then resets it -- so the
-    program re-measures the same slots every round.  The deferred-
-    measurement sampling fast path rejects this shape (gates and resets
-    after measurement), and the stabilizer backend cannot take it either
-    (arbitrary rotations).  It has no classical feedback, so its plan's
-    fused schedule runs every shot in one vectorised batch; with
-    ``sampling="never"`` (or no plan) it runs one shot at a time.
+    program re-measures the same slots every round.  The stabilizer
+    backend cannot take it (arbitrary rotations).  It has no classical
+    feedback, so the sampling fast path defers every reset onto a fresh
+    wire and samples all shots from one evolution of ``num_qubits *
+    rounds`` wires, while that stays within
+    :data:`~repro.runtime.sampling_fastpath.MAX_DEFERRED_QUBITS`; with
+    ``sampling="never"`` (or a wider chain) it runs one shot at a time.
     """
     if num_qubits < 1:
         raise ValueError("need at least one qubit")

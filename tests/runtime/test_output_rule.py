@@ -6,14 +6,12 @@ record is the leftmost bit, and a program with no RESULT record renders
 its final static result table, highest address leftmost.  The table below
 runs every shape of record list through every tier: the per-shot
 interpreter (the reference), fused per-shot, the process scheduler, the
-batch, the cold sampling fast path and its warm replay.
+cold sampling fast path and its warm replay.
 """
 
-import numpy as np
 import pytest
 
 from repro.runtime import QirRuntime, compile_plan
-from repro.runtime.shots import run_batched
 
 # Deterministic variants prepare q0 = 1, q1 = 0; stochastic ones rotate
 # q0 and q1 by these angles (P(1) = 0.32 and 0.71), so every program has
@@ -85,28 +83,20 @@ def per_shot_tiers(plan, shots):
     def run(program=plan, **options):
         return QirRuntime(seed=SEED).run_shots(program, shots, **options).counts
 
-    tiers = {
+    return {
         "interpreter": run(plan.module, entry=plan.entry, sampling="never"),
         "fused": run(sampling="never"),
         "process": run(sampling="never", jobs=2),
     }
-    if plan.fused is not None:
-        tiers["fused_batch"] = batch_counts(plan, shots)
-    return tiers
-
-
-def batch_counts(plan, shots):
-    """The batch executor, called directly from the root a fresh runtime
-    draws: the fast path serves most of these programs before the runtime
-    would reach the batch, which needs the plan's fused schedule."""
-    root = np.random.SeedSequence(int(np.random.default_rng(SEED).integers(2**63)))
-    return run_batched(plan.fused, shots, root)
 
 
 def fast_path_tiers(plan, shots):
-    """Cold then warm counts of the default (fast path first) run."""
+    """Cold then warm counts of the default (fast path first) run.  No
+    program here feeds back on a measurement, so the fast path serves
+    every one, mid-circuit resets included."""
     cold = QirRuntime(seed=SEED).run_shots(plan, shots)
     warm = QirRuntime(seed=SEED).run_shots(plan, shots)
+    assert cold.used_fast_path
     assert warm.distribution_served == (plan.distribution is not None)
     return {"cold": cold.counts, "warm": warm.counts}
 

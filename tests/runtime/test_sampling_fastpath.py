@@ -1,16 +1,33 @@
 """Tests for the deferred-measurement sampling fast path."""
 
+import copy
+import itertools
+import math
+import random
+
 import pytest
 
 from repro.qir import AdaptiveProfile, SimpleModule
-from repro.runtime import QirRuntime
+from repro.runtime import QirRuntime, compile_plan
 from repro.runtime.results import RESULT_ONE
-from repro.runtime.sampling_fastpath import FastPathUnsupported, SharedStreamResults
+from repro.runtime.sampling_fastpath import (
+    MAX_DEFERRED_QUBITS,
+    FastPathUnsupported,
+    SharedStreamResults,
+)
 from repro.runtime.values import IntPtr
-from repro.sim import NoiseModel
+from repro.sim import NoiseModel, StatevectorSimulator
 from repro.sim.sampling import ZERO_COLUMN, counts_to_probabilities, total_variation_distance
 from repro.workloads.qec import teleportation_qir
-from repro.workloads.qir_programs import bell_qir, ghz_qir
+from repro.workloads.qir_programs import bell_qir, ghz_qir, reset_chain_qir
+
+
+def captured_probabilities(plan):
+    """The plan's captured distribution, summed per bitstring."""
+    probabilities = {}
+    for bits, prob in plan.distribution.entries:
+        probabilities[bits] = probabilities.get(bits, 0.0) + prob
+    return probabilities
 
 
 class TestApplicability:
@@ -28,46 +45,54 @@ class TestApplicability:
         assert not result.used_fast_path
         assert all(bits[0] == "0" for bits in result.counts)
 
-    def test_gate_after_measurement_falls_back(self):
+    # A program without feedback is sampled from one evolution whatever
+    # it does mid-circuit: each test checks the captured distribution
+    # against the exact one, and the per-shot loop against its support.
+
+    def test_gate_after_measurement_is_sampled(self):
         sm = SimpleModule("t", 1, 2)
         sm.qis.h(0)
         sm.qis.mz(0, 0)
         sm.qis.x(0)  # touches a measured qubit
         sm.qis.mz(0, 1)
-        result = QirRuntime(seed=3).run_shots(sm.ir(), shots=50)
-        assert not result.used_fast_path
         # semantics: second measurement is the flip of the first
-        assert set(result.counts) <= {"01", "10"}
+        self._assert_sampled_exactly(sm.ir(), {"01": 0.5, "10": 0.5})
 
-    def test_remeasurement_falls_back(self):
+    def test_remeasurement_is_sampled(self):
         sm = SimpleModule("t", 1, 2)
         sm.qis.h(0)
         sm.qis.mz(0, 0)
         sm.qis.mz(0, 1)
-        result = QirRuntime(seed=4).run_shots(sm.ir(), shots=50)
-        assert not result.used_fast_path
-        assert set(result.counts) <= {"00", "11"}  # repeated outcome agrees
+        # repeated outcome agrees
+        self._assert_sampled_exactly(sm.ir(), {"00": 0.5, "11": 0.5})
 
-    def test_reset_after_measurement_falls_back(self):
-        sm = SimpleModule("t", 2, 2)
+    def test_reset_after_measurement_is_sampled(self):
+        sm = SimpleModule("t", 2, 3)
         sm.qis.h(0)
         sm.qis.mz(0, 0)
         sm.qis.reset(0)
         sm.qis.mz(1, 1)
-        assert not QirRuntime(seed=5).run_shots(sm.ir(), shots=20).used_fast_path
+        sm.qis.mz(0, 2)  # the reset qubit reads 0 again
+        self._assert_sampled_exactly(sm.ir(), {"000": 0.5, "001": 0.5})
 
-    def test_reset_of_superposed_qubit_declines(self):
-        # One shared evolution cannot reset an entangled qubit: each shot's
-        # collapse is random.  Collapsing once for all shots gave
+    def test_reset_of_superposed_qubit_is_sampled(self):
+        # A reset of an entangled qubit moves it to a fresh wire; the old
+        # one is marginalised.  Collapsing once for all shots gave
         # {"1": 1000} where the per-shot loop gives about 50/50.
         sm = SimpleModule("t", 2, 1)
         sm.qis.h(0)
         sm.qis.cnot(0, 1)
         sm.qis.reset(0)
         sm.qis.mz(1, 0)
-        self._assert_declines_and_matches_per_shot(sm.ir())
+        self._assert_sampled_exactly(sm.ir(), {"0": 0.5, "1": 0.5})
+        sm = SimpleModule("t", 1, 1)
+        sm.qis.h(0)
+        sm.qis.reset(0)
+        sm.qis.h(0)
+        sm.qis.mz(0, 0)
+        self._assert_sampled_exactly(sm.ir(), {"0": 0.5, "1": 0.5})
 
-    def test_release_of_superposed_qubit_declines(self):
+    def test_release_of_superposed_qubit_is_sampled(self):
         text = """
 define void @main() #0 {
 entry:
@@ -90,18 +115,16 @@ declare void @__quantum__rt__result_record_output(ptr, ptr)
 
 attributes #0 = { "entry_point" "required_num_results"="1" }
 """
-        self._assert_declines_and_matches_per_shot(text)
+        self._assert_sampled_exactly(text, {"0": 0.5, "1": 0.5})
 
     @staticmethod
-    def _assert_declines_and_matches_per_shot(text):
-        with pytest.raises(FastPathUnsupported, match="superposed"):
-            QirRuntime(seed=1).run_shots(text, shots=10, sampling="require")
-        for seed in (1, 2, 3):
-            auto = QirRuntime(seed=seed).run_shots(text, shots=1000)
-            never = QirRuntime(seed=seed).run_shots(text, shots=1000, sampling="never")
-            assert not auto.used_fast_path
-            assert auto.counts == never.counts
-            assert set(never.counts) == {"0", "1"}
+    def _assert_sampled_exactly(text, expected):
+        plan = compile_plan(text)
+        QirRuntime(seed=1).run_shots(plan, shots=10, sampling="require")
+        assert captured_probabilities(plan) == pytest.approx(expected)
+        never = QirRuntime(seed=1).run_shots(text, shots=1000, sampling="never")
+        assert not never.used_fast_path
+        assert set(never.counts) == set(expected)
 
     def test_noise_disables_fast_path(self):
         result = QirRuntime(
@@ -130,6 +153,123 @@ attributes #0 = { "entry_point" "required_num_results"="1" }
     def test_unknown_sampling_mode(self):
         with pytest.raises(ValueError):
             QirRuntime().run_shots(bell_qir("static"), shots=1, sampling="maybe")
+
+
+class TestDeferredWires:
+    """Mid-circuit measurement and reset grow the register by one wire
+    each, up to MAX_DEFERRED_QUBITS and max_qubits."""
+
+    def test_reset_chain_goes_warm_with_its_exact_distribution(self):
+        # Every round resets each qubit, so only the last round's ry
+        # angles decide the final result table: independent bits with
+        # P(1) = sin^2(theta / 2), highest address leftmost.
+        n, rounds, angle = 3, 3, 0.7
+        plan = compile_plan(reset_chain_qir(n, rounds, angle))
+        result = QirRuntime(seed=1).run_shots(plan, shots=80)
+        assert result.used_fast_path and plan.distribution is not None
+        p1 = [math.sin((angle * rounds + 0.1 * i) / 2) ** 2 for i in range(n)]
+        expected = {}
+        for outcome in itertools.product("01", repeat=n):
+            bits = "".join(outcome)
+            expected[bits] = math.prod(
+                p1[i] if bits[n - 1 - i] == "1" else 1 - p1[i] for i in range(n)
+            )
+        assert captured_probabilities(plan) == pytest.approx(expected)
+        warm = QirRuntime(seed=1).run_shots(plan, shots=80)
+        assert warm.distribution_served and warm.counts == result.counts
+
+    def test_register_fills_the_cap_exactly(self):
+        # 4 qubits x 3 rounds is 12 wires: within the cap, so cached.
+        assert MAX_DEFERRED_QUBITS == 12
+        plan = compile_plan(reset_chain_qir(4, 3))
+        QirRuntime(seed=1).run_shots(plan, shots=10, sampling="require")
+        assert plan.distribution is not None
+
+    @pytest.mark.parametrize(
+        "text, options, reason",
+        [
+            (reset_chain_qir(5, 3), {}, "12 qubits"),
+            (reset_chain_qir(3, 3), {"max_qubits": 5}, "max_qubits"),
+        ],
+        ids=["past_cap", "past_max_qubits"],
+    )
+    def test_growth_past_a_limit_declines(self, text, options, reason):
+        with pytest.raises(FastPathUnsupported, match=reason):
+            QirRuntime(seed=1, **options).run_shots(text, shots=10, sampling="require")
+        for program in (text, compile_plan(text)):
+            auto = QirRuntime(seed=2, **options).run_shots(program, shots=40)
+            never = QirRuntime(seed=2, **options).run_shots(
+                program, shots=40, sampling="never"
+            )
+            assert not auto.used_fast_path
+            assert auto.counts == never.counts
+
+
+def _random_reuse_program(seed, num_qubits=3, length=14):
+    """A seeded feedback-free program: gates, mid-circuit measurements
+    (each into a fresh result) and resets, on qubits that are reused."""
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(length):
+        kind = rng.choice(["h", "ry", "x", "cnot", "cnot", "mz", "reset"])
+        qubits = rng.sample(range(num_qubits), 2 if kind == "cnot" else 1)
+        params = (round(rng.uniform(0.1, 3.0), 3),) if kind == "ry" else ()
+        ops.append((kind, qubits, params))
+    ops += [("mz", [q], ()) for q in range(num_qubits)]
+    return ops
+
+
+def _exact_distribution(ops, num_qubits):
+    """Branch on every measurement and reset outcome by postselection:
+    the per-shot semantics, with each branch carrying its probability."""
+    distribution = {}
+
+    def walk(sim, index, outcomes, weight):
+        if index == len(ops):
+            bits = "".join(str(b) for b in reversed(outcomes))
+            distribution[bits] = distribution.get(bits, 0.0) + weight
+            return
+        kind, qubits, params = ops[index]
+        if kind not in ("mz", "reset"):
+            sim.apply_gate(kind, qubits, params)
+            walk(sim, index + 1, outcomes, weight)
+            return
+        p1 = sim.probability_of_one(qubits[0])
+        for outcome, p in ((0, 1.0 - p1), (1, p1)):
+            if p < 1e-12:
+                continue
+            branch = copy.deepcopy(sim)
+            branch.postselect(qubits[0], outcome)
+            if kind == "mz":
+                walk(branch, index + 1, outcomes + [outcome], weight * p)
+            else:
+                if outcome:
+                    branch.apply_gate("x", qubits)
+                walk(branch, index + 1, outcomes, weight * p)
+
+    walk(StatevectorSimulator(num_qubits), 0, [], 1.0)
+    return distribution
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_deferred_wires_match_branching_per_shot_semantics(seed):
+    ops = _random_reuse_program(seed)
+    results = sum(kind == "mz" for kind, _, _ in ops)
+    sm = SimpleModule("reuse", 3, results)
+    written = 0
+    for kind, qubits, params in ops:
+        if kind == "mz":
+            sm.qis.mz(qubits[0], written)
+            written += 1
+        elif kind == "reset":
+            sm.qis.reset(qubits[0])
+        else:
+            sm.qis.gate(kind, qubits, params)
+    plan = compile_plan(sm.ir())
+    QirRuntime(seed=seed).run_shots(plan, shots=10, sampling="require")
+    expected = _exact_distribution(ops, 3)
+    captured = {k: v for k, v in captured_probabilities(plan).items() if v > 1e-12}
+    assert captured == pytest.approx({k: v for k, v in expected.items() if v > 1e-12})
 
 
 class TestCorrectness:

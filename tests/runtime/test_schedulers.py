@@ -1,5 +1,5 @@
 """The execute phase: placement from ``jobs``, determinism, and resilience
-semantics across placements (serial / process) and the batch tier."""
+semantics across placements (serial / process)."""
 
 import json
 import re
@@ -25,10 +25,9 @@ from repro.runtime import (
     run_shots,
 )
 from repro.runtime.errors import BackendFaultError
-from repro.runtime.sampling_fastpath import FastPathUnsupported
-from repro.runtime.shots import batch_chunk_size, run_batched
 from repro.sim import NoiseModel
 from repro.tools.qir_run import main as run_main
+from repro.workloads.qec import teleportation_qir
 from repro.workloads.qir_programs import bell_qir, ghz_qir, qft_qir, reset_chain_qir
 
 FEEDBACK_PROGRAM = """
@@ -54,8 +53,8 @@ declare i1 @__quantum__qis__read_result__body(ptr)
 attributes #0 = { "entry_point" "required_num_qubits"="1" "required_num_results"="2" }
 """
 
-#: A Clifford program the fast path declines (a gate after a measurement)
-#: and whose plan has a fused schedule: the stabilizer backend can run it.
+#: A Clifford program with a mid-circuit reset whose plan has a fused
+#: schedule: the stabilizer backend can run it.
 CLIFFORD_RESET_PROGRAM = """
 define void @main() #0 {
 entry:
@@ -76,13 +75,6 @@ attributes #0 = { "entry_point" "required_num_qubits"="1" "required_num_results"
 def counts_for(text, *, seed=123, shots=200, jobs=1, **kwargs):
     rt = QirRuntime(seed=seed)
     return rt.run_shots(text, shots=shots, jobs=jobs, **kwargs)
-
-
-def batch_counts(text, *, seed=123, shots=200):
-    """The batch executor called directly, from the root a fresh
-    ``QirRuntime(seed=seed)`` draws for its first run."""
-    root = np.random.SeedSequence(int(np.random.default_rng(seed).integers(2**63)))
-    return run_batched(compile_plan(text).fused, shots, root)
 
 
 class TestGetScheduler:
@@ -124,26 +116,31 @@ class TestCrossSchedulerDeterminism:
     def test_counts_are_identical_across_schedulers(self, text):
         serial = counts_for(text, sampling="never")
         process = counts_for(text, jobs=2, sampling="never")
-        assert serial.counts == process.counts == batch_counts(text)
+        fused = counts_for(compile_plan(text), sampling="never")
+        assert serial.counts == process.counts == fused.counts
         assert sum(serial.counts.values()) == 200
 
     def test_rejected_fastpath_attempt_does_not_shift_seeds(self):
         # Under sampling="auto" the runtime *attempts* the fast path on
-        # this program and gets rejected before the per-shot loop or the
-        # batch runs.  The attempt must not consume from the runtime's
-        # seed stream, or the tiers would diverge.
-        text = reset_chain_qir(2, rounds=2)
+        # this program and gets rejected (it feeds back on a measurement)
+        # before the per-shot loop runs.  The attempt must not consume
+        # from the runtime's seed stream, or the tiers would diverge.
+        text = teleportation_qir(0.7)
         auto_serial = counts_for(text)
         never_serial = counts_for(text, sampling="never")
-        batched = counts_for(compile_plan(text))
-        assert batched.scheduler == "batched"
-        assert auto_serial.counts == never_serial.counts == batched.counts
+        planned = counts_for(compile_plan(text))
+        assert not planned.used_fast_path and planned.scheduler == "serial"
+        assert auto_serial.counts == never_serial.counts == planned.counts
 
     def test_result_reports_the_scheduler_that_ran(self):
-        text = reset_chain_qir(2, rounds=2)
+        text = teleportation_qir(0.7)
         assert counts_for(text).scheduler == "serial"
         assert counts_for(text, jobs=2).scheduler == "process"
-        assert counts_for(compile_plan(text)).scheduler == "batched"
+        # The fast path is per run: it serves a sampleable program
+        # in-thread whatever jobs says, and starts no pool.
+        sampled = counts_for(compile_plan(reset_chain_qir(2, rounds=2)), jobs=2)
+        assert sampled.used_fast_path and sampled.scheduler == "serial"
+        assert sampled.supervision is None
 
     def test_module_level_wrapper_accepts_scheduler(self):
         result = run_shots(
@@ -152,87 +149,25 @@ class TestCrossSchedulerDeterminism:
         assert sum(result.counts.values()) == 50
 
 
-class TestBatchedScheduler:
-    """The batch tier, which reports ``scheduler == "batched"``."""
-
-    def test_never_takes_the_sampling_fastpath(self):
-        # The fast path serves what it can before the batch is considered.
-        sampled = counts_for(compile_plan(bell_qir("static")))
-        assert sampled.used_fast_path and sampled.scheduler != "batched"
-        batched = counts_for(compile_plan(reset_chain_qir(2, rounds=2)))
-        assert not batched.used_fast_path and batched.scheduler == "batched"
-
-    def test_sampling_require_raises(self):
-        # "require" means the fast path or an error, never the batch.
-        with pytest.raises(FastPathUnsupported):
-            counts_for(
-                compile_plan(reset_chain_qir(2, rounds=2)), sampling="require",
-            )
-
-    def test_chunk_size_respects_the_amplitude_budget(self):
-        assert batch_chunk_size(100, 4) == 100
-        assert batch_chunk_size(5000, 4) == 1024  # hard cap
-        assert batch_chunk_size(10, 24) == 1      # wide register: tiny chunks
-
-    def test_chunked_execution_matches_serial(self, monkeypatch):
-        import repro.runtime.shots as shots_module
-
-        monkeypatch.setattr(shots_module, "_BATCH_CHUNK_CAP", 8)
-        text = reset_chain_qir(2, rounds=2)
-        observer = Observer()
-        rt = QirRuntime(seed=123, observer=observer)
-        batched = rt.run_shots(compile_plan(text), shots=40)
-        serial = QirRuntime(seed=123).run_shots(text, shots=40, sampling="never")
-        assert batched.scheduler == "batched"
-        assert batched.counts == serial.counts
-        assert observer.metrics.value("runtime.scheduler.batched_chunks") == 5
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"keep_stats": True}, {"collect_failures": True}]
-    )
-    def test_static_ineligibility_falls_back_to_serial(self, kwargs):
-        result = QirRuntime(seed=1).run_shots(
-            compile_plan(reset_chain_qir(2, rounds=2)), shots=20, **kwargs
-        )
-        assert result.scheduler == "serial"
-        assert sum(result.counts.values()) == 20
-
-    def test_stabilizer_backend_falls_back_to_serial(self):
-        rt = QirRuntime(backend="stabilizer", seed=1)
-        plan = compile_plan(CLIFFORD_RESET_PROGRAM)
-        assert plan.fused is not None
-        result = rt.run_shots(plan, shots=20)
-        assert result.scheduler == "serial"
-        assert sum(result.counts.values()) == 20
-
-    def test_batched_counts_metrics(self):
-        observer = Observer()
-        rt = QirRuntime(seed=9, observer=observer)
-        rt.run_shots(compile_plan(reset_chain_qir(2, rounds=2)), shots=25)
-        metrics = observer.metrics
-        assert metrics.value("runtime.shots.batched") == 25
-        assert metrics.value("runtime.scheduler.runs{scheduler=batched}") == 1
-
-
-# The batch selection rule, row by row: (program, QirRuntime options,
-# run_shots options) -> the tier or placement that serves the run, and
-# whether the run is clean (statevector, no noise), so its counts must
-# equal the serial one-shot-at-a-time run of the same seed.  A bare
-# module ("no_fusion") carries no fused schedule, so it runs per shot.
+# The selection rule that once picked the batch for a reset chain, row by
+# row: (program, QirRuntime options, run_shots options) -> the tier or
+# placement that serves the run, and whether the run is clean
+# (statevector, no noise).  A reset chain has no feedback, so the fast
+# path serves it from any input, and in-thread whatever ``jobs`` says;
+# a clean per-shot run's counts must equal the serial
+# one-shot-at-a-time run of the same seed.
 CHAIN = reset_chain_qir(2, rounds=2)
 SELECTION = {
-    "plan": ("plan", {}, {}, "batched", True),
-    "raw_text": ("text", {}, {}, "serial", True),
-    "no_fusion": ("module", {}, {}, "serial", True),
+    "raw_text": ("text", {}, {}, "fastpath", True),
+    "no_fusion": ("module", {}, {}, "fastpath", True),
     "feedback": ("feedback", {}, {}, "serial", True),
     "sampling_never": ("plan", {}, {"sampling": "never"}, "serial", True),
-    "process_jobs2": ("plan", {}, {"jobs": 2}, "process", True),
-    "jobs1": ("plan", {}, {"jobs": 1}, "batched", True),
+    "process_jobs2": ("plan", {}, {"jobs": 2}, "fastpath", True),
     "keep_stats": ("plan", {}, {"keep_stats": True}, "serial", True),
     "retry": ("plan", {}, {"retry": RetryPolicy(max_attempts=2)}, "serial", True),
     "noise": ("plan", {"noise": NoiseModel(depolarizing_1q=0.05)}, {}, "serial", False),
     "stabilizer": ("clifford", {"backend": "stabilizer"}, {}, "serial", False),
-    "one_shot": ("plan", {}, {"shots": 1}, "serial", True),
+    "one_shot": ("plan", {}, {"shots": 1}, "fastpath", True),
 }
 
 
@@ -247,6 +182,10 @@ def test_batch_selection_rule(row):
     }.get(source) or compile_plan(text)
     run_options = {"shots": 60, **run_options}
     result = QirRuntime(seed=4, **runtime_options).run_shots(program, **run_options)
+    assert sum(result.counts.values()) == run_options["shots"]
+    if label == "fastpath":
+        assert result.used_fast_path and result.scheduler == "serial"
+        return
     assert result.scheduler == label
     assert not result.used_fast_path
     if clean:

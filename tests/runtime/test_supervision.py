@@ -39,12 +39,12 @@ from repro.workloads.qir_programs import bell_qir, reset_chain_qir
 PROGRAM = reset_chain_qir(2, rounds=2)
 
 
-def run(placement, specs=None, *, seed=7, shots=12, jobs=4, **kwargs):
+def run(placement, specs=None, *, seed=7, shots=12, jobs=4, program=PROGRAM, **kwargs):
     """One run on a fresh runtime (fresh root, so seeds are comparable)."""
     rt = QirRuntime(seed=seed)
     fault_plan = FaultPlan.parse(specs, seed=0) if specs else None
     return rt.run_shots(
-        PROGRAM, shots=shots, jobs=(jobs if placement == "process" else 1),
+        program, shots=shots, jobs=(jobs if placement == "process" else 1),
         fault_plan=fault_plan, **kwargs,
     )
 
@@ -313,10 +313,11 @@ class TestSupervisionConfiguration:
         assert result.supervision is None
 
     def test_in_process_schedulers_have_no_supervision(self):
-        assert run("serial").supervision is None
-        batched = QirRuntime(seed=7).run_shots(compile_plan(PROGRAM), shots=12)
-        assert batched.scheduler == "batched"
-        assert batched.supervision is None
+        assert run("serial", sampling="never").supervision is None
+        # The fast path serves the chain in-thread, whatever jobs says.
+        sampled = run("process", program=compile_plan(PROGRAM))
+        assert sampled.used_fast_path and sampled.scheduler == "serial"
+        assert sampled.supervision is None
 
 
 class TestSupervisionRecord:

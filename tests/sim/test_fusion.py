@@ -6,8 +6,8 @@ Covers the three specialization tiers end to end:
   application on hypothesis-generated random circuits, exactly;
 * the unitary prefix: evolved once per schedule, with the counts the
   Clifford-preamble programs had when a stabilizer tableau served them;
-* schedulers: fused counts equal the unfused serial reference across
-  serial / process and the batch for a fixed seed;
+* schedulers: fused counts equal the unfused serial reference in-thread
+  and in worker processes for a fixed seed;
 * the cached sampling distribution: wire round-trip, fail-closed decode
   of wrong versions and corrupt blocks, disk-cache verify deletion, and
   warm-serve bit-identity;
@@ -37,7 +37,6 @@ from repro.runtime.plan import (
     encode_payload,
 )
 from repro.runtime.plancache import PlanCache
-from repro.runtime.shots import run_batched
 from repro.runtime.sampling_fastpath import SampledDistribution
 from repro.sim import StatevectorSimulator
 from repro.sim.fusion import MeasureOp, build_schedule, extract_trace, run_fused
@@ -136,11 +135,6 @@ def test_fused_counts_match_unfused_serial_across_schedulers(text):
             f"jobs={jobs}: fused counts diverged from the serial "
             f"unfused reference"
         )
-    # The batch, called directly: the fast path would serve the terminal-
-    # measurement programs before the runtime reached it.
-    root = np.random.SeedSequence(int(np.random.default_rng(SEED).integers(2**63)))
-    batched = run_batched(plan.fused, shots, root)
-    assert batched == reference.counts
 
 
 def _clifford_preamble_program(
@@ -148,8 +142,7 @@ def _clifford_preamble_program(
 ) -> str:
     """A Clifford preamble of ``3 * layers`` gates, then T and measurement.
 
-    With ``reset``, qubit 0 is measured and reset mid-circuit, so the
-    fast path declines and an ``"auto"`` run is served by the batch.
+    With ``reset``, qubit 0 is measured and reset mid-circuit.
     """
     from repro.circuit.circuit import Circuit
 
@@ -191,9 +184,8 @@ def _preamble_records():
                 )
                 records.append([name, seed, jobs, sorted(result.counts.items())])
         plan = compile_plan(_clifford_preamble_program(reset=True))
-        batched = QirRuntime(seed=seed).run_shots(plan, shots=200)
-        assert batched.scheduler == "batched"
-        records.append(["preamble3.reset", seed, sorted(batched.counts.items())])
+        per_shot = QirRuntime(seed=seed).run_shots(plan, shots=200, sampling="never")
+        records.append(["preamble3.reset", seed, sorted(per_shot.counts.items())])
     return records
 
 

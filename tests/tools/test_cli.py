@@ -7,6 +7,7 @@ import pytest
 from repro.tools.qir_opt import main as opt_main
 from repro.tools.qir_run import main as run_main
 from repro.tools.qir_translate import main as translate_main
+from repro.workloads.qec import teleportation_qir
 from repro.workloads.qir_programs import bell_qir, counted_loop_qir, reset_chain_qir
 
 
@@ -176,11 +177,12 @@ class TestQirRunResilience:
 
 class TestQirRunSchedulers:
     def test_schedulers_agree_on_counts(self, tmp_path, capsys):
-        # reset_chain is fastpath-ineligible: by default the batch serves
-        # it, a resilient run (--retries) takes the in-thread per-shot
-        # loop, and process workers run it per shot.  Counts must agree.
-        path = tmp_path / "chain.ll"
-        path.write_text(reset_chain_qir(2, rounds=2))
+        # teleportation feeds back on its measurements, so the fast path
+        # declines it: by default and under a resilient run (--retries) it
+        # runs in the in-thread per-shot loop, and process workers run it
+        # per shot.  Counts must agree.
+        path = tmp_path / "teleport.ll"
+        path.write_text(teleportation_qir(0.7))
         outputs = []
         for flags in ([],
                       ["--retries", "2"],
@@ -224,8 +226,8 @@ class TestQirRunSchedulers:
     def test_jobs_alone_selects_worker_processes(self, tmp_path, capsys):
         import json
 
-        path = tmp_path / "chain.ll"
-        path.write_text(reset_chain_qir(2, rounds=2))
+        path = tmp_path / "teleport.ll"
+        path.write_text(teleportation_qir(0.7))
         metrics = tmp_path / "m.json"
         assert run_main([str(path), "--shots", "10", "--jobs", "4",
                          "--metrics", str(metrics)]) == 0
@@ -238,19 +240,19 @@ class TestQirRunSchedulers:
         assert "jobs must be >= 1" in capsys.readouterr().err
 
     def test_profile_shows_cache_and_scheduler_sections(self, tmp_path, capsys):
-        path = tmp_path / "chain.ll"
-        path.write_text(reset_chain_qir(2, rounds=2))
+        path = tmp_path / "teleport.ll"
+        path.write_text(teleportation_qir(0.7))
         assert run_main([str(path), "--shots", "20", "--seed", "7",
                          "--profile"]) == 0
         err = capsys.readouterr().err
         assert "-- compile & cache --" in err
         assert "cache.plan.miss" in err
         assert "-- scheduler --" in err
-        assert "runs[batched]" in err
+        assert "runs[serial]" in err
 
     def test_chunk_shots_keeps_counts_identical(self, tmp_path, capsys):
-        path = tmp_path / "chain.ll"
-        path.write_text(reset_chain_qir(2, rounds=2))
+        path = tmp_path / "teleport.ll"
+        path.write_text(teleportation_qir(0.7))
         outputs = []
         for flags in ([],
                       ["--jobs", "2", "--chunk-shots", "7"]):
@@ -594,8 +596,8 @@ class TestQirRunProcessScheduler:
         assert sum(counts.values()) == 60
 
     def test_process_counts_match_serial(self, tmp_path, capsys):
-        path = tmp_path / "chain.ll"
-        path.write_text(reset_chain_qir(2, rounds=2))
+        path = tmp_path / "teleport.ll"
+        path.write_text(teleportation_qir(0.7))
         outputs = []
         for flags in ([],
                       ["--jobs", "3"]):
@@ -679,8 +681,8 @@ class TestQirRunSupervision:
         assert "max_worker_failures must be >= 1" in capsys.readouterr().err
 
     def test_supervision_flags_accepted_on_clean_run(self, tmp_path, capsys):
-        path = tmp_path / "chain.ll"
-        path.write_text(reset_chain_qir(2, rounds=2))
+        path = tmp_path / "teleport.ll"
+        path.write_text(teleportation_qir(0.7))
         assert run_main([str(path), "--shots", "12", "--seed", "1",
                          "--jobs", "2",
                          "--worker-timeout", "30", "--max-worker-failures",

@@ -82,8 +82,9 @@ class TestRun:
         assert record["value"] > 1.0  # sampling beats per-shot re-interpretation
 
     def test_records_scheduler_speedups(self, snapshot_file):
-        # Acceptance: batched multi-shot evolution beats per-shot serial
-        # interpretation on the non-Clifford reset-chain workload.
+        # Acceptance: the default run (one deferred-measurement evolution)
+        # beats per-shot serial interpretation on the non-Clifford
+        # reset-chain workload.
         payload = json.loads(open(snapshot_file).read())
         by_name = {r["name"]: r for r in payload["records"]}
         batched = by_name["runtime.scheduler.batched_speedup"]

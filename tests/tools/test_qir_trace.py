@@ -12,7 +12,8 @@ import pytest
 
 from repro.tools.qir_run import main as run_main
 from repro.tools.qir_trace import main as trace_main
-from repro.workloads.qir_programs import bell_qir, reset_chain_qir
+from repro.workloads.qec import teleportation_qir
+from repro.workloads.qir_programs import bell_qir
 
 GOLDEN_EVENTS = [
     {"name": "parse", "ph": "X", "ts": 0.0, "dur": 150.0,
@@ -228,10 +229,11 @@ class TestErrors:
 
 class TestEndToEnd:
     def test_process_scheduler_trace_analyses(self, tmp_path, capsys):
-        # reset_chain defeats the sampling fast path, so the process pool
-        # really dispatches and the trace carries process.worker spans.
-        program = tmp_path / "reset_chain.ll"
-        program.write_text(reset_chain_qir(3, rounds=2))
+        # teleportation feeds back on its measurements, which defeats the
+        # sampling fast path, so the process pool really dispatches and
+        # the trace carries process.worker spans.
+        program = tmp_path / "teleport.ll"
+        program.write_text(teleportation_qir(0.7))
         trace = tmp_path / "run.jsonl"
         assert run_main(
             [str(program), "--shots", "16", "--seed", "7",
