@@ -46,14 +46,12 @@ class Observer:
         """Bind (or clear) the current run's identity.
 
         While bound, every span the tracer records carries ``run_id`` in
-        its args, and the registry holds a ``run.info`` gauge (value 1,
-        identity in the labels -- the Prometheus ``*_info`` idiom) so a
-        scraped snapshot can be joined to a ledger row.
+        its args.  The run's ``run.info`` gauge is published by the
+        runtime once the run has chosen its path, so its labels name the
+        placement that served it.
         """
         self.run_context = context
         self.tracer.run_id = context.run_id if context is not None else None
-        if context is not None:
-            self.metrics.gauge("run.info", **context.labels()).set(1)
 
     # -- tracing --------------------------------------------------------------
     def span(self, name: str, **tags: object) -> Span:

@@ -13,7 +13,8 @@ ran: plan key, scheduler, backend, jobs.  The context is:
   never see the context);
 * recorded in the :class:`~repro.obs.metrics.MetricsRegistry` as a
   ``run.info`` gauge (the Prometheus ``*_info`` idiom: value 1, identity
-  in the labels);
+  in the labels) when the run ends, labelled with the placement that
+  served it;
 * written to the :class:`~repro.obs.ledger.RunLedger` as the primary key
   of the run's durable row.
 

@@ -246,7 +246,6 @@ class QirRuntime:
         if run_context is not None or obs.enabled:
             base = run_context if run_context is not None else RunContext()
             labels: dict = {
-                "scheduler": sched.name,
                 "backend": self.backend_name,
                 "jobs": jobs_n,
                 "shots": shots,
@@ -257,16 +256,21 @@ class QirRuntime:
             obs.set_run_context(ctx)
         run_id = ctx.run_id if ctx is not None else ""
         t0 = perf_counter()
-        with obs.span(
-            "run_shots", shots=shots, sampling=sampling, scheduler=sched.name
-        ) as span:
+        with obs.span("run_shots", shots=shots, sampling=sampling) as span:
             result = self._run_shots_impl(
                 program, shots, entry, keep_stats, sampling,
                 retry, fault_plan, fallback, collect_failures, sched,
             )
+            # Labelled once the path is chosen: a run the fast path
+            # serves is in-thread whatever ``jobs`` asked for.
+            span.tag("scheduler", result.scheduler)
             span.tag("fast_path", result.used_fast_path)
         result.wall_seconds = perf_counter() - t0
         result.run_id = run_id
+        if ctx is not None:
+            ctx = ctx.with_labels(scheduler=result.scheduler)
+            obs.set_run_context(ctx)
+            obs.set_gauge("run.info", 1, **ctx.labels())
         if obs.enabled:
             obs.inc("runtime.shots.requested", shots)
             path = (

@@ -225,9 +225,10 @@ class QirSession:
             context = context.with_labels(plan_key=plan.key)
         # Fill in labels the ledger needs even when no observer is
         # enabled (the runtime only refines the context it is handed).
+        # The placement is the run's to report: a row takes it from the
+        # result, or for a run that raised, from ``jobs`` and ``shots``.
         jobs = kwargs.get("jobs") or self.runtime.default_jobs
         context = context.with_labels(
-            scheduler=placement(jobs, shots),
             backend=self.runtime.backend_name,
             jobs=jobs,
             entry=entry if entry is not None else plan.entry,
@@ -242,7 +243,7 @@ class QirSession:
             if self.ledger is not None:
                 self.ledger.record(
                     RunRecord.from_error(
-                        context,
+                        context.with_labels(scheduler=placement(jobs, shots)),
                         error_code=getattr(error, "code", type(error).__name__),
                         wall_seconds=perf_counter() - t0,
                         counters=self._ledger_counters(),

@@ -30,7 +30,7 @@ from repro.resilience.retry import RetryPolicy
 from repro.runtime.errors import QirRuntimeError
 from repro.runtime.interpreter import Interpreter, InterpreterStats
 from repro.runtime.output import OutputRecord, output_columns
-from repro.sim.fusion import FusedProgram, run_fused
+from repro.sim.fusion import RECORD_STEP_BUDGET, FusedProgram, run_fused
 from repro.sim.noise import NoiseModel, NoisyBackend
 from repro.sim.stabilizer import StabilizerSimulator
 from repro.sim.statevector import StatevectorSimulator
@@ -353,9 +353,12 @@ class ShotExecutor:
         Conservative on purpose: the fused executor models the clean
         statevector semantics only, so anything that perturbs them --
         another backend rung, real noise, an active fault context --
-        keeps the interpreter path.
+        keeps the interpreter path.  So does a runtime stricter than the
+        recording (no on-the-fly qubits, a lower step limit): it may raise.
         """
         if level.backend != "statevector":
+            return False
+        if not self.allow_on_the_fly_qubits or self.step_limit < RECORD_STEP_BUDGET:
             return False
         if ctx is not None and not ctx.is_inert:
             return False

@@ -2,16 +2,15 @@
 
 The per-shot execution model pays one full pass over the ``2**n``
 amplitude array per gate, plus interpreter dispatch per instruction.
-Straight-line base-profile programs -- constant qubit addresses, no
-classical control flow -- are fully analysable at *plan-compile* time, so
-the compile phase can precompute a :class:`FusedProgram`:
+A program whose gate stream does not depend on any measured value is
+the same stream on every shot, so the compile phase can precompute a
+:class:`FusedProgram`:
 
-* **Trace extraction** walks the entry point once, replicating the
-  runtime's static-address slot binding, and bails (returns ``None``)
-  the moment it sees anything dynamic: branches, allocas, dynamic qubit
-  handles, ``m``-style results, or measurement feedback.  Specialization
-  is therefore sound by construction -- programs that cannot be traced
-  simply keep the interpreter path.
+* **Trace recording** (:func:`record_trace`) runs the entry point once
+  through the interpreter -- the one definition of what the program does
+  and which slot each qubit binds to -- on a backend that records
+  instead of simulating.  A program it declines keeps the interpreter
+  path.
 * **Gate fusion** coalesces maximal runs of adjacent gates whose union
   support stays within two qubits into single pre-multiplied matrices
   (the qiskit-aer "fusion" idea), so a depth-``d`` single-qubit run
@@ -24,7 +23,7 @@ One executor, :func:`run_fused`, walks the schedule on one shot's
 statevector simulator.  It replicates the interpreter path's RNG draw
 order (one draw per measurement, one per superposed reset), which keeps
 fused counts bit-identical to the unfused serial reference for a fixed
-seed, and renders through output columns the tracer fixed at compile
+seed, and renders through output columns the recording fixed at compile
 time with the runtime's one output rule
 (:func:`~repro.runtime.output.output_columns`).
 """
@@ -33,22 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.llvmir.instructions import CallInst, ReturnInst
-from repro.llvmir.module import EntryPointError, Module
-from repro.llvmir.values import (
-    ConstantExpr,
-    ConstantFloat,
-    ConstantInt,
-    ConstantNull,
-    ConstantPointerInt,
-)
-from repro.qir.catalog import QIS_PREFIX, RT_PREFIX, parse_qis_name
+from repro.llvmir.module import Module
 from repro.sim.gates import gate_matrix
-from repro.sim.sampling import ZERO_COLUMN
 from repro.sim.statevector import StatevectorSimulator
 
 __all__ = [
@@ -56,7 +45,7 @@ __all__ = [
     "KernelOp",
     "MeasureOp",
     "ResetOp",
-    "extract_trace",
+    "record_trace",
     "specialize_module",
     "run_fused",
 ]
@@ -72,7 +61,7 @@ _SWAP = np.array(
 )
 
 
-# -- trace extraction ----------------------------------------------------------
+# -- trace recording -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -97,7 +86,7 @@ TraceOp = Union[TraceGate, MeasureOp, ResetOp]
 
 @dataclass(frozen=True)
 class Trace:
-    """A fully static linearisation of one entry point."""
+    """The gate stream of one entry point, as one run records it."""
 
     ops: Tuple[TraceOp, ...]
     num_slots: int
@@ -107,141 +96,68 @@ class Trace:
     columns: Tuple[int, ...]
 
 
-def _const_address(value) -> Optional[int]:
-    """A static qubit/result address, or None when the operand is dynamic."""
-    if isinstance(value, ConstantNull):
-        return 0
-    if isinstance(value, ConstantPointerInt):
-        return int(value.address)
-    if isinstance(value, ConstantExpr) and value.opcode == "inttoptr":
-        operand = value.operands[0]
-        if isinstance(operand, ConstantInt):
-            return int(operand.value)
-    return None
+#: Interpreter steps one recording may take before the program keeps the
+#: interpreter path.
+RECORD_STEP_BUDGET = 10_000
 
 
-def _const_param(value) -> Optional[float]:
-    if isinstance(value, ConstantFloat):
-        return float(value.value)
-    if isinstance(value, ConstantInt):
-        return float(value.value)
-    return None
+class _Declined(Exception):
+    """The recorded program does something one static schedule cannot."""
 
 
-#: RT calls a traced program may contain without effect on the schedule.
-_RT_IGNORED = frozenset(
-    {
-        f"{RT_PREFIX}initialize",
-        f"{RT_PREFIX}array_record_output",
-        f"{RT_PREFIX}tuple_record_output",
-    }
-)
+class _Recorder:
+    """A backend that records the gate stream instead of simulating it:
+    slots in allocation order, as the runtime's ``QubitManager`` binds
+    every shot, and no RNG draw."""
+
+    def __init__(self) -> None:
+        self.num_qubits = 0
+        self.ops: List[TraceOp] = []
+
+    def allocate_qubit(self) -> int:
+        self.num_qubits += 1
+        return self.num_qubits - 1
+
+    def release_qubit(self, slot: int) -> None:
+        raise _Declined("qubit release")
+
+    def apply_gate(
+        self, name: str, qubits: Sequence[int], params: Sequence[float] = ()
+    ) -> None:
+        if len(set(qubits)) != len(qubits):
+            raise _Declined(f"repeated qubit in {name}")
+        self.ops.append(TraceGate(name, tuple(qubits), tuple(params)))
+
+    def measure(self, qubit: int) -> int:
+        self.ops.append(MeasureOp(qubit))
+        return qubit
+
+    def reset(self, qubit: int) -> None:
+        self.ops.append(ResetOp(qubit))
 
 
-def extract_trace(module: Module, entry: Optional[str] = None) -> Optional[Trace]:
-    """Linearise a straight-line static entry point, or ``None``.
+def record_trace(module: Module, entry: Optional[str] = None) -> Trace:
+    """Run the entry point once on a recording backend.
 
-    Replicates the runtime's slot binding exactly: with a
-    ``required_num_qubits`` attribute, addresses ``0..n-1`` are pre-bound
-    to slots ``0..n-1``; any further address binds in first-touch order
-    (the :class:`~repro.runtime.qubit_manager.QubitManager` contract).
+    The fast path's result store fixes the output columns and raises on
+    a feedback read or an ``m``-style result; a qubit release, a gate
+    with a repeated qubit, a runtime error or more than
+    :data:`RECORD_STEP_BUDGET` steps raise as well.
     """
-    try:
-        fn = module.entry_function(entry)
-    except EntryPointError:
-        return None
-    if len(fn.blocks) != 1:
-        return None
-    block = fn.blocks[0]
-
-    binding: Dict[int, int] = {}
-    required = fn.get_attribute("required_num_qubits")
-    if required is not None:
-        try:
-            for address in range(int(required)):
-                binding[address] = address
-        except (TypeError, ValueError):
-            return None
-
-    def slot_for(address: int) -> int:
-        slot = binding.get(address)
-        if slot is None:
-            slot = len(binding)
-            binding[address] = slot
-        return slot
-
-    ops: List[TraceOp] = []
-    # Result address -> index of the measurement that last wrote it.
-    written: Dict[int, int] = {}
-    measurements = 0
-    recorded: List[int] = []
-
-    for inst in block.instructions:
-        if isinstance(inst, ReturnInst):
-            continue
-        if not isinstance(inst, CallInst):
-            return None
-        name = inst.callee.name or ""
-        if name.startswith(QIS_PREFIX):
-            qis = parse_qis_name(name)
-            if qis is None:
-                return None
-            operands = list(inst.operands)
-            if qis.gate == "mz":
-                if len(operands) != 2:
-                    return None
-                qubit = _const_address(operands[0])
-                result = _const_address(operands[1])
-                if qubit is None or result is None:
-                    return None
-                written[result] = measurements
-                measurements += 1
-                ops.append(MeasureOp(slot_for(qubit)))
-                continue
-            if qis.gate == "reset":
-                if len(operands) != 1:
-                    return None
-                qubit = _const_address(operands[0])
-                if qubit is None:
-                    return None
-                ops.append(ResetOp(slot_for(qubit)))
-                continue
-            if qis.gate in ("m", "read_result"):
-                return None  # dynamic results / feedback: not traceable
-            params = []
-            for operand in operands[: qis.num_params]:
-                param = _const_param(operand)
-                if param is None:
-                    return None
-                params.append(param)
-            slots = []
-            for operand in operands[qis.num_params :]:
-                address = _const_address(operand)
-                if address is None:
-                    return None
-                slots.append(slot_for(address))
-            if len(set(slots)) != len(slots):
-                return None
-            ops.append(TraceGate(qis.gate, tuple(slots), tuple(params)))
-            continue
-        if name == f"{RT_PREFIX}result_record_output":
-            address = _const_address(inst.operands[0]) if inst.operands else None
-            if address is None:
-                return None
-            recorded.append(written.get(address, ZERO_COLUMN))
-            continue
-        if name in _RT_IGNORED:
-            continue
-        return None  # allocation, messages, feedback, defined calls: bail
-
     # Imported here: repro.runtime's package import reaches back into
     # this module (the plan compiler specializes through it).
-    from repro.runtime.output import output_columns
+    from repro.runtime.interpreter import Interpreter
+    from repro.runtime.sampling_fastpath import SharedStreamResults
 
+    recorder = _Recorder()
+    results = SharedStreamResults()
+    Interpreter(
+        module, recorder, step_limit=RECORD_STEP_BUDGET, results=results
+    ).run(entry)
     return Trace(
-        ops=tuple(ops),
-        num_slots=len(binding),
-        columns=tuple(output_columns(recorded, written, ZERO_COLUMN)),
+        ops=tuple(recorder.ops),
+        num_slots=recorder.num_qubits,
+        columns=tuple(results.columns()),
     )
 
 
@@ -388,17 +304,14 @@ def build_schedule(trace: Trace) -> FusedProgram:
 def specialize_module(
     module: Module, entry: Optional[str] = None
 ) -> Optional[FusedProgram]:
-    """The compile phase's entry point: trace + fuse, or ``None``.
+    """The compile phase's entry point: record + fuse, or ``None``.
 
-    Never raises: a program the specializer cannot handle simply keeps
-    the interpreter path (the optimistic-abort philosophy of the
-    sampling fast path, applied ahead of time).
+    Never raises: a program the recording declines simply keeps the
+    interpreter path (the optimistic-abort philosophy of the sampling
+    fast path, applied ahead of time).
     """
     try:
-        trace = extract_trace(module, entry)
-        if trace is None:
-            return None
-        return build_schedule(trace)
+        return build_schedule(record_trace(module, entry))
     except Exception:
         return None
 

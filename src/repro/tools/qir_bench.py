@@ -215,8 +215,8 @@ def fusion_arms(plan: ExecutionPlan, shots: int) -> Tuple[Arm, Arm]:
     """
     if plan.fused is None:
         raise ValueError(
-            "program is not specializable (dynamic control flow or qubit "
-            "addressing); there is no fused schedule to measure"
+            "program is not specializable (the recording declined it); "
+            "there is no fused schedule to measure"
         )
     return _bare_then_plan(QirRuntime(seed=7), plan, shots, "never")
 

@@ -8,6 +8,8 @@ from repro.obs.observer import Observer
 from repro.obs.runctx import RunContext, is_run_id
 from repro.resilience import FaultPlan
 from repro.runtime import QirRuntime, QirSession, guided_chunks
+from repro.runtime.errors import StepLimitExceeded
+from repro.runtime.plan import compile_plan
 from repro.runtime.pool import ProcessScheduler, _WorkerReport
 from repro.runtime.shots import ShotOutcome
 from repro.workloads.qir_programs import bell_qir
@@ -59,6 +61,34 @@ class TestRuntimePropagation:
         gauges = observer.metrics.snapshot()["gauges"]
         info = next(k for k in gauges if k.startswith("run.info{"))
         assert "parent_span_id=request-span-9" in info
+
+    @pytest.mark.parametrize("sampling, scheduler", [
+        ("auto", "serial"), ("never", "process"),
+    ])
+    def test_run_is_labelled_with_the_placement_that_served_it(
+        self, sampling, scheduler
+    ):
+        # The fast path serves a run in-thread whatever jobs asks for;
+        # the gauge and the span say so, as the result does.
+        observer = Observer()
+        rt = QirRuntime(seed=1, observer=observer)
+        result = rt.run_shots(
+            compile_plan(bell_qir("static")), shots=50, jobs=2, sampling=sampling
+        )
+        assert result.scheduler == scheduler
+        gauges = observer.metrics.snapshot()["gauges"]
+        (info,) = [k for k in gauges if k.startswith("run.info{")]
+        assert f"scheduler={scheduler}" in info
+        (span,) = [e for e in observer.tracer.events if e["name"] == "run_shots"]
+        assert span["args"]["scheduler"] == scheduler
+
+    def test_a_run_that_raises_publishes_no_run_info(self):
+        observer = Observer()
+        rt = QirRuntime(seed=1, observer=observer, step_limit=3)
+        with pytest.raises(StepLimitExceeded):
+            rt.run_shots(bell_qir("static"), shots=4, jobs=2, sampling="never")
+        gauges = observer.metrics.snapshot()["gauges"]
+        assert not [k for k in gauges if k.startswith("run.info{")]
 
     def test_unobserved_run_without_context_stays_anonymous(self):
         # No observer, no caller context: no identity is minted, so the
@@ -155,6 +185,19 @@ class TestSessionLedgerIntegration:
         assert record.plan_key  # the session knows the plan key
         assert record.counters.get("runtime.shots.requested") == 50
         assert record.environment  # fingerprint embedded
+
+    def test_fast_path_row_and_gauge_say_serial_under_jobs(self, tmp_path):
+        observer = Observer()
+        session = QirSession(
+            runtime=QirRuntime(seed=7, observer=observer),
+            ledger_dir=str(tmp_path),
+        )
+        result = session.run_shots(bell_qir("static"), shots=50, jobs=2)
+        assert result.used_fast_path and result.scheduler == "serial"
+        assert session.ledger.get(result.run_id).scheduler == "serial"
+        gauges = observer.metrics.snapshot()["gauges"]
+        (info,) = [k for k in gauges if k.startswith("run.info{")]
+        assert "scheduler=serial" in info
 
     def test_unobserved_session_still_writes_rows(self, tmp_path):
         session = QirSession(seed=7, ledger_dir=str(tmp_path))

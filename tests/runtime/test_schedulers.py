@@ -149,8 +149,8 @@ class TestCrossSchedulerDeterminism:
         assert sum(result.counts.values()) == 50
 
 
-# The selection rule that once picked the batch for a reset chain, row by
-# row: (program, QirRuntime options, run_shots options) -> the tier or
+# The path selection rule, row by row, on a reset chain:
+# (program, QirRuntime options, run_shots options) -> the tier or
 # placement that serves the run, and whether the run is clean
 # (statevector, no noise).  A reset chain has no feedback, so the fast
 # path serves it from any input, and in-thread whatever ``jobs`` says;
@@ -172,7 +172,7 @@ SELECTION = {
 
 
 @pytest.mark.parametrize("row", sorted(SELECTION))
-def test_batch_selection_rule(row):
+def test_path_selection_rule(row):
     source, runtime_options, run_options, label, clean = SELECTION[row]
     text = {
         "feedback": FEEDBACK_PROGRAM, "clifford": CLIFFORD_RESET_PROGRAM,

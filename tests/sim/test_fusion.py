@@ -39,16 +39,27 @@ from repro.runtime.plan import (
 from repro.runtime.plancache import PlanCache
 from repro.runtime.sampling_fastpath import SampledDistribution
 from repro.sim import StatevectorSimulator
-from repro.sim.fusion import MeasureOp, build_schedule, extract_trace, run_fused
+from repro.sim.fusion import (
+    RECORD_STEP_BUDGET,
+    KernelOp,
+    MeasureOp,
+    build_schedule,
+    record_trace,
+    run_fused,
+)
 from repro.tools.qir_bench import dist_warm_arms, fusion_arms
 from repro.workloads.circuits import random_circuit
+from repro.workloads.qec import teleportation_qir
 from repro.workloads.qir_programs import (
+    bell_qir,
     counted_loop_qir,
     ghz_qir,
+    ghz_qir_legacy,
     qft_qir,
     random_qir,
     reset_chain_qir,
     rotation_ladder_qir,
+    vqe_ansatz_qir,
 )
 
 SEED = 11
@@ -74,9 +85,7 @@ def _gate_only_trace(num_qubits: int, depth: int, seed: int):
         random_circuit(num_qubits, depth, seed=seed, measure=False),
         addressing="static",
     )
-    trace = extract_trace(parse_assembly(text))
-    assert trace is not None
-    return trace
+    return record_trace(parse_assembly(text))
 
 
 # -- fusion arithmetic --------------------------------------------------------
@@ -102,8 +111,9 @@ def test_fused_statevector_matches_per_gate_application(num_qubits, depth, seed)
 
 
 def test_rotation_ladder_coalesces_into_few_kernels():
-    trace = extract_trace(parse_assembly(rotation_ladder_qir(2, depth=16)))
-    program = build_schedule(trace)
+    program = build_schedule(
+        record_trace(parse_assembly(rotation_ladder_qir(2, depth=16)))
+    )
     assert program.source_gates == 32
     # Both single-qubit ladders share a <=2-qubit support, so the whole
     # gate body collapses into one pre-multiplied kernel.
@@ -118,8 +128,10 @@ def test_rotation_ladder_coalesces_into_few_kernels():
     rotation_ladder_qir(2, depth=8),
     rotation_ladder_qir(2, depth=48),
     reset_chain_qir(2, rounds=2),
+    counted_loop_qir(16),
+    reset_chain_qir(6, rounds=3),
 ], ids=["ghz4", "random3x4", "rotation_ladder", "rotation_ladder48",
-        "reset_chain"])
+        "reset_chain", "counted_loop16", "reset_chain6x3"])
 def test_fused_counts_match_unfused_serial_across_schedulers(text):
     shots = 24
     # Raw text runs unspecialized: the unfused per-gate reference.
@@ -127,6 +139,7 @@ def test_fused_counts_match_unfused_serial_across_schedulers(text):
         text, shots=shots, sampling="never"
     )
     plan = compile_plan(text)
+    assert plan.fused is not None
     for jobs in (1, 2):
         result = QirRuntime(seed=SEED).run_shots(
             plan, shots=shots, sampling="never", jobs=jobs
@@ -224,6 +237,183 @@ def test_prefix_is_evolved_once_per_schedule(monkeypatch):
     # once for the schedule, never per shot.
     assert len(calls) == plan.fused.kernels == len(plan.fused.prefix)
     assert fused.counts == reference.counts
+
+
+# -- the recording: what specializes, what declines ----------------------------
+
+def _program(body: str, declares: str, qubits: int = 1) -> str:
+    return f"""
+define void @main() #0 {{
+{body}
+}}
+{declares}
+attributes #0 = {{ "entry_point" "required_num_qubits"="{qubits}" }}
+"""
+
+
+_H_MZ = """declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr writeonly)"""
+
+#: One program per reason the recording declines; each keeps the
+#: interpreter path, so the plan's counts (or error) are the raw text's.
+DECLINES = {
+    "feedback": teleportation_qir(0.7),
+    "m_result": _program(
+        """entry:
+  call void @__quantum__qis__h__body(ptr null)
+  %r = call ptr @__quantum__qis__m__body(ptr null)
+  call void @__quantum__rt__result_record_output(ptr %r, ptr null)
+  ret void""",
+        """declare void @__quantum__qis__h__body(ptr)
+declare ptr @__quantum__qis__m__body(ptr)
+declare void @__quantum__rt__result_record_output(ptr, ptr)""",
+    ),
+    "release": ghz_qir(3, addressing="dynamic"),
+    "repeated_qubit": _program(
+        """entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__cnot__body(ptr null, ptr null)
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  ret void""",
+        _H_MZ + "\ndeclare void @__quantum__qis__cnot__body(ptr, ptr)",
+    ),
+    # 3 steps per iteration: past the budget, and still a fast per-shot run.
+    "step_budget": _program(
+        f"""entry:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %next, %loop ]
+  %next = add i64 %i, 1
+  %done = icmp eq i64 %next, {RECORD_STEP_BUDGET // 3 + 1}
+  br i1 %done, label %exit, label %loop
+exit:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  ret void""",
+        _H_MZ,
+    ),
+    "trap": _program(
+        """entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__rt__fail(ptr null)
+  ret void""",
+        _H_MZ + "\ndeclare void @__quantum__rt__fail(ptr)",
+    ),
+}
+
+
+def _outcome(program, **options):
+    """A per-shot run's counts, or the name of the error it raised."""
+    try:
+        return QirRuntime(seed=SEED, **options).run_shots(
+            program, shots=8, sampling="never"
+        ).counts
+    except Exception as error:
+        return type(error).__name__
+
+
+@pytest.mark.parametrize("name", sorted(DECLINES))
+def test_declined_recordings_keep_the_interpreter_path(name):
+    text = DECLINES[name]
+    plan = compile_plan(text)
+    assert plan.fused is None
+    assert _outcome(plan) == _outcome(text)
+
+
+def test_recording_declines_past_the_step_budget_only():
+    # The same loop within the budget records like a straight line.
+    text = DECLINES["step_budget"].replace(
+        f"{RECORD_STEP_BUDGET // 3 + 1}", f"{RECORD_STEP_BUDGET // 3 - 10}"
+    )
+    plan = compile_plan(text)
+    assert plan.fused is not None and plan.fused.source_gates == 1
+    assert _outcome(plan) == _outcome(text)
+
+
+#: Address 3 lies past the reserved pair, so it binds on the fly.
+ON_THE_FLY = _program(
+    """entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__cnot__body(ptr null, ptr inttoptr (i64 3 to ptr))
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  call void @__quantum__qis__mz__body(ptr inttoptr (i64 3 to ptr), ptr inttoptr (i64 1 to ptr))
+  ret void""",
+    _H_MZ + "\ndeclare void @__quantum__qis__cnot__body(ptr, ptr)",
+    qubits=2,
+)
+
+
+@pytest.mark.parametrize("text, options, error", [
+    (ON_THE_FLY, {"allow_on_the_fly_qubits": False}, "QirRuntimeError"),
+    (ghz_qir(4, addressing="static"), {"step_limit": 3}, "StepLimitExceeded"),
+], ids=["no_on_the_fly", "step_limit"])
+def test_a_stricter_runtime_declines_the_schedule(text, options, error):
+    # The schedule was recorded under the default runtime; a runtime that
+    # would raise on the program raises on the plan too.
+    plan = compile_plan(text)
+    assert plan.fused is not None
+    assert _outcome(text, **options) == error
+    assert _outcome(plan, **options) == error
+    assert _outcome(plan) == _outcome(text)
+
+
+def _schedule_summary(fused):
+    if fused is None:
+        return None
+    ops = []
+    for op in tuple(fused.prefix) + tuple(fused.ops):
+        if isinstance(op, KernelOp):
+            # Rounded, and -0.0 folded into 0.0, so the digest pins the
+            # kernels, not the last bit of a BLAS build's arithmetic.
+            matrix = np.round(op.matrix, 10) + 0.0
+            digest = hashlib.sha256(matrix.tobytes()).hexdigest()[:16]
+            ops.append(["kernel", list(op.qubits), op.gates, digest])
+        else:
+            ops.append([type(op).__name__, op.slot])
+    return [fused.num_slots, list(fused.columns), fused.source_gates,
+            len(fused.prefix), ops]
+
+
+def _schedule_corpus():
+    with open(RECORD_ORDER) as handle:
+        record_order = handle.read()
+    corpus = [("record_order", record_order, None)]
+    for addressing in ("static", "dynamic"):
+        corpus += [
+            (f"bell-{addressing}", bell_qir(addressing), None),
+            (f"ghz5-{addressing}", ghz_qir(5, addressing), None),
+            (f"qft4-{addressing}", qft_qir(4, addressing), None),
+        ]
+        corpus += [
+            (f"random4x5s{seed}-{addressing}",
+             random_qir(4, 5, seed=seed, addressing=addressing), None)
+            for seed in range(3)
+        ]
+    corpus += [
+        ("loop4-unroll", counted_loop_qir(4), "unroll"),
+        ("ladder3x16", rotation_ladder_qir(3, depth=16), None),
+        ("reset_chain3x3", reset_chain_qir(3, rounds=3), None),
+        ("vqe", vqe_ansatz_qir((0.4, 1.1, -0.7, 0.25), "xx"), None),
+        ("legacy3", ghz_qir_legacy(3), None),
+        ("preamble3.reset", _clifford_preamble_program(reset=True), None),
+    ]
+    return corpus
+
+
+#: The schedules of :func:`_schedule_corpus`, as the static single-block
+#: matcher built them before the recording replaced it: every program it
+#: specialized records the same slots, columns and kernels.
+SCHEDULE_CORPUS_DIGEST = "9c1add889b98eb4a4a870c2cc2128f4d9bbe6df8ac2da5c14c6adbb36f997ebe"
+
+
+def test_recorded_schedules_match_the_static_matcher_digest():
+    records = [
+        [name, _schedule_summary(compile_plan(text, pipeline=pipeline).fused)]
+        for name, text, pipeline in _schedule_corpus()
+    ]
+    blob = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == SCHEDULE_CORPUS_DIGEST
 
 
 # -- cached sampling distribution ---------------------------------------------
@@ -455,9 +645,9 @@ def test_distribution_hit_miss_counters():
 # -- the qir-bench specialization arms fail closed ---------------------------
 
 def test_fusion_arms_reject_unspecializable_programs():
-    # Dynamic control flow (a real loop) defeats trace extraction, so
-    # there is no fused schedule to compare against.
-    plan = compile_plan(counted_loop_qir(4), verify=False)
+    # Feedback on a measured value declines the recording, so there is
+    # no fused schedule to compare against.
+    plan = compile_plan(teleportation_qir(0.7), verify=False)
     with pytest.raises(ValueError, match="not specializable"):
         fusion_arms(plan, shots=4)
 
