@@ -4,7 +4,8 @@ Shape claims (DESIGN.md):
 * the pipeline (fold / propagate / DCE / simplify / mem2reg) shrinks
   adaptive and full QIR programs;
 * it never changes simulated measurement distributions (checked exactly
-  with matched seeds).
+  with matched seeds), also on programs whose counts hang on an exact
+  scalar semantics (an unsigned loop bound, signed division past 2**53).
 """
 
 import pytest
@@ -19,7 +20,7 @@ from repro.passes import (
     default_pipeline,
     o1_pipeline,
 )
-from repro.runtime import run_shots
+from repro.runtime import compile_plan, run_shots
 from repro.workloads.qec import repetition_code_qir
 from repro.workloads.qir_programs import counted_loop_qir
 
@@ -59,6 +60,49 @@ def _bloated_program() -> str:
     !llvm.module.flags = !{!0}
     !0 = !{i32 1, !"qir_major_version", i32 1}
     """
+
+
+def _x_program(body: str) -> str:
+    """``body`` (which must end by branching to %measure) followed by a
+    measurement of qubit 0."""
+    return f"""
+    define void @main() #0 {{
+    entry:
+    {body}
+    measure:
+      call void @__quantum__qis__mz__body(ptr null, ptr writeonly null)
+      ret void
+    }}
+    declare void @__quantum__qis__x__body(ptr)
+    declare void @__quantum__qis__mz__body(ptr, ptr writeonly)
+    attributes #0 = {{ "entry_point" "required_num_qubits"="1" "required_num_results"="1" }}
+    """
+
+
+#: Each flips qubit 0 only if the pipeline evaluates the arithmetic as the
+#: interpreter does.
+_SEMANTICS_PROGRAMS = {
+    # 129 iterations: the bound is unsigned (it is -127 read signed).
+    "unsigned loop bound": _x_program("""
+      br label %header
+    header:
+      %i = phi i8 [ 0, %entry ], [ %next, %body ]
+      %more = icmp ult i8 %i, 129
+      br i1 %more, label %body, label %measure
+    body:
+      call void @__quantum__qis__x__body(ptr null)
+      %next = add i8 %i, 1
+      br label %header"""),
+    # (2**53 + 1) is odd; a division through a double would round it even.
+    "sdiv past 2**53": _x_program("""
+      %q = sdiv i64 9007199254740993, 1
+      %r = srem i64 %q, 2
+      %odd = icmp eq i64 %r, 1
+      br i1 %odd, label %flip, label %measure
+    flip:
+      call void @__quantum__qis__x__body(ptr null)
+      br label %measure"""),
+}
 
 
 _PASSES = {
@@ -112,6 +156,13 @@ def test_pass_shape(benchmark):
     o1_pipeline().run(rep3)
     rep_after = rep3.instruction_count()
     rep_counts_after = run_shots(rep3, shots=200, seed=22).counts
+
+    for name, program in _SEMANTICS_PROGRAMS.items():
+        raw = run_shots(program, shots=50, seed=23).counts
+        assert raw == {"1": 50}, name
+        for pipeline in ("o1", "unroll"):
+            optimized = compile_plan(program, pipeline=pipeline)
+            assert run_shots(optimized, shots=50, seed=23).counts == raw, (name, pipeline)
 
     report(
         "PASS pipeline shrinkage (instructions)",

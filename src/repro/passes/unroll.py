@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.loops import Loop, find_natural_loops
+from repro.llvmir import semantics
 from repro.llvmir.block import BasicBlock
 from repro.llvmir.function import Function
 from repro.llvmir.instructions import (
@@ -58,20 +59,6 @@ class _CountedLoop:
         self.induction = induction
         self.trip_count = trip_count
         self.iteration_values = iteration_values
-
-
-_PREDICATES = {
-    "slt": lambda x, y: x < y,
-    "sle": lambda x, y: x <= y,
-    "sgt": lambda x, y: x > y,
-    "sge": lambda x, y: x >= y,
-    "ne": lambda x, y: x != y,
-    "eq": lambda x, y: x == y,
-    "ult": lambda x, y: x < y,
-    "ule": lambda x, y: x <= y,
-    "ugt": lambda x, y: x > y,
-    "uge": lambda x, y: x >= y,
-}
 
 
 class LoopUnrollPass(FunctionPass):
@@ -193,18 +180,12 @@ class LoopUnrollPass(FunctionPass):
             return None
         # `condition true` may mean *continue* or *exit* depending on branch arms.
         continue_on_true = term.true_target is body_successor
-        test = _PREDICATES.get(predicate)
-        if test is None:
-            return None
 
         itype = phi.type
         values: List[int] = []
         current = init.value
         for _ in range(self.max_trip_count + 1):
-            stays = test(current, bound)
-            if not continue_on_true:
-                stays = not stays
-            if not stays:
+            if semantics.icmp(predicate, itype, current, bound) != continue_on_true:
                 return len(values), values
             values.append(current)
             current = itype.wrap(current + step)  # type: ignore[union-attr]

@@ -1,19 +1,23 @@
 """The IR interpreter: our stand-in for LLVM's ``lli`` (paper, Sec. III-C).
 
-Executes one entry point of a module: classical instructions are evaluated
-directly; calls to declared ``__quantum__*`` functions dispatch to the
-intrinsic bindings in :mod:`repro.runtime.intrinsics`, which drive the
-simulator backend.  Calls to *defined* functions recurse (full-QIR
-programs may factor subroutines).
+Executes one entry point of a module.  Arithmetic, comparisons and value
+casts are evaluated by :mod:`repro.llvmir.semantics`, the definition the
+constant folder shares, so ``opt`` and ``lli`` cannot disagree; undefined
+behaviour there (division by zero, ``fptosi`` of NaN) traps with
+``QIR001``.  Memory, pointers and control flow are interpreted here.
+Calls to declared ``__quantum__*`` functions dispatch to the intrinsic
+bindings in :mod:`repro.runtime.intrinsics`, which drive the simulator
+backend.  Calls to *defined* functions recurse (full-QIR programs may
+factor subroutines).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
+from repro.llvmir import semantics
 from repro.llvmir.block import BasicBlock
 from repro.llvmir.function import Function
 from repro.llvmir.instructions import (
@@ -61,15 +65,7 @@ from repro.runtime.intrinsics import RT_INTRINSICS, dispatch_qis
 from repro.runtime.output import OutputRecorder
 from repro.runtime.qubit_manager import QubitManager
 from repro.runtime.results import ResultStore
-from repro.runtime.values import (
-    ArrayHandle,
-    GlobalPtr,
-    IntPtr,
-    Memory,
-    QubitPtr,
-    ResultPtr,
-    StackPtr,
-)
+from repro.runtime.values import GlobalPtr, IntPtr, Memory, StackPtr
 from repro.sim.backend import SimulatorBackend
 
 
@@ -250,9 +246,10 @@ class Interpreter:
                     break
                 if isinstance(inst, SwitchInst):
                     value = self._eval(inst.value, frame)
+                    type_ = inst.value.type
                     target = inst.default
                     for const, case_block in inst.cases:
-                        if self._eval(const, frame) == value:
+                        if semantics.icmp("eq", type_, self._eval(const, frame), value):
                             target = case_block
                             break
                     prev_block, block = block, target
@@ -272,6 +269,11 @@ class Interpreter:
                         ErrorContext(fn.name, block.name, _inst_summary(inst))
                     )
                     raise
+                except semantics.Undefined as error:  # sdiv by zero, fptosi of NaN
+                    raise TrapError(
+                        str(error),
+                        context=ErrorContext(fn.name, block.name, _inst_summary(inst)),
+                    ) from None
                 if not inst.type.is_void:
                     frame[inst] = result
             else:
@@ -288,11 +290,15 @@ class Interpreter:
                 self.stats.classical_calls += 1
             return self.call_function(callee, args)
         if isinstance(inst, BinaryInst):
-            return self._binary(inst, frame)
+            return semantics.binary(
+                inst.opcode, inst.type, self._eval(inst.lhs, frame), self._eval(inst.rhs, frame)
+            )
         if isinstance(inst, ICmpInst):
             return self._icmp(inst, frame)
         if isinstance(inst, FCmpInst):
-            return self._fcmp(inst, frame)
+            return semantics.fcmp(
+                inst.predicate, self._eval(inst.lhs, frame), self._eval(inst.rhs, frame)
+            )
         if isinstance(inst, CastInst):
             return self._cast(inst, frame)
         if isinstance(inst, SelectInst):
@@ -341,150 +347,26 @@ class Interpreter:
             return pointer.offset_by(offset)
         raise QirRuntimeError(f"getelementptr on non-memory pointer {pointer!r}")
 
-    def _binary(self, inst: BinaryInst, frame: Dict[Value, object]) -> object:
-        a = self._eval(inst.lhs, frame)
-        b = self._eval(inst.rhs, frame)
-        op = inst.opcode
-        if op.startswith("f"):
-            x, y = float(a), float(b)  # type: ignore[arg-type]
-            if op == "fadd":
-                return x + y
-            if op == "fsub":
-                return x - y
-            if op == "fmul":
-                return x * y
-            if op == "fdiv":
-                return x / y if y != 0.0 else math.copysign(math.inf, x) if x else math.nan
-            if op == "frem":
-                return math.fmod(x, y) if y != 0.0 else math.nan
-        itype = inst.type
-        assert isinstance(itype, IntType)
-        x, y = int(a), int(b)  # type: ignore[arg-type]
-        if op == "add":
-            return itype.wrap(x + y)
-        if op == "sub":
-            return itype.wrap(x - y)
-        if op == "mul":
-            return itype.wrap(x * y)
-        if op == "sdiv":
-            if y == 0:
-                raise TrapError("sdiv by zero")
-            return itype.wrap(int(x / y))  # C-style truncation
-        if op == "udiv":
-            if y == 0:
-                raise TrapError("udiv by zero")
-            return itype.wrap(itype.to_unsigned(x) // itype.to_unsigned(y))
-        if op == "srem":
-            if y == 0:
-                raise TrapError("srem by zero")
-            return itype.wrap(x - int(x / y) * y)
-        if op == "urem":
-            if y == 0:
-                raise TrapError("urem by zero")
-            return itype.wrap(itype.to_unsigned(x) % itype.to_unsigned(y))
-        if op == "and":
-            return itype.wrap(x & y)
-        if op == "or":
-            return itype.wrap(x | y)
-        if op == "xor":
-            return itype.wrap(x ^ y)
-        if op == "shl":
-            return itype.wrap(x << (y % itype.bits))
-        if op == "lshr":
-            return itype.wrap(itype.to_unsigned(x) >> (y % itype.bits))
-        if op == "ashr":
-            return itype.wrap(x >> (y % itype.bits))
-        raise QirRuntimeError(f"unhandled binary opcode {op}")
-
     def _icmp(self, inst: ICmpInst, frame: Dict[Value, object]) -> int:
         a = self._eval(inst.lhs, frame)
         b = self._eval(inst.rhs, frame)
-        pred = inst.predicate
-        if isinstance(a, (IntPtr, QubitPtr, ResultPtr, StackPtr, GlobalPtr)) or isinstance(
-            b, (IntPtr, QubitPtr, ResultPtr, StackPtr, GlobalPtr)
-        ):
-            if pred == "eq":
-                return int(a == b)
-            if pred == "ne":
-                return int(a != b)
-            raise QirRuntimeError(f"ordered icmp {pred} on pointers")
-        x, y = int(a), int(b)  # type: ignore[arg-type]
-        lhs_type = inst.lhs.type
-        if pred in ("ugt", "uge", "ult", "ule") and isinstance(lhs_type, IntType):
-            x = lhs_type.to_unsigned(x)
-            y = lhs_type.to_unsigned(y)
-        table = {
-            "eq": x == y,
-            "ne": x != y,
-            "sgt": x > y,
-            "sge": x >= y,
-            "slt": x < y,
-            "sle": x <= y,
-            "ugt": x > y,
-            "uge": x >= y,
-            "ult": x < y,
-            "ule": x <= y,
-        }
-        return int(table[pred])
-
-    def _fcmp(self, inst: FCmpInst, frame: Dict[Value, object]) -> int:
-        x = float(self._eval(inst.lhs, frame))  # type: ignore[arg-type]
-        y = float(self._eval(inst.rhs, frame))  # type: ignore[arg-type]
-        pred = inst.predicate
-        unordered = math.isnan(x) or math.isnan(y)
-        if pred == "true":
-            return 1
-        if pred == "false":
-            return 0
-        if pred == "ord":
-            return int(not unordered)
-        if pred == "uno":
-            return int(unordered)
-        base = {
-            "eq": x == y,
-            "gt": x > y,
-            "ge": x >= y,
-            "lt": x < y,
-            "le": x <= y,
-            "ne": x != y,
-        }
-        key = pred[1:]
-        if pred.startswith("o"):
-            return int(not unordered and base[key])
-        return int(unordered or base[key])
+        try:
+            return semantics.icmp(inst.predicate, inst.lhs.type, a, b)
+        except TypeError:
+            raise QirRuntimeError(f"ordered icmp {inst.predicate} on pointers") from None
 
     def _cast(self, inst: CastInst, frame: Dict[Value, object]) -> object:
         value = self._eval(inst.value, frame)
         op = inst.opcode
-        if op == "trunc":
-            assert isinstance(inst.type, IntType)
-            return inst.type.wrap(int(value))  # type: ignore[arg-type]
-        if op == "zext":
-            src = inst.value.type
-            assert isinstance(src, IntType) and isinstance(inst.type, IntType)
-            return inst.type.wrap(src.to_unsigned(int(value)))  # type: ignore[arg-type]
-        if op == "sext":
-            assert isinstance(inst.type, IntType)
-            return inst.type.wrap(int(value))  # type: ignore[arg-type]
-        if op == "sitofp":
-            return float(int(value))  # type: ignore[arg-type]
-        if op == "uitofp":
-            src = inst.value.type
-            assert isinstance(src, IntType)
-            return float(src.to_unsigned(int(value)))  # type: ignore[arg-type]
-        if op in ("fptosi", "fptoui"):
-            assert isinstance(inst.type, IntType)
-            return inst.type.wrap(int(float(value)))  # type: ignore[arg-type]
+        if op == "bitcast":
+            return value
         if op == "inttoptr":
             return IntPtr(int(value))  # type: ignore[arg-type]
         if op == "ptrtoint":
             if isinstance(value, IntPtr):
-                assert isinstance(inst.type, IntType)
-                return inst.type.wrap(value.address)
+                return inst.type.wrap(value.address)  # type: ignore[attr-defined]
             raise QirRuntimeError(f"ptrtoint of non-integer pointer {value!r}")
-        if op == "bitcast":
-            return value
-        raise QirRuntimeError(f"unhandled cast {op}")
+        return semantics.cast(op, inst.value.type, inst.type, value)
 
     # -- operand evaluation --------------------------------------------------------
     def _eval(self, value: Value, frame: Dict[Value, object]) -> object:

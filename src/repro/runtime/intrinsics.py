@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, TYPE_CHECKING
 
 from repro.qir.catalog import RT_PREFIX, parse_qis_name
-from repro.runtime.errors import QirRuntimeError, TrapError
+from repro.runtime.errors import InvalidPointerError, QirRuntimeError, TrapError
 from repro.runtime.results import RESULT_ONE, RESULT_ZERO
 from repro.runtime.values import ArrayHandle, GlobalPtr, IntPtr, QubitPtr, StackPtr
 
@@ -59,6 +59,8 @@ def dispatch_qis(interp: "Interpreter", name: str, args: List[object]) -> object
     params = [float(a) for a in args[: entry.num_params]]  # type: ignore[arg-type]
     qubit_args = args[entry.num_params :]
     slots = [interp.qubits.slot_for(q) for q in qubit_args]
+    if len(slots) > 1 and len(set(slots)) != len(slots):
+        raise InvalidPointerError(f"@{name} applied to one qubit twice: {slots}")
     interp.backend.apply_gate(entry.gate, slots, params)
     interp.stats.gates += 1
     return None

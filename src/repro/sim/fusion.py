@@ -124,8 +124,6 @@ class _Recorder:
     def apply_gate(
         self, name: str, qubits: Sequence[int], params: Sequence[float] = ()
     ) -> None:
-        if len(set(qubits)) != len(qubits):
-            raise _Declined(f"repeated qubit in {name}")
         self.ops.append(TraceGate(name, tuple(qubits), tuple(params)))
 
     def measure(self, qubit: int) -> int:
@@ -140,8 +138,8 @@ def record_trace(module: Module, entry: Optional[str] = None) -> Trace:
     """Run the entry point once on a recording backend.
 
     The fast path's result store fixes the output columns and raises on
-    a feedback read or an ``m``-style result; a qubit release, a gate
-    with a repeated qubit, a runtime error or more than
+    a feedback read or an ``m``-style result; a qubit release, a runtime
+    error (a gate on a repeated qubit is one) or more than
     :data:`RECORD_STEP_BUDGET` steps raise as well.
     """
     # Imported here: repro.runtime's package import reaches back into

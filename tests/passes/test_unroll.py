@@ -218,3 +218,35 @@ class TestLoopCarriedValues:
         verify_module(m)
         assert changed
         assert execute(m) == 6  # 3 * 2
+
+
+def test_unsigned_bound_keeps_counts():
+    """`icmp ult i8 %i, 129` runs 129 iterations: the trip count reads the
+    bound unsigned, as the interpreter does (129 is -127 signed)."""
+    from repro.runtime import QirRuntime, compile_plan
+
+    text = """
+    define void @main() #0 {
+    entry:
+      br label %header
+    header:
+      %i = phi i8 [ 0, %entry ], [ %next, %body ]
+      %more = icmp ult i8 %i, 129
+      br i1 %more, label %body, label %exit
+    body:
+      call void @__quantum__qis__x__body(ptr null)
+      %next = add i8 %i, 1
+      br label %header
+    exit:
+      call void @__quantum__qis__mz__body(ptr null, ptr writeonly null)
+      ret void
+    }
+    declare void @__quantum__qis__x__body(ptr)
+    declare void @__quantum__qis__mz__body(ptr, ptr writeonly)
+    attributes #0 = { "entry_point" "required_num_qubits"="1" "required_num_results"="1" }
+    """
+    plan = compile_plan(text, pipeline="unroll")
+    assert count_opcodes(plan.module.get_function("main")).get("phi", 0) == 0
+    raw = QirRuntime(seed=1).run_shots(text, shots=20).counts
+    assert raw == {"1": 20}
+    assert QirRuntime(seed=1).run_shots(plan, shots=20).counts == raw

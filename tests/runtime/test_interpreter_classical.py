@@ -1,5 +1,7 @@
 """Interpreter tests over purely classical programs (the `lli` role)."""
 
+import math
+
 import pytest
 
 from repro.llvmir import parse_assembly
@@ -56,6 +58,26 @@ class TestArithmetic:
             "define i32 @f() {\nentry:\n"
             "  %x = fptosi double 3.7 to i32\n  ret i32 %x\n}"
         ) == 3
+
+    @pytest.mark.parametrize("op", ["fptosi", "fptoui"])
+    @pytest.mark.parametrize(
+        "value", ["0x7FF8000000000000", "0x7FF0000000000000", "0xFFF0000000000000"],
+        ids=["nan", "inf", "-inf"],
+    )
+    def test_float_to_int_of_non_finite_traps(self, op, value):
+        with pytest.raises(TrapError, match=op):
+            run(
+                "define i32 @f() {\nentry:\n"
+                f"  %x = {op} double {value} to i32\n  ret i32 %x\n}}"
+            )
+
+    def test_frem_of_infinity_is_nan(self):
+        assert math.isnan(
+            run(
+                "define double @f() {\nentry:\n"
+                "  %x = frem double 0x7FF0000000000000, 1.0\n  ret double %x\n}"
+            )
+        )
 
     def test_icmp_unsigned_vs_signed(self):
         assert run(
@@ -149,6 +171,23 @@ class TestControlFlow:
         assert run(src, args=[0]) == 100
         assert run(src, args=[1]) == 200
         assert run(src, args=[7]) == 300
+
+    @pytest.mark.parametrize("true", [1, -1])
+    def test_switch_on_i1_matches_either_representative(self, true):
+        """`read_result` hands back 1 while the constant `i1 1` reads -1
+        signed; a case matches as `icmp eq` does, modulo 2**N."""
+        src = """
+        define i32 @f(i1 %x) {
+        entry:
+          switch i1 %x, label %other [ i1 1, label %one ]
+        one:
+          ret i32 200
+        other:
+          ret i32 300
+        }
+        """
+        assert run(src, args=[true]) == 200
+        assert run(src, args=[0]) == 300
 
     def test_unreachable_traps(self):
         with pytest.raises(TrapError):

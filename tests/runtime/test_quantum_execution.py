@@ -279,3 +279,41 @@ class TestShots:
         # running again from the same Module object must still work
         again = run_shots(module, shots=50, seed=1)
         assert again.counts == result.counts
+
+
+REPEATED_QUBIT = """
+define void @main() #0 {
+entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__cnot__body(ptr null, ptr null)
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  ret void
+}
+declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__cnot__body(ptr, ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr writeonly)
+attributes #0 = { "entry_point" "required_num_qubits"="1" }
+"""
+
+
+@pytest.mark.parametrize("form", ["text", "plan"])
+@pytest.mark.parametrize(
+    "backend,options",
+    [
+        ("statevector", {"sampling": "never"}),
+        ("statevector", {"sampling": "auto"}),
+        ("statevector", {"sampling": "never", "jobs": 2}),
+        ("stabilizer", {}),
+    ],
+    ids=["never", "auto", "jobs2", "stabilizer"],
+)
+def test_gate_on_a_repeated_qubit_fails_closed(form, backend, options):
+    """One qubit passed twice to a gate is a structured QIR004 on every
+    path, never a simulator's bare ValueError or a silent histogram."""
+    from repro.runtime import compile_plan
+    from repro.runtime.errors import InvalidPointerError
+
+    program = REPEATED_QUBIT if form == "text" else compile_plan(REPEATED_QUBIT)
+    with pytest.raises(InvalidPointerError, match="cnot") as caught:
+        QirRuntime(backend=backend, seed=1).run_shots(program, shots=4, **options)
+    assert caught.value.describe().startswith("[QIR004]")
